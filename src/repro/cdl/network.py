@@ -143,16 +143,31 @@ class CDLN:
         Returns ``{attach_index: (N, D_i) features}`` computed in chunks so
         memory stays bounded on large datasets.
         """
-        taps = [s.attach_index for s in self.linear_stages]
-        if not taps:
+        if not self.linear_stages:
             return {}
+        return self.backbone_outputs(images, batch_size)[0]
+
+    def backbone_outputs(
+        self, images: np.ndarray, batch_size: int = 256
+    ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+        """One chunked inference pass: ``(features, final_outputs)``.
+
+        ``features`` is :meth:`extract_features`' mapping; ``final_outputs``
+        is the baseline head's ``(N, num_classes)`` output, everything a
+        :class:`~repro.cdl.score_cache.StageScoreCache` needs besides the
+        classifiers.
+        """
+        taps = [s.attach_index for s in self.linear_stages]
         collected: dict[int, list[np.ndarray]] = {t: [] for t in taps}
+        final: list[np.ndarray] = []
         for start in range(0, images.shape[0], batch_size):
             chunk = images[start : start + batch_size]
-            _, acts = self.baseline.forward_collect(chunk, taps)
+            out, acts = self.baseline.forward_collect(chunk, taps)
             for t in taps:
                 collected[t].append(acts[t].reshape(chunk.shape[0], -1))
-        return {t: np.concatenate(parts, axis=0) for t, parts in collected.items()}
+            final.append(out)
+        features = {t: np.concatenate(parts, axis=0) for t, parts in collected.items()}
+        return features, np.concatenate(final, axis=0)
 
     # -- training (Algorithm 1, steps 4-7) ----------------------------------------
     def fit_linear_classifiers(
@@ -163,11 +178,16 @@ class CDLN:
         train_on: str = "all",
         delta: float | None = None,
         batch_size: int = 256,
+        features: dict[int, np.ndarray] | None = None,
     ) -> "CDLN":
         """Train every stage's linear classifier on the baseline's features.
 
         Parameters
         ----------
+        features:
+            :meth:`extract_features` of ``images`` when the caller already
+            has it (Algorithm 1 reuses its one backbone pass); computed here
+            otherwise.
         train_on:
             ``"all"`` trains each classifier on the full training set;
             ``"passed"`` trains stage ``i`` only on the instances the
@@ -177,7 +197,8 @@ class CDLN:
         if train_on not in ("all", "passed"):
             raise ConfigurationError(f"train_on must be 'all' or 'passed', got {train_on!r}")
         labels = np.asarray(labels, dtype=np.int64).ravel()
-        features = self.extract_features(images, batch_size=batch_size)
+        if features is None:
+            features = self.extract_features(images, batch_size=batch_size)
         remaining = np.arange(images.shape[0])
         for stage in self.linear_stages:
             feats = features[stage.attach_index]

@@ -115,17 +115,9 @@ class StageScoreCache:
         ``num_stages`` small score matrices rather than feature maps.
         """
         cdln._require_fitted()
-        stages = list(cdln.linear_stages)
         if images.shape[0] == 0:
-            # Degenerate but well-formed: zero-row score matrices replay to
-            # empty results instead of tripping np.concatenate on [].
-            classes = cdln.num_classes
-            empty = np.empty((0, classes), dtype=np.float64)
-            return cls(
-                cdln,
-                {stage.name: empty.copy() for stage in stages},
-                empty.copy(),
-            )
+            return cls._empty(cdln)
+        stages = list(cdln.linear_stages)
         taps = [s.attach_index for s in stages]
         per_stage: dict[str, list[np.ndarray]] = {s.name: [] for s in stages}
         final_parts: list[np.ndarray] = []
@@ -140,6 +132,52 @@ class StageScoreCache:
             cdln,
             {name: np.concatenate(parts, axis=0) for name, parts in per_stage.items()},
             np.concatenate(final_parts, axis=0),
+        )
+
+    @classmethod
+    def from_features(
+        cls,
+        cdln: CDLN,
+        features: dict[int, np.ndarray],
+        final_outputs: np.ndarray,
+        *,
+        batch_size: int = 256,
+    ) -> "StageScoreCache":
+        """The cache :meth:`build` would make, from a pass already taken.
+
+        ``(features, final_outputs)`` is
+        :meth:`~repro.cdl.network.CDLN.backbone_outputs` of the sample.
+        Scoring runs in :meth:`build`'s ``batch_size`` chunks, so every
+        classifier GEMM has the same shape and the scores match
+        :meth:`build`'s bit for bit.
+        """
+        cdln._require_fitted()
+        n = final_outputs.shape[0]
+        if n == 0:
+            return cls._empty(cdln)
+        scores = {
+            stage.name: np.concatenate(
+                [
+                    stage.classifier.confidence_scores(
+                        features[stage.attach_index][start : start + batch_size]
+                    )
+                    for start in range(0, n, batch_size)
+                ],
+                axis=0,
+            )
+            for stage in cdln.linear_stages
+        }
+        return cls(cdln, scores, final_outputs)
+
+    @classmethod
+    def _empty(cls, cdln: CDLN) -> "StageScoreCache":
+        # Degenerate but well-formed: zero-row score matrices replay to
+        # empty results instead of tripping np.concatenate on [].
+        empty = np.empty((0, cdln.num_classes), dtype=np.float64)
+        return cls(
+            cdln,
+            {stage.name: empty.copy() for stage in cdln.linear_stages},
+            empty.copy(),
         )
 
     # -- introspection ---------------------------------------------------------

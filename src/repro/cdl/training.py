@@ -23,6 +23,7 @@ from repro.cdl.confidence import ActivationModule
 from repro.cdl.gain import AdmissionResult, admit_stages
 from repro.cdl.linear_classifier import LinearClassifier
 from repro.cdl.network import CDLN
+from repro.cdl.score_cache import StageScoreCache
 from repro.data.dataset import DigitDataset
 from repro.errors import ConfigurationError
 from repro.nn.network import Network
@@ -183,17 +184,26 @@ def train_cdln(
         ),
         classifier_factory=classifier_factory,
     )
+    # One backbone pass over the training set feeds both the classifiers'
+    # features (steps 4-7) and the admission score cache (steps 8-10).
+    features, final_outputs = cdln.backbone_outputs(train.images)
     _log.info("training %d linear classifiers", len(taps))
     cdln.fit_linear_classifiers(
         train.images,
         train.labels,
         train_on=config.train_lc_on,
         delta=config.delta,
+        features=features,
     )
     admission = AdmissionResult(kept=[s.name for s in cdln.linear_stages])
     if config.gain_epsilon is not None:
+        cache = StageScoreCache.from_features(cdln, features, final_outputs)
         admission = admit_stages(
-            cdln, train.images, epsilon=config.gain_epsilon, delta=config.delta
+            cdln,
+            train.images,
+            epsilon=config.gain_epsilon,
+            delta=config.delta,
+            cache=cache,
         )
         _log.info("admission kept stages: %s", admission.kept)
     return TrainedCdl(

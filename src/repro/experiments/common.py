@@ -37,12 +37,22 @@ class Scale:
 
     @staticmethod
     def tiny() -> "Scale":
-        """Unit-test scale: trains in ~2 s, statistically noisy."""
+        """Unit-test scale, statistically noisy.
+
+        :func:`get_trained` takes about 0.27 s (``mnist_3c``) and 0.45 s
+        (``mnist_2c``) in float64, 0.17 s and 0.27 s in float32, dataset
+        generation excluded (medians of 3, 2-vCPU x86-64, BLAS on one
+        thread).
+        """
         return Scale(num_train=400, num_test=200, baseline_epochs=2)
 
     @staticmethod
     def small() -> "Scale":
-        """Bench scale (default): paper-shaped results in ~10 s per network.
+        """Bench scale (default): paper-shaped results.
+
+        :func:`get_trained` takes about 2.2 s (``mnist_3c``) and 4.0 s
+        (``mnist_2c``) in float64, 1.3 s and 2.5 s in float32, measured as
+        for :meth:`tiny`.
 
         Four epochs leaves the baseline slightly under its convergence
         ceiling -- the same regime as the paper's 97.55 % MNIST baseline,

@@ -1,10 +1,16 @@
 """Activation functions with analytic derivatives.
 
-Each activation is a stateless object exposing ``forward(x)`` and
-``backward(grad, cached_output)``.  The backward pass is written in terms of
-the *cached forward output* (not the input) because for sigmoid/tanh/softmax
-that is both cheaper and numerically nicer; ReLU keeps enough information in
-its output (zeros where the input was negative) for the same trick.
+Each activation is a stateless object exposing ``forward(x, out=None)``
+and ``backward(grad, cached_output, out=None)``.  The backward pass is
+written in terms of the *cached forward output* (not the input) because
+for sigmoid/tanh/softmax that is both cheaper and numerically nicer; ReLU
+keeps enough information in its output (zeros where the input was
+negative) for the same trick.
+
+``out``, when given, receives the result in whatever memory layout it has
+(it may alias the input); a convolution uses it to run its activation in
+place on its NCHW output and to write its backward straight into its
+NHWC GEMM rows.
 """
 
 from __future__ import annotations
@@ -19,10 +25,13 @@ class Activation:
 
     name = "activation"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply the activation; into ``out`` (and return it) when given."""
         raise NotImplementedError
 
-    def backward(self, grad: np.ndarray, output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, output: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Chain ``grad`` (dL/d output) through the activation."""
         raise NotImplementedError
 
@@ -41,11 +50,16 @@ class Identity(Activation):
 
     name = "identity"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return x
+        np.copyto(out, x)
+        return out
 
-    def backward(self, grad: np.ndarray, output: np.ndarray) -> np.ndarray:
-        return grad
+    def backward(
+        self, grad: np.ndarray, output: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        return self.forward(grad, out=out)
 
 
 class Sigmoid(Activation):
@@ -53,12 +67,16 @@ class Sigmoid(Activation):
 
     name = "sigmoid"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Clip to avoid overflow in exp for extreme pre-activations.
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+        y = np.negative(np.clip(x, -500.0, 500.0, out=out), out=out)
+        y = np.add(np.exp(y, out=out), 1.0, out=out)
+        return np.divide(1.0, y, out=out)
 
-    def backward(self, grad: np.ndarray, output: np.ndarray) -> np.ndarray:
-        return grad * output * (1.0 - output)
+    def backward(
+        self, grad: np.ndarray, output: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        return np.multiply(grad * output, 1.0 - output, out=out)
 
 
 class Tanh(Activation):
@@ -66,11 +84,13 @@ class Tanh(Activation):
 
     name = "tanh"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.tanh(x, out=out)
 
-    def backward(self, grad: np.ndarray, output: np.ndarray) -> np.ndarray:
-        return grad * (1.0 - output * output)
+    def backward(
+        self, grad: np.ndarray, output: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        return np.multiply(grad, 1.0 - output * output, out=out)
 
 
 class ReLU(Activation):
@@ -78,11 +98,13 @@ class ReLU(Activation):
 
     name = "relu"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.maximum(x, 0.0, out=out)
 
-    def backward(self, grad: np.ndarray, output: np.ndarray) -> np.ndarray:
-        return grad * (output > 0.0)
+    def backward(
+        self, grad: np.ndarray, output: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        return np.multiply(grad, output > 0.0, out=out)
 
 
 class Softmax(Activation):
@@ -95,14 +117,16 @@ class Softmax(Activation):
 
     name = "softmax"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+        return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
 
-    def backward(self, grad: np.ndarray, output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, output: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         dot = np.sum(grad * output, axis=-1, keepdims=True)
-        return output * (grad - dot)
+        return np.multiply(output, grad - dot, out=out)
 
 
 _REGISTRY: dict[str, type[Activation]] = {

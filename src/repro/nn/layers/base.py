@@ -67,6 +67,15 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Backward for parameter gradients only, dropping dL/d input.
+
+        :meth:`Network.backward` calls this on its first trainable layer,
+        whose input gradient nothing reads; layers that can skip forming
+        it override this.
+        """
+        self.backward(grad)
+
     # -- bookkeeping -------------------------------------------------------
     @property
     def num_params(self) -> int:

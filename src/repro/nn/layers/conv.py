@@ -5,15 +5,23 @@ convolutions; padding and stride are nevertheless supported because the
 framework is a general substrate.
 
 Hot path: the im2col column matrix (the layer's single biggest allocation)
-and the pre-activation buffer are satisfied from per-layer
+and the pre-activation GEMM result are satisfied from per-layer
 :class:`~repro.nn.compute.Workspace` buffers when the active compute
-policy allows reuse.  The pre-activation buffer is pure scratch (the
-fused activation allocates the actual output) -- except for the identity
-activation, where the pre-activation *is* the output and the buffer must
-not be reused.  The column matrix lives until this layer's backward reads
-it, so training forwards draw from a *separate* workspace: an inference
-forward interleaved between a training forward and its backward (a
-mid-step validation pass, say) must not clobber the cached columns.
+policy allows reuse.  Both are pure scratch to the caller: the fused
+activation writes the layer's output into a fresh, contiguous NCHW array.
+The column matrix lives until this layer's backward reads it, so training
+forwards draw from a *separate* workspace: an inference forward
+interleaved between a training forward and its backward (a mid-step
+validation pass, say) must not clobber the cached columns.
+
+The GEMM operands' layouts are part of the numerical contract, since they
+decide the order in which BLAS and numpy sum: C-contiguous im2col rows
+times ``w_flat.T`` forward; C-contiguous ``grad_rows`` (NHWC order) for
+the weight gradient, its axis-0 sum for the bias gradient, and
+``grad_rows @ w_flat`` for the input gradient.  Changing one changes
+trained parameters in the last bits.  :meth:`Conv2D.backward_params`
+skips the input-gradient GEMM and the ``col2im`` scatter, for a network's
+first layer, whose input gradient nothing reads.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.activations import Activation, Identity, get_activation
+from repro.nn.activations import Activation, get_activation
 from repro.nn.compute import Workspace, workspace_enabled
 from repro.nn.initializers import Initializer, get_initializer
 from repro.nn.layers.base import Layer, register_layer
@@ -105,56 +113,79 @@ class Conv2D(Layer):
         n = x.shape[0]
         _, h_out, w_out = self.output_shape
         rows = n * h_out * w_out
-        reuse = workspace_enabled()
-        if reuse:
+        w_flat = weight.reshape(self.num_maps, -1)
+        if workspace_enabled():
             # Training columns survive until backward, so they get their own
             # workspace that interleaved inference forwards never touch.
             ws = self._ws_cols_train if training else self._ws_cols
-            cols_out = ws.request((rows, weight[0].size), weight.dtype)
+            cols = im2col(
+                x, self.kernel, self.stride, self.padding,
+                out=ws.request((rows, w_flat.shape[1]), weight.dtype),
+            )
+            pre = np.matmul(
+                cols, w_flat.T,
+                out=self._ws_pre.request((rows, self.num_maps), weight.dtype),
+            )
         else:
-            cols_out = None
-        cols = im2col(x, self.kernel, self.stride, self.padding, out=cols_out)
-        w_flat = weight.reshape(self.num_maps, -1)
-        if reuse and not isinstance(self.activation, Identity):
-            pre_out = self._ws_pre.request((rows, self.num_maps), weight.dtype)
-            pre = np.matmul(cols, w_flat.T, out=pre_out)
-            pre += self.params["bias"]
-        else:
-            pre = cols @ w_flat.T + self.params["bias"]
-        pre = pre.reshape(n, h_out, w_out, self.num_maps).transpose(0, 3, 1, 2)
-        out = self.activation.forward(pre)
+            cols = im2col(x, self.kernel, self.stride, self.padding)
+            pre = cols @ w_flat.T
+        # GEMM rows walk the output raster (NHWC).  The bias add reads them
+        # through an NCHW view into the layer's only fresh array, and the
+        # activation runs in place on it: a contiguous NCHW output that
+        # pooling and backward sweep at unit stride.
+        out = np.add(
+            pre.reshape(n, h_out, w_out, self.num_maps).transpose(0, 3, 1, 2),
+            self.params["bias"][:, None, None],
+            out=np.empty((n, self.num_maps, h_out, w_out), dtype=weight.dtype),
+        )
+        self.activation.forward(out, out=out)
         if training:
-            self._cache = {"cols": cols, "output": out, "batch": n}
+            self._cache = {"cols": cols, "output": out}
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if not self._cache:
-            raise ShapeError(
-                f"backward() on {self.name!r} without a preceding training forward()"
-            )
-        cols = self._cache["cols"]
-        out = self._cache["output"]
-        n = self._cache["batch"]
-        weight = self.params["weight"]
-        if grad.dtype != weight.dtype:
-            grad = grad.astype(weight.dtype)
-        grad = self.activation.backward(grad, out)
-        # (N, M, Ho, Wo) -> rows aligned with im2col ordering.
-        grad_rows = grad.transpose(0, 2, 3, 1).reshape(-1, self.num_maps)
-        w_flat = weight.reshape(self.num_maps, -1)
-        self.grads["weight"] = (grad_rows.T @ cols).reshape(weight.shape)
-        self.grads["bias"] = grad_rows.sum(axis=0)
+        grad_rows = self._param_grads(grad)
+        w_flat = self.params["weight"].reshape(self.num_maps, -1)
         if workspace_enabled():
             # Scratch only: col2im consumes it immediately below.
             grad_cols = np.matmul(
                 grad_rows,
                 w_flat,
-                out=self._ws_grad_cols.request(cols.shape, weight.dtype),
+                out=self._ws_grad_cols.request(
+                    (grad_rows.shape[0], w_flat.shape[1]), w_flat.dtype
+                ),
             )
         else:
             grad_cols = grad_rows @ w_flat
-        x_shape = (n, *self.input_shape)
+        x_shape = (grad.shape[0], *self.input_shape)
         return col2im(grad_cols, x_shape, self.kernel, self.stride, self.padding)
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        self._param_grads(grad)
+
+    def _param_grads(self, grad: np.ndarray) -> np.ndarray:
+        """Set the weight and bias gradients; returns dL/d pre-activation
+        as C-contiguous GEMM rows ``(N * H_out * W_out, num_maps)``."""
+        if not self._cache:
+            raise ShapeError(
+                f"backward() on {self.name!r} without a preceding training forward()"
+            )
+        cols = self._cache["cols"]
+        weight = self.params["weight"]
+        if grad.dtype != weight.dtype:
+            grad = grad.astype(weight.dtype)
+        # The activation's backward writes (N, M, Ho, Wo) straight into
+        # rows aligned with im2col ordering.
+        n, _, h_out, w_out = grad.shape
+        grad_rows = np.empty((n * h_out * w_out, self.num_maps), dtype=weight.dtype)
+        self.activation.backward(
+            grad,
+            self._cache["output"],
+            out=grad_rows.reshape(n, h_out, w_out, self.num_maps).transpose(0, 3, 1, 2),
+        )
+        self.grads["weight"] = (grad_rows.T @ cols).reshape(weight.shape)
+        self.grads["bias"] = grad_rows.sum(axis=0)
+        return grad_rows
 
     def get_config(self) -> dict[str, Any]:
         return {

@@ -88,16 +88,11 @@ class _Pool2D(Layer):
     def get_config(self) -> dict[str, Any]:
         return {"name": self.name, "window": self.window, "stride": self.stride}
 
-    def _windows(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        c, h_out, w_out = self.output_shape
-        view = sliding_windows(x, self.window, self.stride)
-        return view.reshape(n, c, h_out, w_out, self.window * self.window)
-
 
 @register_layer
 class MaxPool2D(_Pool2D):
-    """Max pooling; the gradient routes to the argmax position per window."""
+    """Max pooling; the gradient routes to the first maximal position of
+    each window, in row-major window order (``argmax``'s tie rule)."""
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._check_input(x)
@@ -105,17 +100,12 @@ class MaxPool2D(_Pool2D):
             if training:
                 self._cache = {"identity": True}
             return x
-        if not training:
-            # Inference needs only the max, not the argmax the gradient
-            # routing wants -- and the slice-accumulated max is far cheaper.
-            _, h_out, w_out = self.output_shape
-            return _reduce_windows(
-                x, self.window, self.stride, h_out, w_out, np.maximum
-            )
-        flat = self._windows(x)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        self._cache = {"identity": False, "argmax": idx, "x_shape": x.shape}
+        _, h_out, w_out = self.output_shape
+        out = _reduce_windows(x, self.window, self.stride, h_out, w_out, np.maximum)
+        if training:
+            # Backward re-derives the routing from the input and the max,
+            # so nothing window-shaped is materialized here.
+            self._cache = {"identity": False, "input": x, "output": out}
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -125,18 +115,26 @@ class MaxPool2D(_Pool2D):
             )
         if self._cache.get("identity"):
             return grad
-        idx = self._cache["argmax"]
-        n, c, h, w = self._cache["x_shape"]
-        _, h_out, w_out = self.output_shape
-        dx = np.zeros((n, c, h, w), dtype=grad.dtype)
-        # Decompose the flat within-window argmax into row/col offsets.
-        win_r = idx // self.window
-        win_c = idx % self.window
-        rows = (np.arange(h_out) * self.stride)[None, None, :, None] + win_r
-        cols = (np.arange(w_out) * self.stride)[None, None, None, :] + win_c
-        n_idx = np.arange(n)[:, None, None, None]
-        c_idx = np.arange(c)[None, :, None, None]
-        np.add.at(dx, (n_idx, c_idx, rows, cols), grad)
+        x, out = self._cache["input"], self._cache["output"]
+        window, stride = self.window, self.stride
+        rows, cols = stride * out.shape[2], stride * out.shape[3]
+        # Pass 1, window order: each window's first position equal to its
+        # max claims the window's gradient.
+        unrouted = np.ones(out.shape, dtype=bool)
+        claims = []
+        for i in range(window):
+            for j in range(window):
+                hit = x[:, :, i : i + rows : stride, j : j + cols : stride] == out
+                hit &= unrouted
+                unrouted ^= hit
+                claims.append((i, j, hit))
+        # Pass 2, reverse window order: a position claimed by overlapping
+        # windows then sums their gradients in window raster order onto a
+        # zero canvas, the additions of ``np.add.at`` in its order.  The
+        # signed zeros that unclaimed windows add change no sum.
+        dx = np.zeros(x.shape, dtype=grad.dtype)
+        for i, j, hit in reversed(claims):
+            dx[:, :, i : i + rows : stride, j : j + cols : stride] += grad * hit
         return dx
 
 

@@ -115,8 +115,14 @@ class Network:
         return self.predict(x, batch_size=batch_size).argmax(axis=1)
 
     # -- training ----------------------------------------------------------
-    def backward(self, loss: Loss, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Backpropagate ``loss`` through the stack; returns dL/d input.
+    def backward(self, loss: Loss, outputs: np.ndarray, targets: np.ndarray) -> None:
+        """Backpropagate ``loss`` into every trainable layer's ``grads``.
+
+        Returns ``None``: the gradient with respect to the network input is
+        never formed, since nothing reads it.  The first trainable layer
+        computes its parameter gradients only
+        (:meth:`~repro.nn.layers.base.Layer.backward_params`) and the
+        parameter-free layers below it are not visited.
 
         When the loss declares ``fused_with_softmax`` and the final layer is
         a softmax-activated :class:`Dense`, the fused gradient (w.r.t. the
@@ -125,20 +131,23 @@ class Network:
         """
         grad = loss.gradient(outputs, targets)
         layers = self.layers
+        first = next((i for i, layer in enumerate(layers) if layer.params), None)
+        if first is None:
+            return
         last = layers[-1]
         fused = (
             getattr(loss, "fused_with_softmax", False)
             and isinstance(last, Dense)
             and isinstance(last.activation, Softmax)
         )
+        stop = len(layers)
         if fused:
             grad = last.backward_fused(grad)
-            remaining = layers[:-1]
-        else:
-            remaining = layers
-        for layer in reversed(remaining):
+            stop -= 1
+        for layer in reversed(layers[first + 1 : stop]):
             grad = layer.backward(grad)
-        return grad
+        if first < stop:
+            layers[first].backward_params(grad)
 
     def zero_grads(self) -> None:
         for layer in self.layers:

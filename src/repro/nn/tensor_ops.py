@@ -8,13 +8,18 @@ paper's small networks train in seconds without any compiled extension.
 Hot-path contract: both :func:`im2col` and :func:`col2im` accept an ``out``
 buffer so callers (the conv/pool layers) can satisfy the per-call scratch
 from a reused :class:`repro.nn.compute.Workspace` instead of allocating.
-``im2col`` performs exactly one strided gather straight into the
-destination (no intermediate materialization, no trailing
-``ascontiguousarray`` copy), and ``col2im`` takes a fully vectorized
-strided-view path whenever windows do not overlap (``stride >= kernel``).
+``im2col`` performs exactly one indexed gather (``np.take`` over a cached
+per-geometry offset table) straight into the destination: no window
+view, no intermediate materialization.  ``col2im`` scatters window offset
+by window offset onto a channels-last canvas, or, when windows do not
+overlap (``stride >= kernel``), in one vectorized strided assignment.
+Both only move values, and ``col2im`` adds each pixel's contributions in
+a fixed order, so every path is exact, not merely close.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -84,6 +89,25 @@ def sliding_windows(
     return view
 
 
+@functools.lru_cache(maxsize=64)
+def _window_offsets(c: int, h: int, w: int, kernel: int, stride: int) -> np.ndarray:
+    """Flat index, within one ``(C, H, W)`` sample, of every im2col entry.
+
+    Ordered like one sample's block of im2col rows: row-major over
+    ``(H_out, W_out, C, kernel, kernel)``.  Depends on geometry only, so it
+    is built once per layer shape and shared by every batch size.
+    """
+    h_out = conv_output_size(h, kernel, stride)
+    w_out = conv_output_size(w, kernel, stride)
+    taps = np.arange(kernel)
+    row = (np.arange(h_out) * stride)[:, None, None, None, None] + taps[:, None]
+    col = (np.arange(w_out) * stride)[None, :, None, None, None] + taps
+    chan = np.arange(c)[None, None, :, None, None]
+    offsets = ((chan * h + row) * w + col).ravel()
+    offsets.flags.writeable = False
+    return offsets
+
+
 def im2col(
     x: np.ndarray,
     kernel: int,
@@ -102,9 +126,12 @@ def im2col(
     writes into it and returns it.
     """
     x = pad_images(x, padding)
-    windows = sliding_windows(x, kernel, stride)  # (N, C, Ho, Wo, k, k)
-    n, c, h_out, w_out, k, _ = windows.shape
-    rows, cols = n * h_out * w_out, c * k * k
+    if x.ndim != 4:
+        raise ShapeError(f"expected a (N, C, H, W) batch, got shape {x.shape}")
+    n, c, h, w = x.shape
+    offsets = _window_offsets(c, h, w, kernel, stride)
+    cols = c * kernel * kernel
+    rows = n * (offsets.size // cols)
     if out is None:
         out = np.empty((rows, cols), dtype=x.dtype)
     elif out.shape != (rows, cols) or out.dtype != x.dtype:
@@ -112,9 +139,17 @@ def im2col(
             f"im2col out buffer has shape {out.shape} dtype {out.dtype}, "
             f"expected {(rows, cols)} {x.dtype}"
         )
-    # One strided gather, straight into the destination raster order.
-    dst = out.reshape(n, h_out, w_out, c, k, k)
-    np.copyto(dst, windows.transpose(0, 2, 3, 1, 4, 5))
+    # One gather per sample row, straight into the destination raster
+    # order.  Every offset is in range, so ``mode="wrap"`` never wraps; it
+    # only skips the buffered copy that the default ``mode="raise"`` makes
+    # when given ``out``.
+    np.take(
+        x.reshape(n, c * h * w),
+        offsets,
+        axis=1,
+        out=out.reshape(n, offsets.size),
+        mode="wrap",
+    )
     return out
 
 
@@ -131,12 +166,15 @@ def col2im(
 
     Overlapping windows accumulate, which is exactly the adjoint of the
     window extraction and therefore the correct gradient routing for
-    convolution backprop.  Non-overlapping geometries (``stride >=
-    kernel``) take a fully vectorized strided-view path.  ``out``, when
-    given, must be the padded canvas ``(N, C, H + 2p, W + 2p)``; note the
-    returned array is ``out`` itself (or its interior view when padded),
-    so the caller must treat it as invalidated by the next call that
-    reuses the buffer.
+    convolution backprop.  Every pixel sums its contributions onto zero in
+    window-offset order (row-major over ``kernel x kernel``), on a
+    channels-last canvas where each offset adds one contiguous run of
+    ``C`` values per window; disjoint windows (``stride >= kernel``) are
+    assigned in one strided-view write.  The result has shape ``x_shape``
+    in either memory layout.  ``out``, when given, is that scratch canvas:
+    a C-contiguous buffer shaped like the padded image
+    ``(N, C, H + 2p, W + 2p)``.  The result is then a view of it,
+    invalidated by the next call that reuses the buffer.
     """
     n, c, h, w = x_shape
     h_pad, w_pad = h + 2 * padding, w + 2 * padding
@@ -148,28 +186,35 @@ def col2im(
             f"cols shape {cols.shape} inconsistent with image shape {x_shape} "
             f"and kernel={kernel}, stride={stride}, padding={padding}"
         )
-    blocks = cols.reshape(n, h_out, w_out, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
     if out is None:
-        x_pad = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
+        canvas = np.zeros(n * c * h_pad * w_pad, dtype=cols.dtype)
     else:
-        if out.shape != (n, c, h_pad, w_pad) or out.dtype != cols.dtype:
+        if (
+            out.shape != (n, c, h_pad, w_pad)
+            or out.dtype != cols.dtype
+            or not out.flags.c_contiguous
+        ):
             raise ShapeError(
                 f"col2im out buffer has shape {out.shape} dtype {out.dtype}, "
-                f"expected {(n, c, h_pad, w_pad)} {cols.dtype}"
+                f"expected a C-contiguous {(n, c, h_pad, w_pad)} {cols.dtype}"
             )
-        x_pad = out
-        x_pad[...] = 0.0
+        canvas = out.reshape(-1)
+        canvas[...] = 0.0
+    blocks = cols.reshape(n, h_out, w_out, c, kernel, kernel)
     if stride >= kernel:
         # Windows are disjoint: the adjoint is a pure strided scatter, no
         # accumulation needed -- assign through a writable window view.
+        x_pad = canvas.reshape(n, c, h_pad, w_pad)
         dst = sliding_windows(x_pad, kernel, stride, writeable=True)
-        dst[...] = blocks
+        dst[...] = blocks.transpose(0, 3, 1, 2, 4, 5)
     else:
+        nhwc = canvas.reshape(n, h_pad, w_pad, c)
         for i in range(kernel):
             i_max = i + stride * h_out
             for j in range(kernel):
                 j_max = j + stride * w_out
-                x_pad[:, :, i:i_max:stride, j:j_max:stride] += blocks[:, :, :, :, i, j]
+                nhwc[:, i:i_max:stride, j:j_max:stride] += blocks[..., i, j]
+        x_pad = nhwc.transpose(0, 3, 1, 2)
     if padding == 0:
         return x_pad
     return x_pad[:, :, padding:-padding, padding:-padding]

@@ -245,6 +245,10 @@ class DeltaController:
         self._delta = float(delta)
         self._calibration: DeltaCalibration | None = None
         self._cost_ratio = 1.0  # EWMA of observed / predicted mean ops
+        self._folds = 0  # batches folded into _cost_ratio, ever
+        #: (table entry, depth cap) the last retarget installed; None once
+        #: a calibrate() replaces that curve.
+        self._installed: tuple[object, int | None] | None = None
         #: Lifecycle-event sink (``recalibration`` / ``retarget``); the
         #: engine rebinds this when telemetry is enabled.
         self.observer = NULL_OBSERVER
@@ -258,6 +262,11 @@ class DeltaController:
     @property
     def calibration(self) -> DeltaCalibration | None:
         return self._calibration
+
+    @property
+    def feedback_folds(self) -> int:
+        """Served batches folded into the feedback ratio so far."""
+        return self._folds
 
     @property
     def needs_calibration(self) -> bool:
@@ -323,6 +332,7 @@ class DeltaController:
         self._calibration = DeltaCalibration(
             points=tuple(points), sample_size=int(images.shape[0])
         )
+        self._installed = None
         self._repick()
         self.observer.event(
             "recalibration",
@@ -360,6 +370,12 @@ class DeltaController:
         simulation.  Tables saved before exit totals were recorded fall
         back to the uncapped curve.
 
+        Retargeting to the curve already installed -- the same table entry
+        under the same depth cap -- is a no-op that keeps δ and the
+        feedback ratio and emits no event: a drift detector that re-fires
+        on a stationary stream matching no regime must not throw away the
+        feedback it has folded.
+
         Parameters
         ----------
         table:
@@ -386,9 +402,14 @@ class DeltaController:
                     f"hard_ops_budget={self.hard_ops_budget:g} is below the "
                     f"cheapest exit ({totals[0]:g} ops) of the table's model"
                 )
-        self._calibration = table.entry(regime).to_calibration(
+        entry = table.entry(regime)
+        installed = self._installed
+        if installed is not None and installed[0] is entry and installed[1] == cap:
+            return self._calibration.point_for_delta(self._delta)
+        self._calibration = entry.to_calibration(
             max_stage=cap, exit_totals=totals if totals.size else None
         )
+        self._installed = (entry, cap)
         self._cost_ratio = 1.0
         self._repick()
         point = self._calibration.point_for_delta(self._delta)
@@ -422,6 +443,7 @@ class DeltaController:
         ratio = mean_ops / predicted
         alpha = self.feedback_smoothing
         self._cost_ratio = (1 - alpha) * self._cost_ratio + alpha * ratio
+        self._folds += 1
         self._repick()
 
     def _repick(self) -> None:

@@ -463,6 +463,27 @@ class TestOperatingTable:
         with pytest.raises(ConfigurationError, match="soft target"):
             hard_only.retarget(table, "clean")
 
+    def test_retarget_to_installed_regime_keeps_feedback(self, table_setup):
+        """A drift detector re-firing onto the regime already installed must
+        not discard the folded feedback ratio or move δ; a different
+        regime's curve still starts from a fresh ratio."""
+        cdln, _, table = table_setup
+        target = 0.75 * float(cdln.path_cost_table().baseline_cost.total)
+        controller = DeltaController(target_mean_ops=target)
+        controller.retarget(table, "noise")
+        predicted = controller.calibration.point_for_delta(controller.delta).mean_ops
+        controller.observe(1.5 * predicted, batch_size=8)
+        ratio, delta = controller._cost_ratio, controller.delta
+        assert ratio != 1.0
+        assert controller.feedback_folds == 1
+        point = controller.retarget(table, "noise")
+        assert controller._cost_ratio == ratio
+        assert controller.delta == delta
+        assert point == controller.calibration.point_for_delta(delta)
+        controller.retarget(table, "clean")
+        assert controller._cost_ratio == 1.0
+        assert controller.feedback_folds == 1
+
     def test_registry_attachment(self, table_setup, tmp_path):
         cdln, _, table = table_setup
         registry = ModelRegistry()

@@ -20,7 +20,7 @@ from repro.nn import (
     save_network,
 )
 from repro.nn.compute import resolve_dtype
-from repro.nn.layers import AvgPool2D, Flatten
+from repro.nn.layers import AvgPool2D, Flatten, MaxPool2D
 from repro.nn.tensor_ops import col2im, im2col, one_hot
 
 RNG = np.random.default_rng(0)
@@ -211,19 +211,22 @@ class TestZeroCopySubstrate:
     def test_inference_forward_between_training_forward_and_backward(self):
         # An inference pass interleaved between a training forward and its
         # backward (mid-step validation) must not clobber the cached
-        # im2col columns the backward reads.
+        # im2col columns, nor the input and max the pooling backward
+        # routes by.
         def grads_for(interleave: bool):
-            layer = Conv2D(2, 3)
-            layer.build((1, 6, 6), np.random.default_rng(5))
-            x = np.random.default_rng(6).random((2, 1, 6, 6))
+            conv, pool = Conv2D(2, 3), MaxPool2D(2)
+            pool.build(conv.build((1, 7, 7), np.random.default_rng(5)), None)
+            x = np.random.default_rng(6).random((2, 1, 7, 7))
             with compute_policy(workspace_reuse=True):
-                out = layer.forward(x, training=True)
+                out = pool.forward(conv.forward(x, training=True), training=True)
                 if interleave:
-                    layer.forward(np.random.default_rng(7).random((4, 1, 6, 6)))
-                layer.backward(np.ones_like(out))
-            return layer.grads["weight"].copy()
+                    other = np.random.default_rng(7).random((4, 1, 7, 7))
+                    pool.forward(conv.forward(other))
+                dx = conv.backward(pool.backward(np.ones_like(out)))
+            return conv.grads["weight"].copy(), dx.copy()
 
-        np.testing.assert_array_equal(grads_for(False), grads_for(True))
+        for quiet, interleaved in zip(grads_for(False), grads_for(True)):
+            np.testing.assert_array_equal(quiet, interleaved)
 
     def test_avgpool_overlapping_backward_matches_adjoint(self):
         # stride < window exercises the accumulation fallback.

@@ -466,11 +466,13 @@ class TestFleetControl:
             tickets = [fabric.submit(pool[i % 16]) for i in range(24)]
             results = [t.result(timeout=30.0) for t in tickets]
             assert all(not r.failed for r in results)
-            # The fleet controller folded every acked batch's measured
-            # cost into its feedback EWMA (1.0 is the untouched prior --
-            # real traffic essentially never lands on it exactly).
+            # The fleet controller folded each acked batch's measured cost
+            # into its feedback EWMA: at least one batch, at most one per
+            # request.  The final ratio itself is no evidence: a retarget
+            # onto a different regime legitimately resets it, and where the
+            # 24 requests' batches fall decides whether one came last.
+            assert 1 <= fabric.controller.feedback_folds <= len(results)
             assert 0.0 <= fabric.delta <= 1.0
-            assert fabric.controller._cost_ratio != 1.0
 
 
 class TestReplicaIndependence:
