@@ -8,7 +8,11 @@ The adaptive PR's claims, measured and checked:
   below the scheduled-recalibration baseline, with zero hard-cap
   violations,
 * on an all-clean stream the detector stays quiet (false-trigger rate
-  zero), so adaptation is free when nothing is happening.
+  zero), so adaptation is free when nothing is happening,
+* on a shift to a regime the table has never seen, live learning holds
+  the budget where the frozen table served open loop misses it
+  several-fold, and the same table with cost feedback also holds it
+  (re-fires onto the regime already installed keep the feedback).
 
 Wall-clock quantities stay informational; the model-level quantities
 (detection latency, budget errors, trigger counts, cap violations) gate
@@ -235,6 +239,7 @@ def _check_false_triggers(res: BenchResult) -> None:
         "budget_violations": Tolerance(),
         "learning_error": Tolerance(abs=0.08),
         "frozen_error": Tolerance(abs=0.10),
+        "feedback_error": Tolerance(abs=0.08),
         "scheduled_error": Tolerance(abs=0.75),
         "frozen_to_learning_ratio": Tolerance(rel=0.75),
         "learned_regimes": Tolerance(),
@@ -243,8 +248,9 @@ def _check_false_triggers(res: BenchResult) -> None:
 )
 def bench_unknown_regime(ctx: BenchContext) -> BenchResult:
     """A sudden shift to a regime the operating table has never seen
-    (the offline table only knows clean traffic), served three ways:
-    live mini-calibration, the frozen table, scheduled recalibration."""
+    (the offline table only knows clean traffic), served four ways: live
+    mini-calibration, the frozen table open loop (cost feedback off), the
+    frozen table with cost feedback, scheduled recalibration."""
     trained = get_trained("mnist_3c", ctx.scale, ctx.seed, attach="all")
     _, test = get_datasets(ctx.scale, ctx.seed)
     num_batches = int(ctx.params.get("num_batches", 60))
@@ -279,6 +285,16 @@ def bench_unknown_regime(ctx: BenchContext) -> BenchResult:
         schedule,
         adaptive=True,
         table_scenarios=clean_only,
+        controller_kwargs={"feedback_smoothing": 0.0},
+        **args,
+    )
+    feedback = budgeted_drift_replay(
+        trained.cdln,
+        test,
+        scenario,
+        schedule,
+        adaptive=True,
+        table_scenarios=clean_only,
         **args,
     )
     scheduled = budgeted_drift_replay(
@@ -294,7 +310,8 @@ def bench_unknown_regime(ctx: BenchContext) -> BenchResult:
         [
             "Learning (mini-calibration past the match cutoff):\n"
             + learning.render(),
-            "Frozen clean-only table:\n" + frozen.render(),
+            "Frozen clean-only table, feedback off:\n" + frozen.render(),
+            "Frozen clean-only table with feedback:\n" + feedback.render(),
             "Scheduled recalibration:\n" + scheduled.render(),
         ]
     )
@@ -303,10 +320,12 @@ def bench_unknown_regime(ctx: BenchContext) -> BenchResult:
             "budget_violations": float(
                 learning.budget_violations
                 + frozen.budget_violations
+                + feedback.budget_violations
                 + scheduled.budget_violations
             ),
             "learning_error": learning.post_shift_budget_error(),
             "frozen_error": frozen.post_shift_budget_error(),
+            "feedback_error": feedback.post_shift_budget_error(),
             "scheduled_error": scheduled.post_shift_budget_error(),
             "frozen_to_learning_ratio": (
                 frozen.post_shift_budget_error()
@@ -321,11 +340,12 @@ def bench_unknown_regime(ctx: BenchContext) -> BenchResult:
                 / learning.target_mean_ops
             ),
         },
-        units=3 * requests,
+        units=4 * requests,
         text=text,
         payload={
             "learning": learning,
             "frozen": frozen,
+            "feedback": feedback,
             "scheduled": scheduled,
         },
     )
@@ -335,16 +355,21 @@ def bench_unknown_regime(ctx: BenchContext) -> BenchResult:
 def _check_unknown_regime(res: BenchResult) -> None:
     learning = res.payload["learning"]
     frozen = res.payload["frozen"]
+    feedback = res.payload["feedback"]
     scheduled = res.payload["scheduled"]
     assert learning.hard_cap_held and frozen.hard_cap_held
-    assert scheduled.hard_cap_held
+    assert feedback.hard_cap_held and scheduled.hard_cap_held
     # The acceptance story: live learning holds the post-shift budget...
     assert learning.post_shift_budget_error() <= 0.15
-    # ...where the frozen table, EWMA feedback and all, is >= 3x worse.
+    # ...where the frozen table served open loop is >= 3x worse.
     assert (
         frozen.post_shift_budget_error()
         >= 3.0 * learning.post_shift_budget_error()
     )
+    # EWMA feedback alone absorbs this shift too: the detector keeps
+    # re-firing onto the clean regime, and those no-op retargets must not
+    # discard the folded cost ratio.
+    assert feedback.post_shift_budget_error() <= 0.15
     # Exactly one regime was fitted online, its scoring pass charged to
     # overhead (and therefore visible in the fair error), never to the
     # served mean.

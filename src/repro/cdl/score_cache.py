@@ -30,6 +30,11 @@ import numpy as np
 from repro.cdl.network import CDLN, CdlBatchResult
 from repro.errors import ConfigurationError
 
+#: Rows per chunk of :meth:`StageScoreCache.build`'s backbone-and-score pass
+#: and of :meth:`StageScoreCache.from_features`' scoring.  A classifier GEMM's
+#: bits depend on its row count, so the two share this one chunk size.
+_SCORE_CHUNK = 256
+
 
 def first_terminating_stage(
     terminate: np.ndarray, max_stage: int | None = None
@@ -106,7 +111,7 @@ class StageScoreCache:
     # -- construction ----------------------------------------------------------
     @classmethod
     def build(
-        cls, cdln: CDLN, images: np.ndarray, *, batch_size: int = 256
+        cls, cdln: CDLN, images: np.ndarray, *, batch_size: int = _SCORE_CHUNK
     ) -> "StageScoreCache":
         """One full backbone pass over ``images``, scoring every stage.
 
@@ -140,16 +145,14 @@ class StageScoreCache:
         cdln: CDLN,
         features: dict[int, np.ndarray],
         final_outputs: np.ndarray,
-        *,
-        batch_size: int = 256,
     ) -> "StageScoreCache":
         """The cache :meth:`build` would make, from a pass already taken.
 
         ``(features, final_outputs)`` is
-        :meth:`~repro.cdl.network.CDLN.backbone_outputs` of the sample.
-        Scoring runs in :meth:`build`'s ``batch_size`` chunks, so every
-        classifier GEMM has the same shape and the scores match
-        :meth:`build`'s bit for bit.
+        :meth:`~repro.cdl.network.CDLN.backbone_outputs` of the sample at
+        its default chunking.  Scoring runs in :meth:`build`'s default
+        chunks, so every classifier GEMM has the same shape and the scores
+        match ``build(cdln, images)`` bit for bit.
         """
         cdln._require_fitted()
         n = final_outputs.shape[0]
@@ -159,9 +162,9 @@ class StageScoreCache:
             stage.name: np.concatenate(
                 [
                     stage.classifier.confidence_scores(
-                        features[stage.attach_index][start : start + batch_size]
+                        features[stage.attach_index][start : start + _SCORE_CHUNK]
                     )
-                    for start in range(0, n, batch_size)
+                    for start in range(0, n, _SCORE_CHUNK)
                 ],
                 axis=0,
             )

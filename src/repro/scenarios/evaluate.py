@@ -576,6 +576,7 @@ def budgeted_drift_replay(
     learn_samples: int = 64,
     learn_batches: int = 2,
     detector_kwargs: dict | None = None,
+    controller_kwargs: dict | None = None,
     table_path=None,
 ) -> DriftReplayResult:
     """The standard budgeted replay recipe (one definition for the CLI, the
@@ -603,8 +604,9 @@ def budgeted_drift_replay(
     ``learn_samples`` images) and every OP of that pass lands in
     :attr:`DriftPhaseStats.overhead_ops`.  ``detector_kwargs`` configures
     the derived detector (e.g. ``rate_threshold`` for ramp detection) on
-    any adaptive replay; ``table_path`` persists the (growing) table
-    artifact atomically.
+    any adaptive replay, and ``controller_kwargs`` the budget controller
+    (e.g. ``feedback_smoothing=0.0`` serves the table open loop);
+    ``table_path`` persists the (growing) table artifact atomically.
     """
     from dataclasses import replace
 
@@ -661,6 +663,7 @@ def budgeted_drift_replay(
         calibrator=calibrator,
         learn_batches=learn_batches,
         detector_kwargs=detector_kwargs,
+        controller_kwargs=controller_kwargs,
         table_path=table_path,
     )
     return replace(result, offline_table_ops=offline_ops) if adaptive else result
@@ -682,6 +685,7 @@ def replay_drift(
     calibrator=None,
     learn_batches: int = 2,
     detector_kwargs: dict | None = None,
+    controller_kwargs: dict | None = None,
     table_path=None,
 ) -> DriftReplayResult:
     """Serve a drift stream through a real engine under a budget controller.
@@ -692,6 +696,10 @@ def replay_drift(
         Passed to a :class:`~repro.serving.controller.DeltaController`;
         with neither, the engine serves at the fixed ``delta``.  Units:
         scalar OPS per request.
+    controller_kwargs:
+        Further :class:`~repro.serving.controller.DeltaController`
+        arguments, e.g. ``feedback_smoothing=0.0`` to turn the cost
+        feedback off.
     calibration_images:
         Pre-shift workload used for the initial calibration (defaults to
         the stream's clean pool).  Only used without an operating table
@@ -753,6 +761,7 @@ def replay_drift(
             target_mean_ops=target_mean_ops,
             hard_ops_budget=hard_ops_budget,
             delta=delta,
+            **(controller_kwargs or {}),
         )
     adaptive = None
     if operating_table is not None:

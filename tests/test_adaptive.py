@@ -612,6 +612,36 @@ class TestEngineIntegration:
         assert "noise" in regimes[3:]
         assert np.isfinite(result.post_shift_budget_error())
 
+    def test_replay_controller_kwargs_reach_the_controller(self, table_setup):
+        """``feedback_smoothing=0.0`` serves a clean-only table open loop:
+        the detector's re-fires onto the installed regime are no-ops and
+        no cost feedback is folded, so δ never moves; with feedback on,
+        the same stream moves it."""
+        cdln, base, _ = table_setup
+        args = dict(
+            batch_size=32,
+            num_batches=9,
+            rng=7,
+            delta=DELTA,
+            adaptive=True,
+            table_scenarios=[Scenario(name="clean")],
+        )
+        noise = Scenario(name="noise", corruptions=(("gaussian_noise", 1.0),))
+        open_loop = budgeted_drift_replay(
+            cdln,
+            base,
+            noise,
+            DriftSchedule.sudden(3),
+            controller_kwargs={"feedback_smoothing": 0.0},
+            **args,
+        )
+        closed_loop = budgeted_drift_replay(
+            cdln, base, noise, DriftSchedule.sudden(3), **args
+        )
+        assert open_loop.retargets >= 1
+        assert len({p.delta for p in open_loop.phases}) == 1
+        assert len({p.delta for p in closed_loop.phases}) > 1
+
     def test_replay_validation(self, table_setup, tiny_test_set):
         cdln, base, table = table_setup
         stream = DriftStream(

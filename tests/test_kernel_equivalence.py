@@ -221,12 +221,15 @@ def test_network_backward_matches_full_chain(dtype):
             assert_same_bits(layer.grads[key], value)
 
 
-def test_score_cache_from_features_matches_build(trained_3c, tiny_test_set):
+def test_score_cache_from_features_matches_build(trained_3c, tiny_scale):
     cdln = trained_3c.cdln
-    images = tiny_test_set.images[:300]
-    built = StageScoreCache.build(cdln, images, batch_size=64)
-    features, final = cdln.backbone_outputs(images, batch_size=64)
-    cached = StageScoreCache.from_features(cdln, features, final, batch_size=64)
+    # 400 training digits: more than one 256-row chunk, so the chunk
+    # boundary that build and from_features must share is covered.
+    images = get_datasets(tiny_scale, seed=7)[0].images
+    assert images.shape[0] > 256
+    built = StageScoreCache.build(cdln, images)
+    features, final = cdln.backbone_outputs(images)
+    cached = StageScoreCache.from_features(cdln, features, final)
     for name in built.cached_stage_names:
         assert_same_bits(cached.scores_for(name), built.scores_for(name))
     assert_same_bits(cached.replay(0.6).confidences, built.replay(0.6).confidences)
