@@ -1,16 +1,12 @@
-"""Hot-path benches: compute dtype, workspace reuse, δ-sweep score cache.
+"""Hot-path benches: compute dtype and the δ-sweep score cache.
 
-The overhaul's three wins, each timed and agreement-checked.  Bodies and
+The overhaul's two wins, each timed and agreement-checked.  Bodies and
 checks: ``repro.bench.suites.hotpath``.
 """
 
 
 def test_hotpath_dtype_inference(run_spec):
     run_spec("hotpath_dtype_inference")
-
-
-def test_hotpath_workspace_reuse(run_spec):
-    run_spec("hotpath_workspace_reuse")
 
 
 def test_hotpath_sweep_cache(run_spec):

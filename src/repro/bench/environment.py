@@ -58,5 +58,4 @@ def environment_fingerprint() -> dict[str, Any]:
         "blas": _blas_backend(),
         "git_sha": _git_sha(),
         "compute_dtype": active_policy().dtype_name,
-        "workspace_reuse": active_policy().workspace_reuse,
     }

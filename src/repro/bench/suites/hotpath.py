@@ -1,11 +1,9 @@
-"""Hot-path micro-benchmarks: the compute-policy/workspace/sweep-cache wins.
+"""Hot-path micro-benchmarks: the compute-policy and sweep-cache wins.
 
-Three claims from the hot-path overhaul, measured and checked:
+Two claims from the hot-path overhaul, measured and checked:
 
 * the float32 compute policy accelerates the backbone forward pass while
   agreeing with float64 (identical labels, probabilities within 1e-4),
-* workspace reuse changes allocations, never results (bitwise-identical
-  forward outputs with reuse on and off),
 * a :class:`~repro.cdl.score_cache.StageScoreCache` replays an entire δ
   sweep from one backbone pass, matching naive per-δ
   :func:`~repro.cdl.statistics.evaluate_cdln` exactly (labels, exits,
@@ -26,12 +24,9 @@ from repro.bench.registry import BenchContext, BenchResult, Tolerance, benchmark
 from repro.cdl.score_cache import StageScoreCache
 from repro.cdl.statistics import evaluate_cached, evaluate_cdln
 from repro.experiments.common import get_datasets, get_trained
-from repro.nn.compute import compute_policy
 from repro.utils.tables import AsciiTable
 
 GROUP = "hotpath"
-
-_EXACT = Tolerance()
 
 
 def _cast_copy(network, dtype):
@@ -103,56 +98,6 @@ def _check_dtype_inference(res: BenchResult) -> None:
     # runners jitter too much to hard-assert a ~1.3x wall-clock ratio.
     assert res.payload["agreement"] >= 0.99
     assert res.payload["max_diff"] < 1e-4
-
-
-@benchmark(
-    "hotpath_workspace_reuse",
-    group=GROUP,
-    title="Hot path -- im2col workspace reuse on vs off (MNIST_3C)",
-    tiers={
-        "tiny": {"batch": 128, "reps": 5},
-        "small": {"batch": 256, "reps": 5},
-        "full": {"batch": 512, "reps": 8},
-    },
-    tolerances={
-        "workspace_speedup": None,
-        "max_abs_output_diff": _EXACT,
-    },
-)
-def bench_workspace_reuse(ctx: BenchContext) -> BenchResult:
-    """Workspace reuse is an allocation policy, not a numerics policy."""
-    batch = int(ctx.params.get("batch", 256))
-    reps = int(ctx.params.get("reps", 5))
-    trained = get_trained("mnist_3c", ctx.scale, ctx.seed)
-    net = trained.baseline
-    _, test = get_datasets(ctx.scale, ctx.seed)
-    images = test.images[:batch]
-
-    with compute_policy(workspace_reuse=True):
-        t_on = _time_predict(net, images, reps)
-        out_on = net.predict(images)
-    with compute_policy(workspace_reuse=False):
-        t_off = _time_predict(net, images, reps)
-        out_off = net.predict(images)
-    max_diff = float(np.abs(out_on - out_off).max())
-
-    table = AsciiTable(["workspaces", "ms / batch"], title="Workspace reuse")
-    table.add_row(["off (alloc per call)", round(t_off * 1e3, 2)])
-    table.add_row(["on (reused scratch)", round(t_on * 1e3, 2)])
-    return BenchResult(
-        metrics={
-            "workspace_speedup": t_off / t_on,
-            "max_abs_output_diff": max_diff,
-        },
-        text=table.render(),
-        payload={"max_diff": max_diff},
-    )
-
-
-@bench_workspace_reuse.check
-def _check_workspace_reuse(res: BenchResult) -> None:
-    # Bitwise-identical outputs either way.
-    assert res.payload["max_diff"] == 0.0
 
 
 DELTAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_fraction
@@ -90,6 +89,8 @@ def elastic_deform(
     """Simard-style elastic deformation via a smoothed displacement field."""
     if alpha <= 0:
         return image
+    from scipy import ndimage  # lazy: keeps scipy out of ``import repro``
+
     shape = image.shape
     dx = ndimage.gaussian_filter(rng.uniform(-1, 1, shape), sigma) * alpha
     dy = ndimage.gaussian_filter(rng.uniform(-1, 1, shape), sigma) * alpha

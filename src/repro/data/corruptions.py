@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.augment import affine_matrix
 from repro.data.dataset import DigitDataset
@@ -132,6 +131,8 @@ def blur(images: np.ndarray, severity: float, rng: np.random.Generator) -> np.nd
     if severity == 0:
         return images.copy()
     sigma = 1.8 * severity
+    from scipy import ndimage  # lazy: keeps scipy out of ``import repro``
+
     return np.clip(
         ndimage.gaussian_filter(images, sigma=(0.0, 0.0, sigma, sigma)), 0.0, 1.0
     )
@@ -185,6 +186,8 @@ def affine_jitter(
     out = images.copy()
     if severity == 0:
         return out
+    from scipy import ndimage  # lazy: keeps scipy out of ``import repro``
+
     n, c, h, w = images.shape
     center = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
     for i in range(n):

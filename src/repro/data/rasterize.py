@@ -7,8 +7,9 @@ profile, giving anti-aliased strokes without supersampling:
     intensity(d) = clip((thickness - d) / softness, 0, 1)
 
 This is a vectorized point-to-segment distance evaluated for all pixels at
-once, which is fast enough (a glyph has ~50 segments, an image 784 pixels)
-to generate tens of thousands of samples in seconds.
+once (a glyph has ~50 segments, an image 784 pixels).  A finished digit,
+augmentation included, costs about 4 ms on one Xeon core:
+``get_datasets(Scale.small())`` builds its 4000 digits in about 15 s.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ Data layout conventions
 
 from repro.nn.compute import (
     ComputePolicy,
-    Workspace,
     active_policy,
     compute_policy,
     default_policy,
@@ -105,7 +104,6 @@ __all__ = [
     "Tanh",
     "Trainer",
     "TrainingHistory",
-    "Workspace",
     "Zeros",
     "accuracy",
     "active_policy",

@@ -1,19 +1,17 @@
-"""Process-wide compute policy: dtype selection and workspace reuse.
+"""Process-wide compute policy: dtype selection.
 
 The paper's whole premise is doing *less arithmetic per input*; this module
 controls the constant factors around that arithmetic.  A
 :class:`ComputePolicy` names the floating-point dtype every freshly built
 model computes in (float64 by default, for bit-level parity with the seed
 test suite; float32 roughly halves memory traffic and doubles BLAS
-throughput on the paper's small networks) and whether hot layers may reuse
-preallocated scratch workspaces instead of allocating per call.
+throughput on the paper's small networks).
 
 Resolution order for the active policy:
 
 1. the innermost :func:`compute_policy` context on the current thread,
 2. the process default (:func:`set_default_policy`), which is seeded from
-   the ``REPRO_COMPUTE_DTYPE`` / ``REPRO_WORKSPACE_REUSE`` environment
-   variables at import time.
+   the ``REPRO_COMPUTE_DTYPE`` environment variable at import time.
 
 Context overrides are thread-local on purpose: a serving worker thread
 computes in whatever dtype its *model parameters* carry (layers follow
@@ -39,9 +37,8 @@ DTYPES: dict[str, np.dtype] = {
     "float64": np.dtype(np.float64),
 }
 
-#: Environment variables consulted for the process-default policy.
+#: Environment variable consulted for the process-default policy.
 DTYPE_ENV_VAR = "REPRO_COMPUTE_DTYPE"
-WORKSPACE_ENV_VAR = "REPRO_WORKSPACE_REUSE"
 
 
 def resolve_dtype(spec: str | np.dtype | type | None) -> np.dtype:
@@ -65,14 +62,9 @@ class ComputePolicy:
         of everything *built or trained* while the policy is active.
         Existing models keep their parameter dtype; layers compute in the
         dtype of their own params (use ``Network.astype`` to convert).
-    workspace_reuse:
-        Whether layers may satisfy scratch allocations (im2col column
-        matrices, pre-activation buffers, gradient columns) from per-layer
-        :class:`Workspace` buffers instead of allocating per call.
     """
 
     dtype: np.dtype
-    workspace_reuse: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dtype", resolve_dtype_static(self.dtype))
@@ -86,10 +78,7 @@ class ComputePolicy:
         return np.asarray(array, dtype=self.dtype)
 
     def __repr__(self) -> str:
-        return (
-            f"ComputePolicy(dtype={self.dtype_name}, "
-            f"workspace_reuse={self.workspace_reuse})"
-        )
+        return f"ComputePolicy(dtype={self.dtype_name})"
 
 
 def resolve_dtype_static(spec: str | np.dtype | type) -> np.dtype:
@@ -112,15 +101,8 @@ def resolve_dtype_static(spec: str | np.dtype | type) -> np.dtype:
 
 
 def _policy_from_env() -> ComputePolicy:
-    dtype = os.environ.get(DTYPE_ENV_VAR, "float64")
-    reuse = os.environ.get(WORKSPACE_ENV_VAR, "1").strip().lower()
-    if reuse not in ("0", "1", "true", "false", "on", "off"):
-        raise ConfigurationError(
-            f"{WORKSPACE_ENV_VAR}={reuse!r} is not a boolean flag"
-        )
     return ComputePolicy(
-        dtype=resolve_dtype_static(dtype),
-        workspace_reuse=reuse in ("1", "true", "on"),
+        dtype=resolve_dtype_static(os.environ.get(DTYPE_ENV_VAR, "float64"))
     )
 
 
@@ -148,99 +130,27 @@ def default_policy() -> ComputePolicy:
 
 def set_default_policy(
     dtype: str | np.dtype | type | None = None,
-    workspace_reuse: bool | None = None,
 ) -> ComputePolicy:
-    """Replace the process default; unset fields inherit the current default."""
+    """Replace the process default; an unset dtype keeps the current one."""
     global _default_policy
-    current = _default_policy
-    _default_policy = ComputePolicy(
-        dtype=resolve_dtype_static(dtype) if dtype is not None else current.dtype,
-        workspace_reuse=(
-            workspace_reuse
-            if workspace_reuse is not None
-            else current.workspace_reuse
-        ),
-    )
+    if dtype is not None:
+        _default_policy = ComputePolicy(dtype=dtype)
     return _default_policy
 
 
 @contextmanager
 def compute_policy(
     dtype: str | np.dtype | type | None = None,
-    workspace_reuse: bool | None = None,
 ) -> Iterator[ComputePolicy]:
-    """Thread-local policy override; unset fields inherit the active policy.
+    """Thread-local policy override; an unset dtype inherits the active one.
 
     >>> with compute_policy(dtype="float32"):
     ...     net, _ = mnist_3c(rng=0)   # built, trained and run in float32
     """
-    current = active_policy()
-    override = ComputePolicy(
-        dtype=resolve_dtype_static(dtype) if dtype is not None else current.dtype,
-        workspace_reuse=(
-            workspace_reuse if workspace_reuse is not None else current.workspace_reuse
-        ),
-    )
+    override = ComputePolicy(dtype=dtype) if dtype is not None else active_policy()
     stack = _stack()
     stack.append(override)
     try:
         yield override
     finally:
         stack.pop()
-
-
-class Workspace:
-    """A geometrically grown scratch buffer for one hot-path allocation site.
-
-    ``request(shape, dtype)`` returns a view of the requested geometry over
-    a flat backing buffer that only ever grows (doubling, so a sweep over
-    mixed batch sizes settles after a few calls).  The caller owns the
-    aliasing discipline: a requested view is valid until the *next*
-    ``request`` on the same workspace *from the same thread*, so
-    workspaces must back only scratch that never escapes the operation
-    that requested it.
-
-    Backing buffers are thread-local: two threads driving the same layer
-    (e.g. an async serving worker plus a calibration pass on the main
-    thread) each get independent scratch, so sharing a model across
-    threads stays as safe as it was with per-call allocation.
-    """
-
-    __slots__ = ("_tls",)
-
-    def __init__(self) -> None:
-        self._tls = threading.local()
-
-    def __deepcopy__(self, memo) -> "Workspace":
-        # Scratch is never worth copying (thread-local buffers also cannot
-        # be); a copied layer starts with an empty workspace.
-        return type(self)()
-
-    def __getstate__(self):
-        # Truthy sentinel: returning None would make pickle skip
-        # __setstate__ entirely, leaving the slotted ``_tls`` unset.
-        return True
-
-    def __setstate__(self, state) -> None:
-        self._tls = threading.local()
-
-    @property
-    def capacity(self) -> int:
-        """Allocated scalar capacity on this thread (0 before first use)."""
-        buf = getattr(self._tls, "buf", None)
-        return 0 if buf is None else int(buf.size)
-
-    def request(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        size = int(np.prod(shape)) if shape else 1
-        buf = getattr(self._tls, "buf", None)
-        if buf is None or buf.dtype != dtype:
-            self._tls.buf = buf = np.empty(max(size, 1), dtype=dtype)
-        elif buf.size < size:
-            # Geometric growth: amortizes a slowly increasing batch sweep.
-            self._tls.buf = buf = np.empty(max(size, 2 * buf.size), dtype=dtype)
-        return buf[:size].reshape(shape)
-
-
-def workspace_enabled() -> bool:
-    """Whether the active policy allows workspace-backed scratch."""
-    return active_policy().workspace_reuse

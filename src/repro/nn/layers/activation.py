@@ -37,5 +37,8 @@ class ActivationLayer(Layer):
             )
         return self.activation.backward(grad, self._output)
 
+    def clear_cache(self) -> None:
+        self._output = None
+
     def get_config(self) -> dict[str, Any]:
         return {"name": self.name, "activation": self.activation.name}

@@ -32,6 +32,8 @@ class Layer:
         self.built = False
         self.input_shape: tuple[int, ...] | None = None
         self.output_shape: tuple[int, ...] | None = None
+        #: What a training forward keeps for its backward (empty otherwise).
+        self._cache: dict[str, Any] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
@@ -75,6 +77,10 @@ class Layer:
         it override this.
         """
         self.backward(grad)
+
+    def clear_cache(self) -> None:
+        """Drop what the last training forward kept for its backward."""
+        self._cache = {}
 
     # -- bookkeeping -------------------------------------------------------
     @property

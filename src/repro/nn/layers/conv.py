@@ -4,15 +4,12 @@ The paper's architectures (Tables I and II) use only valid, stride-1
 convolutions; padding and stride are nevertheless supported because the
 framework is a general substrate.
 
-Hot path: the im2col column matrix (the layer's single biggest allocation)
-and the pre-activation GEMM result are satisfied from per-layer
-:class:`~repro.nn.compute.Workspace` buffers when the active compute
-policy allows reuse.  Both are pure scratch to the caller: the fused
-activation writes the layer's output into a fresh, contiguous NCHW array.
-The column matrix lives until this layer's backward reads it, so training
-forwards draw from a *separate* workspace: an inference forward
-interleaved between a training forward and its backward (a mid-step
-validation pass, say) must not clobber the cached columns.
+Hot path: every call allocates its own im2col column matrix and
+pre-activation GEMM result, and the fused activation writes the layer's
+output into a fresh, contiguous NCHW array.  Nothing outlives the call
+except what a training forward caches for its backward, so an inference
+forward interleaved between the two (a mid-step validation pass, say)
+cannot clobber the cached columns.
 
 The GEMM operands' layouts are part of the numerical contract, since they
 decide the order in which BLAS and numpy sum: C-contiguous im2col rows
@@ -32,7 +29,6 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn.activations import Activation, get_activation
-from repro.nn.compute import Workspace, workspace_enabled
 from repro.nn.initializers import Initializer, get_initializer
 from repro.nn.layers.base import Layer, register_layer
 from repro.nn.tensor_ops import col2im, conv_output_size, im2col
@@ -82,11 +78,6 @@ class Conv2D(Layer):
         self.activation = get_activation(activation)
         self.weight_init = get_initializer(weight_init)
         self.bias_init = get_initializer(bias_init)
-        self._cache: dict[str, Any] = {}
-        self._ws_cols = Workspace()
-        self._ws_cols_train = Workspace()
-        self._ws_pre = Workspace()
-        self._ws_grad_cols = Workspace()
 
     def build(self, input_shape, rng):
         if len(input_shape) != 3:
@@ -112,23 +103,9 @@ class Conv2D(Layer):
             x = x.astype(weight.dtype)
         n = x.shape[0]
         _, h_out, w_out = self.output_shape
-        rows = n * h_out * w_out
         w_flat = weight.reshape(self.num_maps, -1)
-        if workspace_enabled():
-            # Training columns survive until backward, so they get their own
-            # workspace that interleaved inference forwards never touch.
-            ws = self._ws_cols_train if training else self._ws_cols
-            cols = im2col(
-                x, self.kernel, self.stride, self.padding,
-                out=ws.request((rows, w_flat.shape[1]), weight.dtype),
-            )
-            pre = np.matmul(
-                cols, w_flat.T,
-                out=self._ws_pre.request((rows, self.num_maps), weight.dtype),
-            )
-        else:
-            cols = im2col(x, self.kernel, self.stride, self.padding)
-            pre = cols @ w_flat.T
+        cols = im2col(x, self.kernel, self.stride, self.padding)
+        pre = cols @ w_flat.T
         # GEMM rows walk the output raster (NHWC).  The bias add reads them
         # through an NCHW view into the layer's only fresh array, and the
         # activation runs in place on it: a contiguous NCHW output that
@@ -146,17 +123,7 @@ class Conv2D(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad_rows = self._param_grads(grad)
         w_flat = self.params["weight"].reshape(self.num_maps, -1)
-        if workspace_enabled():
-            # Scratch only: col2im consumes it immediately below.
-            grad_cols = np.matmul(
-                grad_rows,
-                w_flat,
-                out=self._ws_grad_cols.request(
-                    (grad_rows.shape[0], w_flat.shape[1]), w_flat.dtype
-                ),
-            )
-        else:
-            grad_cols = grad_rows @ w_flat
+        grad_cols = grad_rows @ w_flat
         x_shape = (grad.shape[0], *self.input_shape)
         return col2im(grad_cols, x_shape, self.kernel, self.stride, self.padding)
 

@@ -41,7 +41,6 @@ class Dense(Layer):
         self.activation = get_activation(activation)
         self.weight_init = get_initializer(weight_init)
         self.bias_init = get_initializer(bias_init)
-        self._cache: dict[str, Any] = {}
 
     def build(self, input_shape, rng):
         if len(input_shape) != 1:

@@ -48,5 +48,8 @@ class Dropout(Layer):
             return grad
         return grad * self._mask
 
+    def clear_cache(self) -> None:
+        self._mask = None
+
     def get_config(self) -> dict[str, Any]:
         return {"name": self.name, "rate": self.rate, "seed": self.seed}

@@ -75,7 +75,6 @@ class _Pool2D(Layer):
         self.stride = int(stride) if stride is not None else self.window
         if self.stride < 1:
             raise ShapeError(f"pool stride must be >= 1, got {stride}")
-        self._cache: dict[str, Any] = {}
 
     def build(self, input_shape, rng):
         if len(input_shape) != 3:

@@ -5,10 +5,8 @@ a matrix ("im2col") so the heavy lifting becomes one BLAS matmul.  This is
 the standard trick used by Caffe and by every numpy CNN; it makes the
 paper's small networks train in seconds without any compiled extension.
 
-Hot-path contract: both :func:`im2col` and :func:`col2im` accept an ``out``
-buffer so callers (the conv/pool layers) can satisfy the per-call scratch
-from a reused :class:`repro.nn.compute.Workspace` instead of allocating.
-``im2col`` performs exactly one indexed gather (``np.take`` over a cached
+Hot-path contract: each call allocates its own result.  ``im2col``
+performs exactly one indexed gather (``np.take`` over a cached
 per-geometry offset table) straight into the destination: no window
 view, no intermediate materialization.  ``col2im`` scatters window offset
 by window offset onto a channels-last canvas, or, when windows do not
@@ -109,21 +107,13 @@ def _window_offsets(c: int, h: int, w: int, kernel: int, stride: int) -> np.ndar
 
 
 def im2col(
-    x: np.ndarray,
-    kernel: int,
-    stride: int = 1,
-    padding: int = 0,
-    *,
-    out: np.ndarray | None = None,
+    x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0
 ) -> np.ndarray:
     """Lower convolution windows into a matrix.
 
     Returns an array of shape ``(N * H_out * W_out, C * kernel * kernel)``
     whose rows are the flattened receptive fields, ordered so that
-    ``rows.reshape(N, H_out, W_out, -1)`` walks the output raster.  When
-    ``out`` is given (a C-contiguous buffer of the right shape and dtype,
-    typically from a :class:`~repro.nn.compute.Workspace`), the gather
-    writes into it and returns it.
+    ``rows.reshape(N, H_out, W_out, -1)`` walks the output raster.
     """
     x = pad_images(x, padding)
     if x.ndim != 4:
@@ -131,14 +121,7 @@ def im2col(
     n, c, h, w = x.shape
     offsets = _window_offsets(c, h, w, kernel, stride)
     cols = c * kernel * kernel
-    rows = n * (offsets.size // cols)
-    if out is None:
-        out = np.empty((rows, cols), dtype=x.dtype)
-    elif out.shape != (rows, cols) or out.dtype != x.dtype:
-        raise ShapeError(
-            f"im2col out buffer has shape {out.shape} dtype {out.dtype}, "
-            f"expected {(rows, cols)} {x.dtype}"
-        )
+    out = np.empty((n * (offsets.size // cols), cols), dtype=x.dtype)
     # One gather per sample row, straight into the destination raster
     # order.  Every offset is in range, so ``mode="wrap"`` never wraps; it
     # only skips the buffered copy that the default ``mode="raise"`` makes
@@ -159,8 +142,6 @@ def col2im(
     kernel: int,
     stride: int = 1,
     padding: int = 0,
-    *,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inverse of :func:`im2col`: scatter-add columns back onto the image.
 
@@ -171,10 +152,7 @@ def col2im(
     channels-last canvas where each offset adds one contiguous run of
     ``C`` values per window; disjoint windows (``stride >= kernel``) are
     assigned in one strided-view write.  The result has shape ``x_shape``
-    in either memory layout.  ``out``, when given, is that scratch canvas:
-    a C-contiguous buffer shaped like the padded image
-    ``(N, C, H + 2p, W + 2p)``.  The result is then a view of it,
-    invalidated by the next call that reuses the buffer.
+    in either memory layout.
     """
     n, c, h, w = x_shape
     h_pad, w_pad = h + 2 * padding, w + 2 * padding
@@ -186,20 +164,7 @@ def col2im(
             f"cols shape {cols.shape} inconsistent with image shape {x_shape} "
             f"and kernel={kernel}, stride={stride}, padding={padding}"
         )
-    if out is None:
-        canvas = np.zeros(n * c * h_pad * w_pad, dtype=cols.dtype)
-    else:
-        if (
-            out.shape != (n, c, h_pad, w_pad)
-            or out.dtype != cols.dtype
-            or not out.flags.c_contiguous
-        ):
-            raise ShapeError(
-                f"col2im out buffer has shape {out.shape} dtype {out.dtype}, "
-                f"expected a C-contiguous {(n, c, h_pad, w_pad)} {cols.dtype}"
-            )
-        canvas = out.reshape(-1)
-        canvas[...] = 0.0
+    canvas = np.zeros(n * c * h_pad * w_pad, dtype=cols.dtype)
     blocks = cols.reshape(n, h_out, w_out, c, kernel, kernel)
     if stride >= kernel:
         # Windows are disjoint: the adjoint is a pure strided scatter, no

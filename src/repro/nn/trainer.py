@@ -176,6 +176,10 @@ class Trainer:
                     stale += 1
                     if stale >= early_stop_patience:
                         break
+        # The last batch's activations are dead weight in a trained model
+        # (and would be copied wherever the model is shared or pickled).
+        for layer in self.network.layers:
+            layer.clear_cache()
         return self.history
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

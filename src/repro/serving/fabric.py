@@ -860,12 +860,14 @@ class ServingFabric:
         for rep in self._replicas:
             if rep.process is None:
                 continue
-            rep.stopped.wait(timeout=10.0)
+            # The collector returns on the ``stopped`` ack, or as soon as a
+            # replica that died without one has exited: no ack is awaited
+            # from a process that is gone.
+            rep.collector.join(timeout=10.0)
             rep.process.join(timeout=10.0)
             if rep.process.is_alive():  # pragma: no cover -- hung worker
                 rep.process.terminate()
                 rep.process.join(timeout=2.0)
-            if rep.collector is not None:
                 rep.collector.join(timeout=2.0)
         self._running = False
         self.observer.event(
@@ -1124,7 +1126,7 @@ class ServingFabric:
         rep.process.start()
         rep.collector = threading.Thread(
             target=self._collect_loop,
-            args=(rep, rep.epoch),
+            args=(rep, rep.epoch, rep.process, rep.result_q),
             name=f"fabric-collect-{rep.id}",
             daemon=True,
         )
@@ -1231,12 +1233,18 @@ class ServingFabric:
             )
 
     # -- result collection ------------------------------------------------------
-    def _collect_loop(self, rep: _Replica, epoch: int) -> None:
+    def _collect_loop(self, rep: _Replica, epoch: int, process, result_q) -> None:
+        # Leaves on the session's ``stopped`` ack, on a newer epoch, or once
+        # its process has exited and the queue is drained -- never on
+        # fabric shutdown alone, or an unread ack could hold up ``stop()``.
         while True:
+            # Sampled before the poll: a process already dead has flushed
+            # everything it will ever send, so an empty poll after it is final.
+            exited = not process.is_alive()
             try:
-                msg = rep.result_q.get(timeout=0.1)
+                msg = result_q.get(timeout=0.1)
             except queue.Empty:
-                if rep.epoch != epoch or self._shutdown:
+                if rep.epoch != epoch or exited:
                     return
                 continue
             except (OSError, EOFError, ValueError):  # pragma: no cover

@@ -26,7 +26,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.nn import activations
 from repro.nn.activations import Softmax
-from repro.nn.compute import workspace_enabled
 from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.nn.layers.pool import _reduce_windows
 from repro.nn.network import Network
@@ -183,21 +182,9 @@ def conv_forward(self, x, training=False):
         x = x.astype(weight.dtype)
     n = x.shape[0]
     _, h_out, w_out = self.output_shape
-    rows = n * h_out * w_out
-    reuse = workspace_enabled()
-    if reuse:
-        ws = self._ws_cols_train if training else self._ws_cols
-        cols_out = ws.request((rows, weight[0].size), weight.dtype)
-    else:
-        cols_out = None
-    cols = im2col(x, self.kernel, self.stride, self.padding, out=cols_out)
+    cols = im2col(x, self.kernel, self.stride, self.padding)
     w_flat = weight.reshape(self.num_maps, -1)
-    if reuse and not isinstance(self.activation, activations.Identity):
-        pre_out = self._ws_pre.request((rows, self.num_maps), weight.dtype)
-        pre = np.matmul(cols, w_flat.T, out=pre_out)
-        pre += self.params["bias"]
-    else:
-        pre = cols @ w_flat.T + self.params["bias"]
+    pre = cols @ w_flat.T + self.params["bias"]
     pre = pre.reshape(n, h_out, w_out, self.num_maps).transpose(0, 3, 1, 2)
     out = self.activation.forward(pre)
     if training:
@@ -222,14 +209,7 @@ def conv_backward(self, grad):
     w_flat = weight.reshape(self.num_maps, -1)
     self.grads["weight"] = (grad_rows.T @ cols).reshape(weight.shape)
     self.grads["bias"] = grad_rows.sum(axis=0)
-    if workspace_enabled():
-        grad_cols = np.matmul(
-            grad_rows,
-            w_flat,
-            out=self._ws_grad_cols.request(cols.shape, weight.dtype),
-        )
-    else:
-        grad_cols = grad_rows @ w_flat
+    grad_cols = grad_rows @ w_flat
     x_shape = (n, *self.input_shape)
     return col2im(grad_cols, x_shape, self.kernel, self.stride, self.padding)
 

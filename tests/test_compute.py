@@ -1,19 +1,21 @@
-"""Compute policy, workspaces, dtype parity and the stage-score cache."""
+"""Compute policy, dtype parity and the stage-score cache."""
 
 import copy
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.cdl import CDLN, mnist_3c
 from repro.cdl.score_cache import StageScoreCache
 from repro.cdl.statistics import evaluate_cached, evaluate_cdln
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError
 from repro.nn import (
     ComputePolicy,
     Conv2D,
     Dense,
     Network,
-    Workspace,
     active_policy,
     compute_policy,
     load_network,
@@ -21,7 +23,7 @@ from repro.nn import (
 )
 from repro.nn.compute import resolve_dtype
 from repro.nn.layers import AvgPool2D, Flatten, MaxPool2D
-from repro.nn.tensor_ops import col2im, im2col, one_hot
+from repro.nn.tensor_ops import col2im, one_hot
 
 RNG = np.random.default_rng(0)
 
@@ -33,24 +35,22 @@ class TestComputePolicy:
         policy = active_policy()
         expected = os.environ.get("REPRO_COMPUTE_DTYPE", "float64")
         assert policy.dtype == np.dtype(expected)
-        reuse_env = os.environ.get("REPRO_WORKSPACE_REUSE", "1").strip().lower()
-        assert policy.workspace_reuse == (reuse_env in ("1", "true", "on"))
 
     def test_context_override_and_restore(self):
         outer = active_policy()
         with compute_policy(dtype="float32") as policy:
             assert policy.dtype == np.float32
             assert active_policy().dtype == np.float32
-            # Unset fields inherit the surrounding policy.
-            assert active_policy().workspace_reuse == outer.workspace_reuse
         assert active_policy().dtype == outer.dtype
 
     def test_nested_overrides(self):
-        with compute_policy(dtype="float32", workspace_reuse=True):
-            with compute_policy(workspace_reuse=False):
+        with compute_policy(dtype="float32"):
+            # An unset dtype inherits the surrounding policy.
+            with compute_policy():
                 assert active_policy().dtype == np.float32
-                assert not active_policy().workspace_reuse
-            assert active_policy().workspace_reuse
+            with compute_policy(dtype="float64"):
+                assert active_policy().dtype == np.float64
+            assert active_policy().dtype == np.float32
 
     def test_rejects_unsupported_dtype(self):
         with pytest.raises(ConfigurationError):
@@ -65,40 +65,6 @@ class TestComputePolicy:
     def test_cast_is_noop_for_matching_dtype(self):
         x = np.ones(3, dtype=active_policy().dtype)
         assert active_policy().cast(x) is x
-
-
-class TestWorkspace:
-    def test_reuses_backing_buffer(self):
-        ws = Workspace()
-        a = ws.request((4, 8), np.dtype(np.float64))
-        b = ws.request((2, 16), np.dtype(np.float64))
-        assert a.shape == (4, 8) and b.shape == (2, 16)
-        assert np.shares_memory(a, b)
-
-    def test_grows_geometrically(self):
-        ws = Workspace()
-        ws.request((10,), np.dtype(np.float64))
-        assert ws.capacity == 10
-        ws.request((11,), np.dtype(np.float64))
-        assert ws.capacity == 20  # doubled, not just +1
-
-    def test_dtype_switch_reallocates(self):
-        ws = Workspace()
-        ws.request((8,), np.dtype(np.float64))
-        out = ws.request((8,), np.dtype(np.float32))
-        assert out.dtype == np.float32
-
-    def test_network_pickle_and_deepcopy_survive_workspaces(self):
-        import pickle
-
-        net = Network(
-            [Conv2D(2, 3), Flatten(), Dense(4)], input_shape=(1, 6, 6), rng=0
-        )
-        x = RNG.random((2, 1, 6, 6))
-        expected = net.forward(x)
-        revived = pickle.loads(pickle.dumps(net))
-        np.testing.assert_array_equal(revived.forward(x), expected)
-        np.testing.assert_array_equal(copy.deepcopy(net).forward(x), expected)
 
 
 class TestPolicyThreading:
@@ -129,6 +95,18 @@ class TestPolicyThreading:
             net.layers[1].params["weight"], original, rtol=1e-6
         )
 
+    def test_network_pickle_and_deepcopy_round_trip(self):
+        import pickle
+
+        net = Network(
+            [Conv2D(2, 3), Flatten(), Dense(4)], input_shape=(1, 6, 6), rng=0
+        )
+        x = RNG.random((2, 1, 6, 6))
+        expected = net.forward(x)
+        revived = pickle.loads(pickle.dumps(net))
+        np.testing.assert_array_equal(revived.forward(x), expected)
+        np.testing.assert_array_equal(copy.deepcopy(net).forward(x), expected)
+
     def test_one_hot_dtype(self):
         assert one_hot(np.array([0, 1]), 3).dtype == np.float64
         assert one_hot(np.array([0, 1]), 3, dtype=np.float32).dtype == np.float32
@@ -150,27 +128,6 @@ class TestPolicyThreading:
 
 
 class TestZeroCopySubstrate:
-    def test_im2col_out_buffer(self):
-        x = RNG.random((2, 3, 6, 6))
-        expected = im2col(x, 3, 1)
-        out = np.empty_like(expected)
-        got = im2col(x, 3, 1, out=out)
-        assert got is out
-        np.testing.assert_array_equal(got, expected)
-
-    def test_im2col_rejects_bad_out(self):
-        x = RNG.random((2, 3, 6, 6))
-        with pytest.raises(ShapeError):
-            im2col(x, 3, 1, out=np.empty((1, 1)))
-
-    def test_col2im_out_buffer_matches(self):
-        x = RNG.random((2, 2, 6, 6))
-        cols = im2col(x, 2, 2)
-        expected = col2im(cols, x.shape, 2, 2)
-        out = np.empty((2, 2, 6, 6))
-        got = col2im(cols, x.shape, 2, 2, out=out)
-        np.testing.assert_array_equal(got, expected)
-
     def test_col2im_nonoverlap_matches_loop(self):
         # stride >= kernel takes the vectorized strided-view path; the
         # overlapping geometry takes the accumulation loop.  Their adjoint
@@ -185,29 +142,6 @@ class TestZeroCopySubstrate:
                 naive[:, :, i::2, j::2] += blocks[:, :, :, :, i, j]
         np.testing.assert_array_equal(fast, naive)
 
-    def test_workspace_reuse_identical_outputs(self):
-        net = Network(
-            [Conv2D(3, 3), Flatten(), Dense(5)], input_shape=(2, 8, 8), rng=3
-        )
-        x = RNG.random((4, 2, 8, 8))
-        with compute_policy(workspace_reuse=True):
-            on = net.forward(x)
-        with compute_policy(workspace_reuse=False):
-            off = net.forward(x)
-        np.testing.assert_array_equal(on, off)
-
-    def test_conv_training_survives_workspace_reuse(self):
-        # The cached im2col matrix must stay valid across the interleaved
-        # forward/backward pattern of a training loop.
-        layer = Conv2D(2, 3)
-        layer.build((1, 6, 6), np.random.default_rng(0))
-        with compute_policy(workspace_reuse=True):
-            for _ in range(3):
-                x = RNG.random((2, 1, 6, 6))
-                out = layer.forward(x, training=True)
-                layer.backward(np.ones_like(out))
-        assert layer.grads["weight"].shape == layer.params["weight"].shape
-
     def test_inference_forward_between_training_forward_and_backward(self):
         # An inference pass interleaved between a training forward and its
         # backward (mid-step validation) must not clobber the cached
@@ -217,12 +151,11 @@ class TestZeroCopySubstrate:
             conv, pool = Conv2D(2, 3), MaxPool2D(2)
             pool.build(conv.build((1, 7, 7), np.random.default_rng(5)), None)
             x = np.random.default_rng(6).random((2, 1, 7, 7))
-            with compute_policy(workspace_reuse=True):
-                out = pool.forward(conv.forward(x, training=True), training=True)
-                if interleave:
-                    other = np.random.default_rng(7).random((4, 1, 7, 7))
-                    pool.forward(conv.forward(other))
-                dx = conv.backward(pool.backward(np.ones_like(out)))
+            out = pool.forward(conv.forward(x, training=True), training=True)
+            if interleave:
+                other = np.random.default_rng(7).random((4, 1, 7, 7))
+                pool.forward(conv.forward(other))
+            dx = conv.backward(pool.backward(np.ones_like(out)))
             return conv.grads["weight"].copy(), dx.copy()
 
         for quiet, interleaved in zip(grads_for(False), grads_for(True)):
@@ -241,6 +174,42 @@ class TestZeroCopySubstrate:
             for j in range(3):
                 naive[0, 0, i : i + 3, j : j + 3] += grad[0, 0, i, j] / 9.0
         np.testing.assert_allclose(dx, naive, rtol=1e-12)
+
+
+class TestNoPersistentScratch:
+    """Inference allocates per call: a predict leaves nothing resident."""
+
+    ROWS = 512
+
+    @staticmethod
+    def traced_growth(call) -> int:
+        """Bytes still traced after ``call()`` returns (its result dropped)."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_network_predict_keeps_no_scratch(self):
+        with compute_policy(dtype="float32"):
+            net, _ = mnist_3c(rng=0)
+        x = RNG.random((self.ROWS, *net.input_shape)).astype(np.float32)
+        grown = self.traced_growth(lambda: net.predict(x, batch_size=self.ROWS))
+        assert grown < 2**20, f"predict left {grown / 2**20:.1f} MB resident"
+
+    def test_cdln_predict_keeps_no_scratch(self):
+        with compute_policy(dtype="float32"):
+            net, spec = mnist_3c(rng=0)
+        x = RNG.random((self.ROWS, *net.input_shape)).astype(np.float32)
+        cdln = CDLN(net, spec.attach_indices).fit_linear_classifiers(
+            x[:32], np.arange(32) % 10
+        )
+        grown = self.traced_growth(lambda: cdln.predict(x, delta=0.6))
+        assert grown < 2**20, f"predict left {grown / 2**20:.1f} MB resident"
 
 
 class TestDtypeParity:

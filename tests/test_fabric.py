@@ -9,11 +9,16 @@ coverage), not throughput.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError, ShapeError
 from repro.scenarios import Scenario
 from repro.serving import (
@@ -73,6 +78,19 @@ def images(trained_3c):
     return np.random.default_rng(0).standard_normal((16, *shape))
 
 
+def test_importing_the_fabric_leaves_scipy_unloaded():
+    # Every spawned replica imports repro.serving.fabric, and none of them
+    # synthesizes or corrupts an image, so none should load scipy.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, repro, repro.serving.fabric; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"
+
+
 class TestSharedParams:
     def test_rehydrated_model_serves_identically(self, trained_3c, images):
         params = SharedParams(trained_3c.cdln)
@@ -91,6 +109,27 @@ class TestSharedParams:
                 assert a.exit_stage == b.exit_stage
                 assert a.confidence == pytest.approx(b.confidence)
                 assert a.ops == pytest.approx(b.ops)
+        finally:
+            params.dispose()
+
+    def test_trained_model_shares_its_parameters_only(self, trained_3c):
+        # Training keeps no activations in the model, so the shared segment
+        # holds the parameters (with the gradient buffers that mirror them)
+        # and the classifiers, plus pickle metadata: not the last batch.
+        cdln = trained_3c.cdln
+        layers = cdln.baseline.layers
+        assert not any(layer._cache for layer in layers)
+        model_bytes = sum(
+            array.nbytes
+            for layer in layers
+            for array in (*layer.params.values(), *layer.grads.values())
+        ) + sum(
+            stage.classifier.weights.nbytes + stage.classifier.bias.nbytes
+            for stage in cdln.linear_stages
+        )
+        params = SharedParams(cdln)
+        try:
+            assert model_bytes < params.size < model_bytes + 8 * 1024
         finally:
             params.dispose()
 
@@ -358,6 +397,34 @@ class TestReplicaCrash:
             assert late_result.error == "restart_budget"
             snap = fabric.fleet_snapshot()
             assert snap.requests + snap.failed_requests == 13
+
+    def test_stop_after_a_replica_died_does_not_wait_for_its_ack(
+        self, trained_3c, images
+    ):
+        # A dead replica never acks ``stop``; stop() must not sit out a
+        # timeout for it, and must still collect every live replica's ack.
+        config = _fabric_config(
+            trained_3c,
+            replicas=2,
+            resilience=ResiliencePolicy(max_retries=1, max_restarts=0),
+        )
+        fabric = ServingFabric(config).start()
+        try:
+            assert not fabric.submit(images[0]).result(timeout=30.0).failed
+            assert fabric.kill_replica(0)
+            deadline = time.time() + 10.0
+            while fabric.live_replicas > 1 and time.time() < deadline:
+                time.sleep(0.02)
+            assert fabric.live_replicas == 1
+            alive = [r for r in fabric._replicas if r.process.is_alive()]
+            assert [r.id for r in alive] == [1]
+        finally:
+            started = time.perf_counter()
+            fabric.stop()
+            elapsed = time.perf_counter() - started
+        assert elapsed < 5.0, f"stop() took {elapsed:.1f}s"
+        assert all(r.stopped.is_set() for r in alive)
+        assert not any(r.collector.is_alive() for r in fabric._replicas)
 
     def test_unsupervised_fleet_raises_on_submit_when_dead(
         self, trained_3c, images
