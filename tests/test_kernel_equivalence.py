@@ -5,7 +5,8 @@ activation and full-chain ``Network.backward`` code as oracles.  Every
 check here is exact: gradients and trained parameters must match bit for
 bit, not to a tolerance, on geometries chosen to hit the edge cases --
 strides shorter than the window, borders no window covers, exact ties
-inside a window and signed zeros -- in float32 and float64.
+inside a window and signed zeros -- in float32 and float64, with and
+without an inference forward between a training forward and its backward.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ class TestMaxPool:
         assert_same_bits(pool.backward(grad), expected_dx)
 
 
+@pytest.mark.parametrize("interleave", (True, False))
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestConv2D:
@@ -142,7 +144,16 @@ class TestConv2D:
         x = edge_case_values(rng, (n, c, h, w), dtype)
         return layer, x
 
-    def test_forward_and_gradients_match_reference(self, seed, dtype):
+    @staticmethod
+    def validation_pass(layer, x, interleave):
+        """With ``interleave``, run an inference forward on a larger batch,
+        as a mid-step validation pass does between a training forward and
+        its backward.  Scratch is allocated per call, so it must leave the
+        training forward's output and cached columns untouched."""
+        if interleave:
+            layer.forward(np.concatenate([x + 1, x]))
+
+    def test_forward_and_gradients_match_reference(self, seed, dtype, interleave):
         rng = np.random.default_rng(400 + seed)
         layer, x = self.build(rng, dtype)
         grad = rng.standard_normal((x.shape[0], *layer.output_shape)).astype(dtype)
@@ -152,6 +163,7 @@ class TestConv2D:
             expected_grads = {k: v.copy() for k, v in layer.grads.items()}
             expected_infer = layer.forward(x).copy()
         out = layer.forward(x, training=True)
+        self.validation_pass(layer, x, interleave)
         assert out.flags.c_contiguous
         assert_same_bits(out, expected_out)
         assert_same_bits(layer.backward(grad), expected_dx)
@@ -160,12 +172,13 @@ class TestConv2D:
         # Parameter gradients alone, without forming dL/d input.
         layer.zero_grads()
         layer.forward(x, training=True)
+        self.validation_pass(layer, x, interleave)
         assert layer.backward_params(grad) is None
         for key, value in expected_grads.items():
             assert_same_bits(layer.grads[key], value)
         assert_same_bits(layer.forward(x), expected_infer)
 
-    def test_single_sample_batch_agrees_to_rounding(self, seed, dtype):
+    def test_single_sample_batch_agrees_to_rounding(self, seed, dtype, interleave):
         rng = np.random.default_rng(600 + seed)
         layer, x = self.build(rng, dtype, batch=1)
         grad = rng.standard_normal((1, *layer.output_shape)).astype(dtype)
@@ -174,6 +187,7 @@ class TestConv2D:
             expected_dx = layer.backward(grad).copy()
             expected = {k: v.copy() for k, v in layer.grads.items()}
         layer.forward(x, training=True)
+        self.validation_pass(layer, x, interleave)
         assert_same_bits(layer.backward(grad), expected_dx)
         tol = 1e-5 if dtype == np.float32 else 1e-12
         for key, value in expected.items():

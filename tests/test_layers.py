@@ -264,6 +264,55 @@ class TestDropout:
             Dropout(1.0)
 
 
+def _held_arrays(layer) -> list[str]:
+    """Names of the attributes holding arrays other than parameters and gradients."""
+    held = []
+    for name, value in vars(layer).items():
+        if name in ("params", "grads"):
+            continue
+        values = value.values() if isinstance(value, dict) else (value,)
+        held += [name for item in values if isinstance(item, np.ndarray)]
+    return held
+
+
+# Every layer type that keeps state from a training forward for its
+# backward, with an input shape it accepts.
+TRAINING_STATE = {
+    "Conv2D": (lambda: Conv2D(3, 3), (2, 6, 6)),
+    "MaxPool2D": (lambda: MaxPool2D(2), (2, 6, 6)),
+    "AvgPool2D": (lambda: AvgPool2D(2), (2, 6, 6)),
+    "Dense": (lambda: Dense(4), (5,)),
+    "ActivationLayer": (lambda: ActivationLayer("tanh"), (5,)),
+    "Dropout": (lambda: Dropout(0.5, seed=0), (5,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRAINING_STATE))
+class TestClearCache:
+    def build(self, kind):
+        make, shape = TRAINING_STATE[kind]
+        layer = make()
+        layer.build(shape, np.random.default_rng(2))
+        return layer, RNG.normal(size=(3, *shape))
+
+    def test_drops_what_training_kept(self, kind):
+        layer, x = self.build(kind)
+        out = layer.forward(x, training=True)
+        layer.backward(np.ones_like(out))
+        assert _held_arrays(layer) or layer._cache
+        layer.clear_cache()
+        assert _held_arrays(layer) == []
+        assert layer._cache == {}
+
+    def test_layer_trains_on_after_clearing(self, kind):
+        layer, x = self.build(kind)
+        upstream = np.ones_like(layer.forward(x))
+        layer.forward(x, training=True)
+        layer.clear_cache()
+        layer.forward(x, training=True)
+        assert layer.backward(upstream).shape == x.shape
+
+
 class TestLayerRegistry:
     def test_round_trip_config(self):
         layer = Conv2D(6, 5, activation="relu", name="C1")

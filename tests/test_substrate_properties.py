@@ -5,8 +5,9 @@ Each case draws a random geometry (odd spatial sizes, mixed strides,
 kernels and padding) from a seeded generator and checks the algebraic
 identities the layers rely on:
 
-* ``im2col``/``col2im`` are exact adjoints: ``<im2col(x), y> == <x,
-  col2im(y)>`` for every geometry;
+* ``im2col``/``col2im`` allocate a fresh result on every call and are
+  exact adjoints: ``<im2col(x), y> == <x, col2im(y)>`` for every
+  geometry;
 * average pooling's forward map is linear and its backward is the exact
   adjoint; max pooling's backward routes gradient only to argmax
   positions and preserves mass.
@@ -47,6 +48,27 @@ def tolerance(dtype) -> float:
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestIm2colCol2im:
+    def test_each_call_returns_a_fresh_array(self, seed, dtype):
+        """Results are allocated per call: they alias neither the input nor
+        an earlier result, so a layer may cache one across later calls."""
+        rng = np.random.default_rng(seed)
+        n, c, h, w, kernel, stride, padding = random_geometry(rng)
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        fresh = im2col(x, kernel, stride, padding)
+        again = im2col(x, kernel, stride, padding)
+        assert fresh.dtype == dtype and fresh.flags.c_contiguous
+        assert not np.shares_memory(fresh, x)
+        assert not np.shares_memory(fresh, again)
+        np.testing.assert_array_equal(again, fresh)
+
+        cols = rng.standard_normal(fresh.shape).astype(dtype)
+        back = col2im(cols, x.shape, kernel, stride, padding)
+        back_again = col2im(cols, x.shape, kernel, stride, padding)
+        assert back.shape == x.shape and back.dtype == dtype
+        assert not np.shares_memory(back, cols)
+        assert not np.shares_memory(back, back_again)
+        np.testing.assert_array_equal(back_again, back)
+
     def test_gather_scatter_adjoint_identity(self, seed, dtype):
         """<im2col(x), y> == <x, col2im(y)>: the exact adjoint pair that
         makes col2im the correct convolution gradient routing."""
