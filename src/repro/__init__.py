@@ -68,7 +68,6 @@ from repro.ops import OpCount, network_total_ops
 from repro.serving import (
     ArrivalSchedule,
     AsyncEngine,
-    AsyncInferenceEngine,
     DeltaController,
     InferenceEngine,
     InferenceResponse,
@@ -86,7 +85,6 @@ __all__ = [
     "ActivationModule",
     "ArrivalSchedule",
     "AsyncEngine",
-    "AsyncInferenceEngine",
     "CDLN",
     "CdlTrainingConfig",
     "ConfigurationError",

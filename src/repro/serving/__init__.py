@@ -26,7 +26,6 @@ the engine modules here would create an import cycle.
 from __future__ import annotations
 
 import importlib
-import warnings
 
 _EXPORTS = {
     "CascadeResult": "repro.serving.cascade",
@@ -45,11 +44,10 @@ _EXPORTS = {
     "ServingMetrics": "repro.serving.metrics",
     "ServingConfig": "repro.serving.config",
     "AsyncEngine": "repro.serving.engine",
-    "AsyncInferenceEngine": "repro.serving.engine",
     "InferenceEngine": "repro.serving.engine",
     "InferenceResponse": "repro.serving.engine",
     "RequestFailed": "repro.serving.engine",
-    "Ticket": "repro.serving.engine",
+    "Ticket": "repro.serving.batching",
     "FabricConfig": "repro.serving.fabric",
     "FleetSnapshot": "repro.serving.fabric",
     "ServingFabric": "repro.serving.fabric",
@@ -82,34 +80,15 @@ _EXPORTS = {
     "SLOReport": "repro.serving.slo",
 }
 
-#: Internals that leaked into the public surface before the API audit.
-#: They resolve for one more release behind a ``DeprecationWarning`` but
-#: are no longer in ``__all__`` / ``dir()`` -- import from the defining
-#: module instead.
-_DEPRECATED_EXPORTS = {
-    "MicroBatcher": "repro.serving.batching",
-}
-
 __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
     module_name = _EXPORTS.get(name)
     if module_name is None:
-        module_name = _DEPRECATED_EXPORTS.get(name)
-        if module_name is None:
-            raise AttributeError(
-                f"module {__name__!r} has no attribute {name!r}"
-            ) from None
-        warnings.warn(
-            f"importing {name} from repro.serving is deprecated (it is an "
-            f"internal); import it from {module_name} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        # Deliberately NOT cached in globals(): the warning must fire on
-        # every access so no new call site quietly depends on the leak.
-        return getattr(importlib.import_module(module_name), name)
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
     value = getattr(importlib.import_module(module_name), name)
     globals()[name] = value
     return value

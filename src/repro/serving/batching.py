@@ -1,26 +1,55 @@
-"""Dynamic micro-batching policy and request coalescing.
+"""The one dispatcher: intake, priority queue and batching window.
 
 A serving engine should neither run every request alone (deep layers would
 see batch-1 GEMMs and per-call overhead dominates) nor wait forever for a
 full batch (tail latency explodes).  :class:`MicroBatchPolicy` encodes the
-standard compromise -- dispatch when ``max_batch_size`` requests are
-waiting *or* ``max_wait_s`` has elapsed since the first one arrived --
-and :class:`MicroBatcher` applies it to a pending queue.
+standard compromise and :class:`Dispatcher` applies it.  Every front end
+-- :meth:`InferenceEngine.flush <repro.serving.engine.InferenceEngine.flush>`,
+:class:`~repro.serving.engine.AsyncEngine`,
+:class:`~repro.serving.fabric.ServingFabric` and the virtual-time
+:meth:`LoadRunner.simulate <repro.serving.loadgen.LoadRunner.simulate>` --
+forms its batches here, so each of these exists once:
 
-The cascade makes this policy unusually profitable: most inputs exit at
+* **intake** -- shape coercion, the NaN/Inf check, the ``deadline_s``
+  check, and the pre-failed ``invalid_input`` ticket;
+* **the priority queue** -- highest class first, FIFO within a class;
+* **the window** -- a batch leaves when the executor is idle and either
+  ``max_batch_size`` requests are waiting or ``max_wait_s`` has passed
+  since the window opened.  The window opens at the later of the first
+  waiting arrival and the moment the executor went idle;
+* **the unified queue depth** -- waiting plus in flight;
+* **the shed decision** and the per-request service-time EWMA it
+  predicts waits from.
+
+The dispatcher reads time only from the :class:`Clock` it is given: the
+wall clock for the threaded front ends, a :class:`VirtualClock` for
+``simulate()``.  What differs per front end stays there: the engine
+serves a formed batch, the fabric ships it to an idle replica, and
+``simulate()`` charges its OPS as virtual service time.
+
+The cascade makes batching unusually profitable: most inputs exit at
 the first linear stage, so only a small residual of each micro-batch ever
 reaches the deep (expensive) backbone segments.
 """
 
 from __future__ import annotations
 
-import queue
+import itertools
+import threading
+import time
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Any
+from typing import Any, Callable, Protocol
 
-from repro.errors import ConfigurationError
+import numpy as np
+
+from repro.errors import (
+    ConfigurationError,
+    InputValidationError,
+    RequestCancelled,
+    ShapeError,
+)
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.utils.validation import check_positive_int
 
 
@@ -31,11 +60,10 @@ class MicroBatchPolicy:
     Attributes
     ----------
     max_batch_size:
-        Dispatch as soon as this many requests are pending.
+        Dispatch as soon as this many requests are waiting.
     max_wait_s:
-        Dispatch a partial batch once the oldest pending request has waited
-        this long (only meaningful for the async facade; the synchronous
-        engine dispatches on ``flush()``).
+        Dispatch a partial batch once its window has been open this long
+        (the synchronous engine ignores it and dispatches on ``flush()``).
     """
 
     max_batch_size: int = 64
@@ -49,6 +77,140 @@ class MicroBatchPolicy:
             )
 
 
+# -- clocks -----------------------------------------------------------------------
+class Clock(Protocol):
+    """Where the dispatcher and the engine read time and spend delay."""
+
+    def now(self) -> float: ...
+
+    def sleep(self, seconds: float) -> None: ...
+
+
+class WallClock:
+    """``perf_counter`` seconds; ``sleep`` blocks the calling thread."""
+
+    def now(self) -> float:
+        return time.perf_counter()
+
+    def sleep(self, seconds: float) -> None:
+        time.sleep(seconds)
+
+
+#: The clock every front end runs on unless ``simulate()`` swaps it.
+WALL_CLOCK = WallClock()
+
+
+class VirtualClock:
+    """Time that moves only when its driver sets :attr:`t`.
+
+    ``sleep`` does not advance ``now()``: injected delay is service time
+    of the batch being served, so it accumulates in :attr:`charged_s`
+    until the driver collects it with :meth:`take_charged`.
+    """
+
+    def __init__(self, t: float = 0.0) -> None:
+        self.t = t
+        self.charged_s = 0.0
+
+    def now(self) -> float:
+        return self.t
+
+    def sleep(self, seconds: float) -> None:
+        self.charged_s += seconds
+
+    def take_charged(self) -> float:
+        charged, self.charged_s = self.charged_s, 0.0
+        return charged
+
+
+# -- requests -----------------------------------------------------------------------
+class Ticket:
+    """A pending request's handle; resolves to an
+    :class:`~repro.serving.engine.InferenceResponse` (or, under a
+    resilience policy, a :class:`~repro.serving.engine.RequestFailed`)."""
+
+    __slots__ = ("request_id", "_event", "_response", "_cancelled")
+
+    def __init__(self, request_id: int) -> None:
+        self.request_id = request_id
+        self._event = threading.Event()
+        self._response = None
+        self._cancelled = False
+
+    @property
+    def done(self) -> bool:
+        return self._event.is_set()
+
+    @property
+    def cancelled(self) -> bool:
+        return self._cancelled
+
+    def cancel(self) -> bool:
+        """Abandon the request: the engine purges it instead of serving it.
+
+        Returns True when the cancellation won (the ticket will never
+        carry a response), False when the request had already resolved.
+        Cancelling is how a caller that gave up on ``result(timeout=...)``
+        tells the engine not to keep the pending entry alive forever.
+        """
+        if self._event.is_set():
+            return False
+        self._cancelled = True
+        self._event.set()
+        return True
+
+    def result(self, timeout: float | None = None):
+        """Block until the response is available (engines resolve tickets
+        on dispatch; with the synchronous engine, call ``flush()`` first).
+
+        Raises :class:`~repro.errors.RequestCancelled` after
+        :meth:`cancel`, ``TimeoutError`` when ``timeout`` expires first.
+        """
+        if not self._event.wait(timeout):
+            raise TimeoutError(
+                f"request {self.request_id} not answered within {timeout}s"
+            )
+        if self._response is None and self._cancelled:
+            raise RequestCancelled(f"request {self.request_id} was cancelled")
+        return self._response
+
+    def _resolve(self, response) -> None:
+        # First writer wins: a cancelled ticket stays cancelled, and a
+        # supervisor failing in-flight work cannot clobber an answer a
+        # partially-completed dispatch already delivered.
+        if self._event.is_set():
+            return
+        self._response = response
+        self._event.set()
+
+
+@dataclass
+class _Pending:
+    image: np.ndarray | None
+    ticket: Ticket
+    enqueued_at: float
+    #: Client latency deadline in seconds from submission (None: no deadline).
+    deadline_s: float | None = None
+    #: Dispatch priority; higher boards earlier batches under backlog.
+    priority: int = 0
+
+
+@dataclass
+class Batch:
+    """One formed micro-batch, as handed to an executor."""
+
+    items: list[_Pending]
+    #: Unified depth at dispatch: waiting (this batch included) + in flight.
+    queue_depth: int
+    #: The shed decision: serve the whole batch at the stage-0 exit.
+    shed: bool
+    dispatched_at: float
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
+# -- the priority queue -------------------------------------------------------------
 class MicroBatcher:
     """Pending work items chunked by a :class:`MicroBatchPolicy`.
 
@@ -67,15 +229,9 @@ class MicroBatcher:
         self._classes: dict[int, deque[Any]] = {}
         self._priorities: list[int] = []
         self._size = 0
-        self._peak_pending = 0
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def peak_pending(self) -> int:
-        """Deepest the pending queue has ever been (telemetry)."""
-        return self._peak_pending
 
     def add(self, item: Any) -> None:
         priority = int(getattr(item, "priority", 0))
@@ -85,8 +241,10 @@ class MicroBatcher:
             self._priorities = sorted(self._classes, reverse=True)
         pending.append(item)
         self._size += 1
-        if self._size > self._peak_pending:
-            self._peak_pending = self._size
+
+    def heads(self) -> list[Any]:
+        """The oldest item of every non-empty class."""
+        return [pending[0] for pending in self._classes.values() if pending]
 
     def next_batch(self) -> list[Any]:
         """Pop up to ``max_batch_size`` items (empty list when idle).
@@ -121,40 +279,289 @@ class MicroBatcher:
         return batches
 
 
-def collect_from_queue(
-    source: "queue.Queue[Any]",
-    policy: MicroBatchPolicy,
-    *,
-    poll_s: float = 0.05,
-) -> list[Any] | None:
-    """Block for the next micro-batch from a thread-safe queue.
+# -- the dispatcher -------------------------------------------------------------------
+class Dispatcher:
+    """Intake, priority queue, window, depth and shed decision, on one clock.
 
-    Waits up to ``poll_s`` for a first item (returning ``None`` on an idle
-    poll so the caller can check for shutdown), then coalesces further
-    items until the batch is full or ``max_wait_s`` has elapsed.  A
-    ``None`` item in the queue is treated as a shutdown sentinel and is
-    re-queued so sibling consumers see it too.
+    Parameters
+    ----------
+    policy:
+        The batching window.
+    input_shape:
+        Expected per-request image shape; ``(1, *input_shape)`` is
+        squeezed.
+    fail:
+        ``fail(pending, cause, message)`` -- the front end's failure
+        accounting, used for pre-failed intake tickets and for
+        :meth:`fail_waiting`.
+    raise_invalid:
+        True: a payload that fails validation raises
+        :class:`~repro.errors.InputValidationError` from ``submit``.
+        False (front ends with a resilience policy): it returns an
+        already-failed ``invalid_input`` ticket instead.
+    validate_inputs:
+        Reject non-finite payloads at intake.
+    shed:
+        Optional :class:`~repro.serving.controller.ShedPolicy`.
+    observer:
+        Receives the ``shed_engaged`` / ``shed_released`` events.
+
+    Time comes from :attr:`clock`, the wall clock unless
+    :meth:`set_clock` swaps in another (``simulate()`` installs a
+    :class:`VirtualClock` for its run).
+
+    Thread safety: every method takes :attr:`cond`, a re-entrant
+    condition that front ends may share for their own state (the fabric
+    does) and that ``submit`` notifies.
     """
-    try:
-        first = source.get(timeout=poll_s)
-    except queue.Empty:
-        return None
-    if first is None:
-        source.put(None)
-        return []
-    items = [first]
-    deadline = perf_counter() + policy.max_wait_s
-    while len(items) < policy.max_batch_size:
-        remaining = deadline - perf_counter()
+
+    def __init__(
+        self,
+        policy: MicroBatchPolicy,
+        *,
+        input_shape: tuple[int, ...],
+        fail: Callable[[_Pending, str, str], None],
+        raise_invalid: bool = True,
+        validate_inputs: bool = True,
+        shed=None,
+        observer: Observer = NULL_OBSERVER,
+    ) -> None:
+        self.policy = policy
+        self.input_shape = tuple(input_shape)
+        self.shed = shed
+        self.observer = observer
+        self.clock: Clock = WALL_CLOCK
+        self.cond = threading.Condition()
+        #: Set by a front end that is shutting down: batches leave without
+        #: waiting for their window.
+        self.draining = False
+        self._fail = fail
+        self._raise_invalid = raise_invalid
+        self._validate_inputs = validate_inputs
+        self._batcher = MicroBatcher(policy)
+        self._ids = itertools.count()
+        #: Requests dispatched and not yet retired with :meth:`done`.
+        self._inflight = 0
+        #: When the waiting count last reached ``max_batch_size``.
+        self._full_since: float | None = None
+        #: EWMA of per-request service seconds (predicted-wait shedding).
+        self._service_ewma_s: float | None = None
+        self._shedding = False
+
+    def set_clock(self, clock: Clock) -> None:
+        """Read time from ``clock`` from now on.  The service-time estimate
+        was measured in the old clock's seconds, so it starts over."""
+        with self.cond:
+            self.clock = clock
+            self._service_ewma_s = None
+
+    def __len__(self) -> int:
+        """Requests waiting to be batched (excludes in flight)."""
+        return len(self._batcher)
+
+    def queue_depth(self) -> int:
+        """The unified depth: waiting plus in flight, one meaning for
+        every front end, the shed policy and the metrics."""
+        with self.cond:
+            return len(self._batcher) + self._inflight
+
+    # -- intake ---------------------------------------------------------------
+    def _coerce(self, image) -> np.ndarray:
+        expected = self.input_shape
+        image = np.asarray(image)
+        if image.shape == (1, *expected):
+            image = image[0]
+        elif image.shape != expected:
+            raise ShapeError(
+                f"image must have shape {expected} or {(1, *expected)}, "
+                f"got {image.shape}"
+            )
+        # Reject NaN/Inf at the door: a non-finite pixel silently poisons
+        # every activation downstream and the request "answers" garbage.
+        if (
+            self._validate_inputs
+            and image.dtype.kind == "f"
+            and not np.isfinite(image).all()
+        ):
+            raise InputValidationError(
+                "image contains non-finite values (NaN/Inf); reject at "
+                "intake or disable via ServingConfig(validate_inputs=False)"
+            )
+        return image
+
+    def submit(
+        self,
+        image: np.ndarray,
+        *,
+        deadline_s: float | None = None,
+        priority: int = 0,
+    ) -> Ticket:
+        """Validate one request and queue it; returns its ticket."""
+        if deadline_s is not None and not deadline_s > 0:
+            raise ConfigurationError(
+                f"deadline_s must be > 0 seconds, got {deadline_s}"
+            )
         try:
-            if remaining <= 0:
-                item = source.get_nowait()
-            else:
-                item = source.get(timeout=remaining)
-        except queue.Empty:
-            break
-        if item is None:
-            source.put(None)
-            break
-        items.append(item)
-    return items
+            image = self._coerce(image)
+        except InputValidationError as exc:
+            if self._raise_invalid:
+                raise
+            return self.reject("invalid_input", str(exc))
+        pending = _Pending(
+            image=image,
+            ticket=Ticket(next(self._ids)),
+            enqueued_at=self.clock.now(),
+            deadline_s=deadline_s,
+            priority=int(priority),
+        )
+        with self.cond:
+            self._batcher.add(pending)
+            if (
+                self._full_since is None
+                and len(self._batcher) >= self.policy.max_batch_size
+            ):
+                self._full_since = pending.enqueued_at
+            self.cond.notify_all()
+        return pending.ticket
+
+    def reject(self, cause: str, message: str) -> Ticket:
+        """A new request's ticket, failed at once through ``fail``."""
+        rejected = _Pending(
+            image=None, ticket=Ticket(next(self._ids)), enqueued_at=self.clock.now()
+        )
+        self._fail(rejected, cause, message)
+        return rejected.ticket
+
+    # -- the window -----------------------------------------------------------
+    def _opened_at(self, idle_since: float) -> float:
+        oldest = min(p.enqueued_at for p in self._batcher.heads())
+        return max(oldest, idle_since)
+
+    def leave_at(self, idle_since: float) -> float | None:
+        """When the next batch leaves, for an executor idle since
+        ``idle_since``; ``None`` while nothing waits."""
+        with self.cond:
+            if not len(self._batcher):
+                return None
+            if self._full_since is not None:
+                return max(idle_since, self._full_since)
+            return self._opened_at(idle_since) + self.policy.max_wait_s
+
+    def leaves_before(self, t: float, idle_since: float) -> float | None:
+        """The next batch's departure when it leaves before an arrival at
+        ``t``, else ``None`` (event-driven form of the window, for
+        virtual time).
+
+        At one instant, arrivals board first: a window that opens or
+        closes at ``t`` still takes an arrival at ``t``.  The exception
+        is a batch that filled after its window opened -- it left at the
+        arrival that filled it, before any later one.
+        """
+        with self.cond:
+            leave = self.leave_at(idle_since)
+            if leave is None or leave > t:
+                return None
+            if leave < t:
+                return leave
+            filled = self._full_since is not None
+            return leave if filled and self._opened_at(idle_since) < t else None
+
+    def pop(self) -> Batch:
+        """Form the next batch now: priority order, depth, shed decision.
+
+        The batch counts as in flight until :meth:`done` retires it.  An
+        empty batch means nothing but cancelled tickets was waiting.
+        """
+        with self.cond:
+            items = self._batcher.next_batch()
+            waiting = len(self._batcher)
+            if waiting < self.policy.max_batch_size:
+                self._full_since = None
+            depth = len(items) + waiting + self._inflight
+            self._inflight += len(items)
+            shed = False
+            if items and self.shed is not None:
+                ewma = self._service_ewma_s
+                shed = self.shed.should_shed(
+                    queue_depth=depth,
+                    predicted_wait_s=depth * ewma if ewma is not None else None,
+                )
+            flipped = bool(items) and shed != self._shedding
+            if flipped:
+                self._shedding = shed
+        if flipped:
+            self.observer.event(
+                "shed_engaged" if shed else "shed_released",
+                queue_depth=depth,
+                batch_size=len(items),
+            )
+        return Batch(items, depth, shed, self.clock.now())
+
+    def done(self, batch: Batch, service_s: float | None = None) -> None:
+        """Retire a dispatched batch; ``service_s`` (when the batch was
+        served rather than lost) folds into the service-time EWMA."""
+        with self.cond:
+            self._inflight -= len(batch)
+            if service_s is not None and len(batch):
+                per_request = service_s / len(batch)
+                self._service_ewma_s = (
+                    per_request
+                    if self._service_ewma_s is None
+                    else 0.8 * self._service_ewma_s + 0.2 * per_request
+                )
+            self.cond.notify_all()
+
+    # -- backlog ----------------------------------------------------------------
+    def clear(self) -> list[_Pending]:
+        """Drop everything waiting, unresolved; returns what was dropped."""
+        with self.cond:
+            dropped = [p for batch in self._batcher.drain() for p in batch]
+            self._full_since = None
+            return dropped
+
+    def fail_waiting(self, cause: str, message: str) -> int:
+        """Fail every waiting request through the front end's accounting."""
+        failed = 0
+        for pending in self.clear():
+            if not pending.ticket.done:
+                self._fail(pending, cause, message)
+                failed += 1
+        return failed
+
+
+def collect_from_queue(
+    dispatcher: Dispatcher,
+    *,
+    idle_since: float = float("-inf"),
+    poll_s: float = 0.05,
+) -> Batch | None:
+    """Block for the next micro-batch under the dispatcher's window.
+
+    The threaded executor's one blocking call per batch: it returns the
+    formed batch as soon as the window lets it leave, or ``None`` when
+    nothing is due within ``poll_s`` (an idle poll, so the caller can
+    check for shutdown).  While the dispatcher drains, batches leave
+    without waiting for their window and an empty batch means the queue
+    is empty.  Reads time from the dispatcher's clock; waits on its
+    condition.
+    """
+    clock = dispatcher.clock
+    cond = dispatcher.cond
+    give_up = clock.now() + poll_s
+    with cond:
+        while True:
+            leave = dispatcher.leave_at(idle_since)
+            now = clock.now()
+            if leave is None and dispatcher.draining:
+                return dispatcher.pop()  # empty: drained
+            if leave is not None and (leave <= now or dispatcher.draining):
+                batch = dispatcher.pop()
+                if batch:
+                    return batch
+                continue  # every waiting ticket had been cancelled
+            wait = give_up - now
+            if wait <= 0:
+                return None
+            if leave is not None:
+                wait = min(wait, leave - now)
+            cond.wait(wait)

@@ -6,9 +6,8 @@ until constructing one meant reading seven parameter docstrings and the
 invariants between them lived inline in ``__init__``.  :class:`ServingConfig`
 consolidates the lot: every knob is a field, :meth:`validate` checks the
 cross-field invariants in one place, and
-``InferenceEngine.from_config(cfg)`` is the one construction path.  The
-old per-knob keywords still work for one release behind a
-``DeprecationWarning``.
+``InferenceEngine.from_config(cfg)`` is the one construction path
+(``InferenceEngine(model)`` is sugar for the one-field config).
 
 New capabilities only land here (never as new ``__init__`` keywords):
 ``shed`` -- the backpressure policy -- is the first example.
@@ -54,13 +53,14 @@ class ServingConfig:
     shed:
         Optional :class:`~repro.serving.controller.ShedPolicy`.  When the
         queue depth (or predicted wait) at dispatch crosses the policy's
-        threshold, the engine serves the batch force-terminated at
-        stage 0 -- cheap answers instead of dropped requests.
+        threshold, the dispatcher marks the batch shed and the engine
+        serves it force-terminated at stage 0 -- cheap answers instead of
+        dropped requests.
     resilience:
         Optional :class:`~repro.serving.resilience.ResiliencePolicy`.
         Turns on the fault-handling ladder -- supervised async worker,
         poison-batch isolation, bounded retries, degraded stage-0
-        fallback, deadline cancellation.  Without it the engine keeps
+        fallback.  Without it the engine keeps
         the original propagate-on-error contract.
     faults:
         Optional :class:`~repro.serving.faults.FaultPlan` -- seeded

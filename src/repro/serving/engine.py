@@ -13,10 +13,12 @@ threshold between batches to hold an ops budget.
 
 Construction goes through one declarative object --
 :class:`~repro.serving.config.ServingConfig` +
-:meth:`InferenceEngine.from_config`; the legacy per-knob keywords still
-work for one release behind a ``DeprecationWarning``.
+:meth:`InferenceEngine.from_config` (``InferenceEngine(model)`` is sugar
+for the one-field config).
 
-Two facades share one request contract:
+Two facades share one request contract and one
+:class:`~repro.serving.batching.Dispatcher` (intake, priority queue,
+window, queue depth, shed decision):
 
 =====================  ==========================  ==========================
 ,                      ``InferenceEngine``         ``AsyncEngine``
@@ -27,8 +29,8 @@ deadline_s, priority)``  next ``flush()``          as the worker dispatches
 returns                :class:`Ticket`             :class:`Ticket` (same type)
 ``Ticket.result(       response if resolved,       blocks up to ``timeout``
 timeout=)``            else ``TimeoutError``       then ``TimeoutError``
-batch formation        shared priority-aware       same batcher, fed by the
-,                      ``MicroBatcher``            worker's queue collector
+batch formation        the engine's                same dispatcher, under
+,                      ``Dispatcher``, on flush    its window, on the worker
 ``deadline_s``         stamps                      identical
 ,                      ``deadline_missed``         ,
 ``priority``           higher boards earlier       identical
@@ -44,26 +46,23 @@ from merely answered.
 from __future__ import annotations
 
 import itertools
-import queue
 import random
 import threading
-import warnings
 from dataclasses import dataclass
-from time import perf_counter, sleep
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    InputValidationError,
-    RequestCancelled,
-    ShapeError,
+from repro.errors import ConfigurationError, InputValidationError
+from repro.obs.observer import NULL_OBSERVER
+from repro.serving.batching import (
+    Batch,
+    Dispatcher,
+    Ticket,
+    _Pending,
+    collect_from_queue,
 )
-from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.serving.batching import MicroBatcher, MicroBatchPolicy, collect_from_queue
 from repro.serving.cascade import execute_cascade
 from repro.serving.config import ServingConfig
-from repro.serving.controller import DeltaController
 from repro.serving.faults import FaultInjector, InjectedFault
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelEntry, ModelRegistry
@@ -124,8 +123,8 @@ class RequestFailed:
     """A request's *terminal failure* answer (the ticket still resolves).
 
     The resilience layer never strands a ticket: when a request cannot be
-    served -- poison input, exhausted retries, worker crash, spent
-    restart budget, expired deadline -- its ticket resolves with one of
+    served -- invalid payload, poison input, exhausted retries, worker
+    crash, spent restart budget -- its ticket resolves with one of
     these instead of an :class:`InferenceResponse`.  ``error`` is the
     machine-readable cause (one of
     :data:`~repro.serving.resilience.FAILURE_CAUSES`, the same label on
@@ -136,82 +135,10 @@ class RequestFailed:
     error: str
     message: str
     retries: int = 0
-    #: Queue-to-failure seconds (wall clock).
+    #: Queue-to-failure seconds on the engine's clock.
     latency_s: float = 0.0
 
     failed = True
-
-
-class Ticket:
-    """A pending request's handle; resolves to an :class:`InferenceResponse`
-    (or, under a resilience policy, a :class:`RequestFailed`)."""
-
-    __slots__ = ("request_id", "_event", "_response", "_cancelled")
-
-    def __init__(self, request_id: int) -> None:
-        self.request_id = request_id
-        self._event = threading.Event()
-        self._response: InferenceResponse | RequestFailed | None = None
-        self._cancelled = False
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> bool:
-        """Abandon the request: the engine purges it instead of serving it.
-
-        Returns True when the cancellation won (the ticket will never
-        carry a response), False when the request had already resolved.
-        Cancelling is how a caller that gave up on ``result(timeout=...)``
-        tells the engine not to keep the pending entry alive forever.
-        """
-        if self._event.is_set():
-            return False
-        self._cancelled = True
-        self._event.set()
-        return True
-
-    def result(
-        self, timeout: float | None = None
-    ) -> InferenceResponse | RequestFailed:
-        """Block until the response is available (engines resolve tickets
-        on dispatch; with the synchronous engine, call ``flush()`` first).
-
-        Raises :class:`~repro.errors.RequestCancelled` after
-        :meth:`cancel`, ``TimeoutError`` when ``timeout`` expires first.
-        """
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} not answered within {timeout}s"
-            )
-        if self._response is None and self._cancelled:
-            raise RequestCancelled(f"request {self.request_id} was cancelled")
-        return self._response
-
-    def _resolve(self, response: InferenceResponse | RequestFailed) -> None:
-        # First writer wins: a cancelled ticket stays cancelled, and a
-        # supervisor failing in-flight work cannot clobber an answer a
-        # partially-completed dispatch already delivered.
-        if self._event.is_set():
-            return
-        self._response = response
-        self._event.set()
-
-
-@dataclass
-class _Pending:
-    image: np.ndarray
-    ticket: Ticket
-    enqueued_at: float
-    #: Client latency deadline in seconds from submission (None: no deadline).
-    deadline_s: float | None = None
-    #: Dispatch priority; higher boards earlier batches under backlog.
-    priority: int = 0
 
 
 class InferenceEngine:
@@ -228,64 +155,24 @@ class InferenceEngine:
         )
 
     ``InferenceEngine(model)`` stays as sugar for the one-field config.
-    The seven pre-config keyword knobs (``registry``, ``model_spec``,
-    ``policy``, ``controller``, ``delta``, ``adaptive``, ``observer``)
-    still work for one release and emit a ``DeprecationWarning``; new
-    knobs (``shed``) exist only on the config.
+
+    Requests queue in :attr:`dispatcher`, which owns intake, the priority
+    queue, the unified queue depth and the shed decision; ``flush()``
+    drains it on the wall clock.
 
     See the module docstring for the request API table shared with
     :class:`AsyncEngine`.
     """
 
-    _LEGACY_KNOBS = (
-        "registry", "model_spec", "policy", "controller", "delta",
-        "adaptive", "observer",
-    )
-
     def __init__(
-        self,
-        model=None,
-        *,
-        config: ServingConfig | None = None,
-        registry: ModelRegistry | None = None,
-        model_spec: str = "default",
-        policy: MicroBatchPolicy | None = None,
-        controller: DeltaController | None = None,
-        delta: float | None = None,
-        adaptive=None,
-        observer: Observer | None = None,
+        self, model=None, *, config: ServingConfig | None = None
     ) -> None:
-        legacy = {
-            "registry": registry,
-            "model_spec": model_spec,
-            "policy": policy,
-            "controller": controller,
-            "delta": delta,
-            "adaptive": adaptive,
-            "observer": observer,
-        }
-        defaults = {name: None for name in self._LEGACY_KNOBS}
-        defaults["model_spec"] = "default"
-        used_legacy = [
-            name for name in self._LEGACY_KNOBS if legacy[name] != defaults[name]
-        ]
-        if config is not None:
-            if model is not None or used_legacy:
-                raise ConfigurationError(
-                    "pass either `config` or individual knobs, not both "
-                    f"(got config plus {['model'] * (model is not None) + used_legacy})"
-                )
-        else:
-            if used_legacy:
-                warnings.warn(
-                    "InferenceEngine's per-knob keywords "
-                    f"({', '.join(used_legacy)}) are deprecated; build a "
-                    "ServingConfig and use InferenceEngine.from_config(cfg) "
-                    "(or InferenceEngine(config=cfg))",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            config = ServingConfig(model=model, **legacy)
+        if config is None:
+            config = ServingConfig(model=model)
+        elif model is not None:
+            raise ConfigurationError(
+                "pass either a model or `config`, not both"
+            )
         cfg = config.build()
         self.config = cfg
         self.observer = cfg.observer
@@ -300,44 +187,36 @@ class InferenceEngine:
         self.controller = cfg.controller
         self.delta = cfg.delta
         self.adaptive = cfg.adaptive
-        self.shed = cfg.shed
         self.resilience = cfg.resilience
         #: Installed fault injector (chaos testing); ``None`` in production.
         self.faults = (
             FaultInjector(cfg.faults) if cfg.faults is not None else None
         )
-        self._validate_inputs = cfg.validate_inputs
         self._entry: ModelEntry = registry.resolve(cfg.model_spec)
         # Bind telemetry BEFORE warming/priming so the warm-up and the
         # initial retarget land in the event log.
         self._bind_observer(self._entry)
         self._entry.warm()
         self.metrics = ServingMetrics(self._entry.cdln.stage_names)
-        self._batcher = MicroBatcher(self.policy)
-        self._ids = itertools.count()
+        #: Intake, priority queue, window, depth and shed decision.  With a
+        #: resilience policy, an invalid payload gets a pre-failed ticket.
+        self.dispatcher = Dispatcher(
+            self.policy,
+            input_shape=self._entry.cdln.baseline.input_shape,
+            fail=self._fail_unserved,
+            raise_invalid=cfg.resilience is None,
+            validate_inputs=cfg.validate_inputs,
+            shed=cfg.shed,
+            observer=self.observer,
+        )
         self._batch_ids = itertools.count()
         self._lock = threading.Lock()
         self._warned_uncalibrated = False
-        #: EWMA of per-request service seconds (drives predicted-wait shedding).
-        self._service_ewma_s: float | None = None
-        self._shedding = False
-        #: Fleet override: a dispatcher that already decided to shed (on
-        #: *fleet* queue depth, which this engine cannot see) sets this
-        #: around _process_batch; the batch then serves at stage 0 with
-        #: normal shed accounting.
-        self._force_shed = False
         #: Exhausted-retry request failures since the last full-service
         #: success (the degraded-mode trigger).
         self._consecutive_failures = 0
         #: Dispatch cycles left in the current degraded episode.
         self._degraded_remaining = 0
-        #: Virtual-clock mode: injected delays accumulate here instead of
-        #: sleeping (the simulated load runner drains it per dispatch).
-        self._virtual_clock = False
-        self._virtual_delay_s = 0.0
-        #: Requests currently inside ``_process_batch`` -- the in-flight
-        #: half of the unified queue-depth meaning (waiting + in-flight).
-        self._inflight_count = 0
         if cfg.adaptive is not None:
             cfg.adaptive.prime(self)
 
@@ -391,6 +270,7 @@ class InferenceEngine:
             if entry.cdln.stage_names != self._entry.cdln.stage_names:
                 self.metrics = ServingMetrics(entry.cdln.stage_names)
             self._entry = entry
+        self.dispatcher.input_shape = entry.cdln.baseline.input_shape
         if self.adaptive is not None:
             self.adaptive.rebind(entry.operating_table)
             self.adaptive.prime(self)
@@ -404,31 +284,6 @@ class InferenceEngine:
         self.controller.calibrate(self._entry.cdln, images)
 
     # -- request intake ---------------------------------------------------------
-    def _coerce_image(self, image: np.ndarray) -> np.ndarray:
-        expected = self._entry.cdln.baseline.input_shape
-        image = np.asarray(image)
-        if image.shape == (1, *expected):
-            image = image[0]
-        elif image.shape != expected:
-            raise ShapeError(
-                f"image must have shape {expected} or {(1, *expected)}, "
-                f"got {image.shape}"
-            )
-        # Reject NaN/Inf at the door: a non-finite pixel silently poisons
-        # every activation downstream and the request "answers" garbage.
-        # One vectorized pass; trusted intake paths can turn it off via
-        # ServingConfig(validate_inputs=False).
-        if (
-            self._validate_inputs
-            and image.dtype.kind == "f"
-            and not np.isfinite(image).all()
-        ):
-            raise InputValidationError(
-                "image contains non-finite values (NaN/Inf); reject at "
-                "intake or disable via ServingConfig(validate_inputs=False)"
-            )
-        return image
-
     def submit(
         self,
         image: np.ndarray,
@@ -449,70 +304,30 @@ class InferenceEngine:
         (:class:`RequestFailed`, cause ``invalid_input``) instead of
         raising -- one bad client must not crash the submit path.
         """
-        try:
-            pending = self._make_pending(
-                image, deadline_s=deadline_s, priority=priority
-            )
-        except InputValidationError as exc:
-            if self.resilience is None:
-                raise
-            return self._fail_intake(exc)
-        with self._lock:
-            self._batcher.add(pending)
-        return pending.ticket
-
-    def _fail_intake(self, exc: InputValidationError) -> Ticket:
-        """A pre-failed ticket for a payload rejected at validation.
-
-        Counted exactly like any other request failure (metrics, span,
-        ``requests_failed_total{cause="invalid_input"}``) so chaos-run
-        reconciliation holds across report == metrics == trace.
-        """
-        ticket = Ticket(next(self._ids))
-        pending = _Pending(
-            image=None, ticket=ticket, enqueued_at=perf_counter()
+        return self.dispatcher.submit(
+            image, deadline_s=deadline_s, priority=priority
         )
-        self._fail_pending(
-            pending, cause="invalid_input", message=str(exc), retries=0
-        )
-        return ticket
 
-    def _make_pending(
-        self,
-        image: np.ndarray,
-        *,
-        deadline_s: float | None = None,
-        priority: int = 0,
-    ) -> _Pending:
-        if deadline_s is not None and not deadline_s > 0:
-            raise ConfigurationError(
-                f"deadline_s must be > 0 seconds, got {deadline_s}"
-            )
-        return _Pending(
-            image=self._coerce_image(image),
-            ticket=Ticket(next(self._ids)),
-            enqueued_at=perf_counter(),
-            deadline_s=deadline_s,
-            priority=int(priority),
-        )
+    def _fail_unserved(self, pending: _Pending, cause: str, message: str) -> None:
+        """The dispatcher's failure hook for a request that never reached a
+        batch (rejected at intake, or a failed backlog), counted like any
+        other request failure."""
+        self._fail_pending(pending, cause=cause, message=message, retries=0)
 
     def pending_count(self) -> int:
-        """Requests waiting in the batcher (excludes in-flight)."""
-        with self._lock:
-            return len(self._batcher)
+        """Requests waiting in the dispatcher (excludes in-flight)."""
+        return len(self.dispatcher)
 
     def queue_depth(self) -> int:
         """Unified queue depth: waiting requests plus the in-flight batch.
 
         This is *the* depth meaning across the serving stack -- the same
-        number the dispatch path hands to :meth:`ShedPolicy.should_shed`
-        and :meth:`ServingMetrics.record_batch`, and the same meaning
-        :meth:`AsyncEngine.queue_depth` reports (with its transport
-        queue folded into the waiting half).  Keeping one definition is
-        what lets fleet-level shedding compare depths across facades and
-        replicas without a per-facade bias.
+        number the dispatcher hands to :meth:`ShedPolicy.should_shed`
+        and :meth:`ServingMetrics.record_batch`, on every facade.  Keeping
+        one definition is what lets fleet-level shedding compare depths
+        across facades and replicas without a per-facade bias.
         """
-        return self.pending_count() + self._inflight_count
+        return self.dispatcher.queue_depth()
 
     # -- dispatch ---------------------------------------------------------------
     def flush(self) -> int:
@@ -522,16 +337,23 @@ class InferenceEngine:
         """
         served = 0
         while True:
-            with self._lock:
-                batch = self._batcher.next_batch()
-                # Unified depth at dispatch: in-flight (this batch) plus
-                # waiting -- the same meaning AsyncEngine.queue_depth()
-                # reports, with the transport queue in the waiting half.
-                depth = len(batch) + len(self._batcher)
+            batch = self.dispatcher.pop()
             if not batch:
                 return served
-            self._process_batch(batch, queue_depth=depth)
+            self._serve(batch)
             served += len(batch)
+
+    def _serve(self, batch: Batch) -> None:
+        """Serve one formed batch, then retire it from the dispatcher."""
+        try:
+            self._process_batch(
+                batch.items, queue_depth=batch.queue_depth, shed=batch.shed
+            )
+        except BaseException:
+            self.dispatcher.done(batch)
+            raise
+        clock = self.dispatcher.clock
+        self.dispatcher.done(batch, clock.now() - batch.dispatched_at)
 
     def classify(self, image: np.ndarray) -> InferenceResponse:
         """Answer one request now (still batched with anything pending)."""
@@ -546,67 +368,38 @@ class InferenceEngine:
         return [t.result(timeout=0) for t in tickets]
 
     def _process_batch(
-        self, batch: list[_Pending], *, queue_depth: int | None = None
+        self,
+        batch: list[_Pending],
+        *,
+        queue_depth: int | None = None,
+        shed: bool = False,
     ) -> None:
         """Serve one formed batch under the resilience policy (if any).
 
-        Without a policy this is a straight call into
-        :meth:`_dispatch_batch` and keeps the original contract: a
-        compute exception propagates to the caller.  With a policy, the
-        failure-handling ladder applies -- deadline cancellation, batch
-        bisection, bounded retries, degraded fallback -- and this method
-        *never raises*: every ticket resolves, with an answer or a
-        :class:`RequestFailed`.
+        ``queue_depth`` and ``shed`` are the dispatcher's verdicts for
+        the batch (a fabric replica receives the fleet's).  Without a
+        policy this is a straight call into :meth:`_dispatch_batch` and
+        keeps the original contract: a compute exception propagates to
+        the caller.  With a policy, the failure-handling ladder applies
+        -- batch bisection, bounded retries, degraded fallback -- and
+        this method *never raises*: every ticket resolves, with an answer
+        or a :class:`RequestFailed`.
         """
         # Cancelled tickets are purged at dispatch, whatever the path
-        # (sync flush, async worker, simulated runner).
+        # (sync flush, async worker, fabric replica, simulated runner).
         batch = [p for p in batch if not p.ticket.cancelled]
         if not batch:
             return
-        self._inflight_count = len(batch)
-        try:
-            self._process_batch_inflight(batch, queue_depth=queue_depth)
-        finally:
-            self._inflight_count = 0
-
-    def _process_batch_inflight(
-        self, batch: list[_Pending], *, queue_depth: int | None = None
-    ) -> None:
         policy = self.resilience
         if policy is None:
-            self._dispatch_batch(batch, queue_depth=queue_depth)
+            self._dispatch_batch(batch, queue_depth=queue_depth, shed=shed)
             return
-        if policy.cancel_after_deadline_s is not None:
-            now = perf_counter()
-            keep = []
-            for pending in batch:
-                expired = (
-                    pending.deadline_s is not None
-                    and now - pending.enqueued_at
-                    > pending.deadline_s + policy.cancel_after_deadline_s
-                )
-                if expired:
-                    self._fail_pending(
-                        pending,
-                        cause="deadline",
-                        message=(
-                            f"request {pending.ticket.request_id} was "
-                            f"{now - pending.enqueued_at - pending.deadline_s:.3f}s "
-                            "past its deadline at dispatch"
-                        ),
-                        retries=0,
-                    )
-                else:
-                    keep.append(pending)
-            batch = keep
-            if not batch:
-                return
         if policy.isolate:
-            self._serve_with_isolation(batch, queue_depth=queue_depth)
+            self._serve_with_isolation(batch, queue_depth=queue_depth, shed=shed)
         else:
             # Supervision-only mode: failures propagate (the async
             # supervisor restarts the worker and fails in-flight work).
-            self._dispatch_batch(batch, queue_depth=queue_depth)
+            self._dispatch_batch(batch, queue_depth=queue_depth, shed=shed)
         if self._degraded_remaining > 0:
             self._degraded_remaining -= 1
             if self._degraded_remaining == 0:
@@ -620,7 +413,7 @@ class InferenceEngine:
                 )
 
     def _serve_with_isolation(
-        self, batch: list[_Pending], *, queue_depth: int | None
+        self, batch: list[_Pending], *, queue_depth: int | None, shed: bool
     ) -> None:
         """Dispatch; on failure, bisect until the poison request is alone.
 
@@ -632,7 +425,7 @@ class InferenceEngine:
         degraded = self._degraded_remaining > 0
         try:
             self._dispatch_batch(
-                batch, queue_depth=queue_depth, degraded=degraded
+                batch, queue_depth=queue_depth, shed=shed, degraded=degraded
             )
             if not degraded:
                 self._consecutive_failures = 0
@@ -647,11 +440,13 @@ class InferenceEngine:
                 message=str(failure)[:200],
             )
         if len(batch) == 1:
-            self._retry_single(batch[0], failure, queue_depth=queue_depth)
+            self._retry_single(
+                batch[0], failure, queue_depth=queue_depth, shed=shed
+            )
             return
         mid = len(batch) // 2
-        self._serve_with_isolation(batch[:mid], queue_depth=queue_depth)
-        self._serve_with_isolation(batch[mid:], queue_depth=queue_depth)
+        for half in (batch[:mid], batch[mid:]):
+            self._serve_with_isolation(half, queue_depth=queue_depth, shed=shed)
 
     def _retry_single(
         self,
@@ -659,6 +454,7 @@ class InferenceEngine:
         first_failure: Exception,
         *,
         queue_depth: int | None,
+        shed: bool,
     ) -> None:
         """Bounded re-dispatch of a lone failing request, then quarantine."""
         policy = self.resilience
@@ -674,7 +470,10 @@ class InferenceEngine:
             degraded = self._degraded_remaining > 0
             try:
                 self._dispatch_batch(
-                    [pending], queue_depth=queue_depth, degraded=degraded
+                    [pending],
+                    queue_depth=queue_depth,
+                    shed=shed,
+                    degraded=degraded,
                 )
                 if not degraded:
                     self._consecutive_failures = 0
@@ -738,7 +537,7 @@ class InferenceEngine:
             # Already answered (or cancelled): a supervisor failing
             # in-flight work must not double-count a served request.
             return
-        latency_s = perf_counter() - pending.enqueued_at
+        latency_s = self.dispatcher.clock.now() - pending.enqueued_at
         ticket._resolve(
             RequestFailed(
                 request_id=ticket.request_id,
@@ -784,12 +583,6 @@ class InferenceEngine:
             }
         )
 
-    def pop_virtual_delay(self) -> float:
-        """Drain injected delay accumulated under the virtual clock."""
-        delay_s = self._virtual_delay_s
-        self._virtual_delay_s = 0.0
-        return delay_s
-
     def health(self) -> HealthStatus:
         """Liveness/readiness of the synchronous engine.
 
@@ -809,6 +602,7 @@ class InferenceEngine:
         batch: list[_Pending],
         *,
         queue_depth: int | None = None,
+        shed: bool = False,
         degraded: bool = False,
     ) -> None:
         if not batch:
@@ -816,8 +610,9 @@ class InferenceEngine:
             # not an np.stack([]) crash / NaN-mean controller observation.
             return
         observer = self.observer
+        clock = self.dispatcher.clock
         batch_id = next(self._batch_ids)
-        dispatched_at = perf_counter()
+        dispatched_at = clock.now()
         with self._lock:
             # Snapshot both together so a concurrent use_model() cannot
             # leave an in-flight batch recording old-model exit stages
@@ -848,42 +643,23 @@ class InferenceEngine:
         else:
             delta = self.delta
             max_stage = None
-        shed = self._force_shed
-        if not shed and self.shed is not None and queue_depth is not None:
-            predicted_wait = (
-                queue_depth * self._service_ewma_s
-                if self._service_ewma_s is not None
-                else None
-            )
-            shed = self.shed.should_shed(
-                queue_depth=queue_depth, predicted_wait_s=predicted_wait
-            )
         if shed or degraded:
             # Backpressure or a degraded episode: serve the whole batch at
             # the cheapest exit.  Never drops -- every ticket still
             # resolves with a label.
             max_stage = 0
-        if shed != self._shedding:
-            self._shedding = shed
-            observer.event(
-                "shed_engaged" if shed else "shed_released",
-                queue_depth=queue_depth,
-                batch_size=len(batch),
-            )
         injector = self.faults
         if injector is not None:
             # Chaos hook: may raise InjectedFault (handled -- or not -- by
-            # the resilience layer above) or charge extra service time.
+            # the resilience layer above) or charge extra service time
+            # (a virtual clock charges it to the batch's service time).
             delay_s = injector.on_dispatch(
                 batch_index=batch_id,
                 request_ids=[p.ticket.request_id for p in batch],
                 protected=shed or degraded,
             )
             if delay_s > 0.0:
-                if self._virtual_clock:
-                    self._virtual_delay_s += delay_s
-                else:
-                    sleep(delay_s)
+                clock.sleep(delay_s)
         # The adaptive drift signal needs stage-0 confidences for *every*
         # request; stage records hold views, so recording them is cheap.
         record_stages = self.adaptive is not None
@@ -904,15 +680,9 @@ class InferenceEngine:
         effective_delta = (
             delta if delta is not None else entry.cdln.activation_module.delta
         )
-        now = perf_counter()
+        now = clock.now()
         latencies = np.array(
             [now - p.enqueued_at for p in batch], dtype=np.float64
-        )
-        service_per_request = (now - dispatched_at) / len(batch)
-        self._service_ewma_s = (
-            service_per_request
-            if self._service_ewma_s is None
-            else 0.8 * self._service_ewma_s + 0.2 * service_per_request
         )
         for i, pending in enumerate(batch):
             stage = int(result.exit_stages[i])
@@ -1107,13 +877,16 @@ class InferenceEngine:
 class AsyncEngine:
     """Worker-thread facade over an :class:`InferenceEngine`.
 
-    ``submit`` returns a :class:`Ticket` immediately from any thread; a
-    single background worker moves the transport queue into the engine's
-    priority-aware :class:`~repro.serving.batching.MicroBatcher` under
-    the micro-batch policy (batch fills or ``max_wait_s`` elapses) and
-    dispatches.  The request contract (``deadline_s``, ``priority``,
-    :class:`Ticket` semantics) is identical to the synchronous engine --
-    see the module API table.  Use as a context manager::
+    ``submit`` returns a :class:`Ticket` immediately from any thread and
+    queues the request in the engine's
+    :class:`~repro.serving.batching.Dispatcher`.  A single background
+    worker is the executor: each turn it blocks in
+    :func:`~repro.serving.batching.collect_from_queue` until the window
+    lets a batch leave (``max_batch_size`` waiting, or ``max_wait_s``
+    since the window opened), then serves it.  The request contract
+    (``deadline_s``, ``priority``, :class:`Ticket` semantics) is
+    identical to the synchronous engine -- see the module API table.
+    Use as a context manager::
 
         with AsyncEngine(engine) as server:
             tickets = [server.submit(img) for img in images]
@@ -1122,13 +895,11 @@ class AsyncEngine:
 
     def __init__(self, engine: InferenceEngine) -> None:
         self.engine = engine
-        self._queue: queue.Queue = queue.Queue()
         self._thread: threading.Thread | None = None
         self._restarts = 0
         self._gave_up = False
-        #: Batch currently inside ``_process_batch`` (supervised mode
-        #: fails these tickets on a worker crash instead of stranding
-        #: them).
+        #: Batch currently being served (supervised mode fails these
+        #: tickets on a worker crash instead of stranding them).
         self._inflight: list[_Pending] | None = None
 
     @property
@@ -1151,7 +922,7 @@ class AsyncEngine:
         engine_health = self.engine.health()
         policy = self.engine.resilience
         budget = None
-        if policy is not None and policy.supervise:
+        if policy is not None:
             budget = max(policy.max_restarts - self._restarts, 0)
         live = self.running
         return HealthStatus(
@@ -1165,18 +936,9 @@ class AsyncEngine:
         )
 
     def queue_depth(self) -> int:
-        """Unified queue depth: waiting + in-flight, one meaning per stack.
-
-        Waiting covers the transport queue plus the batcher backlog; the
-        in-flight half is the batch currently inside ``_process_batch``
-        (tracked by the engine) -- the same definition
-        :meth:`InferenceEngine.queue_depth` reports and the dispatch
-        path hands to :class:`ShedPolicy` and the metrics, so shedding
-        thresholds mean the same requests-in-system count on both
-        facades.  Approximate under concurrency -- ``qsize`` races
-        submitters -- which is fine for backpressure and telemetry.
-        """
-        return self._queue.qsize() + self.engine.queue_depth()
+        """Unified queue depth: waiting + in-flight, one meaning per stack
+        (see :meth:`InferenceEngine.queue_depth`)."""
+        return self.engine.queue_depth()
 
     def start(self) -> "AsyncEngine":
         if self.running:
@@ -1186,6 +948,7 @@ class AsyncEngine:
         self._restarts = 0
         self._gave_up = False
         self._inflight = None
+        self.engine.dispatcher.draining = False
         self._thread = threading.Thread(
             target=self._run, name="repro-serving-worker", daemon=True
         )
@@ -1197,35 +960,28 @@ class AsyncEngine:
 
         Raises :class:`TimeoutError` if the worker is still mid-backlog
         when ``timeout`` expires; the engine then stays in the running
-        state (the worker will exit at the sentinel) and ``stop()`` can be
-        called again.
+        state (the worker exits once the queue is empty) and ``stop()``
+        can be called again.
         """
         thread = self._thread
         if thread is None:
             return
+        dispatcher = self.engine.dispatcher
         if thread.is_alive():
             if not drain:
                 # Drop the backlog: unanswered tickets simply never resolve.
-                while True:
-                    try:
-                        self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-            self._queue.put(None)
+                dispatcher.clear()
+            with dispatcher.cond:
+                dispatcher.draining = True
+                dispatcher.cond.notify_all()
             thread.join(timeout)
             if thread.is_alive():
                 raise TimeoutError(
                     f"serving worker still draining after {timeout}s; "
-                    "call stop() again (the shutdown sentinel stays queued)"
+                    "call stop() again (it keeps draining)"
                 )
         self._thread = None
-        # Clear the sentinel so a restarted worker does not see stale stop
-        # signals.
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
+        dispatcher.draining = False
 
     def submit(
         self,
@@ -1238,32 +994,25 @@ class AsyncEngine:
         :meth:`InferenceEngine.submit` (see the module API table)."""
         if not self.running:
             raise ConfigurationError("async engine is not running; call start()")
-        try:
-            pending = self.engine._make_pending(
-                image, deadline_s=deadline_s, priority=priority
-            )
-        except InputValidationError as exc:
-            if self.engine.resilience is None:
-                raise
-            return self.engine._fail_intake(exc)
-        self._queue.put(pending)
-        return pending.ticket
+        return self.engine.dispatcher.submit(
+            image, deadline_s=deadline_s, priority=priority
+        )
 
     def _run(self) -> None:
-        """Worker entry point: plain loop, or supervised when configured.
+        """Worker entry point: plain loop, or supervised under a policy.
 
         The supervisor is the contract change this repo's stranded-ticket
         bug motivated: a batch failure fails the *in-flight* tickets
         (cause ``worker_crash``), restarts the loop under jittered
         exponential backoff, and -- once ``max_restarts`` is spent --
         fails the queued backlog (cause ``restart_budget``) and exits
-        instead of crash-looping.  Without a supervising policy the old
+        instead of crash-looping.  Without a resilience policy the old
         behavior stands: the exception kills the thread and the
         pre-resilience tests pin that wedge.
         """
         engine = self.engine
         policy = engine.resilience
-        if policy is None or not policy.supervise:
+        if policy is None:
             self._run_loop()
             return
         observer = engine.observer
@@ -1271,7 +1020,7 @@ class AsyncEngine:
         while True:
             try:
                 self._run_loop()
-                return  # sentinel: clean shutdown
+                return  # drained: clean shutdown
             except Exception as exc:  # noqa: BLE001 -- supervision boundary
                 self._restarts += 1
                 inflight, self._inflight = self._inflight, None
@@ -1299,9 +1048,10 @@ class AsyncEngine:
                 )
                 if self._restarts > policy.max_restarts:
                     self._gave_up = True
-                    failed = self._fail_backlog(
+                    failed = engine.dispatcher.fail_waiting(
+                        "restart_budget",
                         f"restart budget ({policy.max_restarts}) exhausted: "
-                        f"{exc}"
+                        f"{exc}",
                     )
                     observer.event(
                         "worker_gave_up",
@@ -1309,71 +1059,29 @@ class AsyncEngine:
                         backlog_failed=failed,
                     )
                     return
-                sleep(policy.backoff_s(self._restarts, jitter_rng.random()))
-
-    def _fail_backlog(self, message: str) -> int:
-        """Fail every queued request (transport queue + batcher backlog)."""
-        engine = self.engine
-        failed = 0
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is None:
-                self._queue.put(None)
-                break
-            engine._fail_pending(
-                item, cause="restart_budget", message=message, retries=0
-            )
-            failed += 1
-        with engine._lock:
-            batches = engine._batcher.drain()
-        for batch in batches:
-            for item in batch:
-                engine._fail_pending(
-                    item, cause="restart_budget", message=message, retries=0
+                engine.dispatcher.clock.sleep(
+                    policy.backoff_s(self._restarts, jitter_rng.random())
                 )
-                failed += 1
-        return failed
 
     def _run_loop(self) -> None:
         engine = self.engine
+        dispatcher = engine.dispatcher
+        idle_since = dispatcher.clock.now()
         while True:
-            items = collect_from_queue(self._queue, engine.policy)
-            if items is None:
+            batch = collect_from_queue(dispatcher, idle_since=idle_since)
+            if batch is None:
                 continue  # idle poll; loop so stop() can interleave
-            if not items:
-                return  # sentinel: shut down
-            # Batch formation lives in the engine's priority-aware
-            # batcher -- the transport queue is FIFO plumbing only, so
-            # sync and async requests obey one ordering policy.
-            with engine._lock:
-                for item in items:
-                    engine._batcher.add(item)
-            while True:
-                with engine._lock:
-                    batch = engine._batcher.next_batch()
-                    # qsize() is approximate under concurrency, which is
-                    # fine for backpressure and a telemetry high-water mark.
-                    depth = (
-                        len(batch) + len(engine._batcher) + self._queue.qsize()
-                    )
-                if not batch:
-                    break
-                # Cleared only on success: a crash leaves the batch in
-                # _inflight for the supervisor to fail instead of strand.
-                self._inflight = batch
-                engine._process_batch(batch, queue_depth=depth)
-                self._inflight = None
+            if not batch:
+                return  # drained
+            # Cleared only on success: a crash leaves the batch in
+            # _inflight for the supervisor to fail instead of strand.
+            self._inflight = batch.items
+            engine._serve(batch)
+            self._inflight = None
+            idle_since = dispatcher.clock.now()
 
     def __enter__(self) -> "AsyncEngine":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-#: Pre-redesign name for :class:`AsyncEngine`; kept as a plain alias (the
-#: class is unchanged, only the canonical name moved).
-AsyncInferenceEngine = AsyncEngine

@@ -14,11 +14,13 @@ bill or forking the control plane:
   corrupt a neighbour's weights.
 * **One dispatcher, one queue** -- :meth:`ServingFabric.submit` keeps the
   engine surface (``submit(image, deadline_s=..., priority=...)`` ->
-  :class:`~repro.serving.engine.Ticket`) and feeds a single fleet
-  :class:`~repro.serving.batching.MicroBatcher`, so priority boarding and
-  micro-batch formation behave exactly as on one engine.  Formed batches
-  go to whichever replica is idle (at most one batch in flight per
-  replica -- crash accounting stays trivial).
+  :class:`~repro.serving.batching.Ticket`) and feeds the same
+  :class:`~repro.serving.batching.Dispatcher` an engine uses, so intake,
+  priority boarding, the batching window, queue depth and shedding
+  behave exactly as on one engine.  The replica pool is the executor: a
+  batch leaves only when some replica is idle, and goes to one of the
+  idle replicas (at most one batch in flight per replica -- crash
+  accounting stays trivial).
 * **Fleet-level control** -- one logical
   :class:`~repro.serving.controller.DeltaController` lives in the
   dispatcher: it observes acked batch telemetry from *every* replica and
@@ -40,7 +42,7 @@ bill or forking the control plane:
   async facade's supervision contract, one level up.
   :class:`~repro.serving.controller.ShedPolicy` acts on the *fleet*
   queue depth (waiting + in-flight across replicas, the unified depth
-  meaning) and force-sheds a batch on whichever replica serves it.
+  meaning) and the replica serving a shed batch serves it at stage 0.
 
 The fabric satisfies the duck-typed server contract
 (:attr:`running` / :meth:`submit` / :meth:`queue_depth` / ``faults``), so
@@ -74,7 +76,7 @@ from time import perf_counter, sleep
 
 import numpy as np
 
-from repro.errors import ConfigurationError, InputValidationError, ShapeError
+from repro.errors import ConfigurationError
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.serving.adaptive import (
     DriftDetector,
@@ -88,14 +90,9 @@ from repro.serving.regimes import (
     MiniCalibrator,
     next_learned_name,
 )
-from repro.serving.batching import MicroBatcher
+from repro.serving.batching import Batch, Dispatcher, Ticket, _Pending
 from repro.serving.config import ServingConfig
-from repro.serving.engine import (
-    InferenceEngine,
-    RequestFailed,
-    Ticket,
-    _Pending,
-)
+from repro.serving.engine import InferenceEngine, RequestFailed
 from repro.serving.faults import FaultInjector
 from repro.serving.metrics import STAGE0_QUANTILE_GRID
 from repro.serving.registry import ModelRegistry
@@ -355,7 +352,7 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
     Replica -> parent: ``("ready", rid)``, ``("result", rid, batch_id,
     results, ok_ops, signature_or_None)``, ``("learned", rid, name,
     entry_payload_or_None, num_samples, overhead_ops)``, ``("regime_ack",
-    rid, name, num_regimes)``, ``("stopped", rid, metrics_snapshot)``.
+    rid, name, num_regimes)``, ``("stopped", rid)``.
 
     ``learn`` runs a bounded mini-calibration over the replica's buffered
     recent window (the fleet picks ONE replica to pay this); ``regime``
@@ -449,26 +446,22 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
                     )
                 )
                 continue
-            _, batch_id, items, fleet_depth, force_shed = msg
+            _, batch_id, items, fleet_depth, shed = msg
             now = perf_counter()
             pendings = [
                 _Pending(
                     image=image,
                     ticket=Ticket(request_id),
                     # perf_counter is not comparable across processes, but
-                    # age offsets are: deadline cancellation sees the true
-                    # fleet queue wait, not just the replica-side wait.
+                    # age offsets are: replica spans see the true fleet
+                    # queue wait, not just the replica-side wait.
                     enqueued_at=now - waited_s,
                     deadline_s=deadline_s,
                     priority=priority,
                 )
                 for request_id, image, deadline_s, priority, waited_s in items
             ]
-            engine._force_shed = force_shed
-            try:
-                engine._process_batch(pendings, queue_depth=fleet_depth)
-            finally:
-                engine._force_shed = False
+            engine._process_batch(pendings, queue_depth=fleet_depth, shed=shed)
             results = []
             ok_ops = 0.0
             for pending in pendings:
@@ -493,12 +486,8 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
             )
     finally:
         if clean_stop:
-            try:
-                snapshot = engine.metrics.snapshot()
-            except Exception:  # noqa: BLE001 -- empty-metrics edge
-                snapshot = None
             observer.close()
-            result_q.put(("stopped", spec.replica_id, snapshot))
+            result_q.put(("stopped", spec.replica_id))
         else:
             # Crashing: persist what completed, let the exception kill us.
             observer.flush()
@@ -570,8 +559,7 @@ class FleetSnapshot:
     ``requests`` counts answers the dispatcher actually delivered;
     ``failed_by_cause`` folds replica-reported failures together with
     parent-side ``worker_crash`` / ``restart_budget`` / ``invalid_input``
-    failures.  Per-replica engine detail (latency percentiles, exit
-    histograms) lives in :meth:`ServingFabric.replica_snapshots`.
+    failures.
     """
 
     replicas: int
@@ -604,7 +592,7 @@ class _Replica:
     __slots__ = (
         "id", "process", "task_q", "result_q", "collector", "epoch",
         "sessions", "restarts", "state", "restart_at", "inflight",
-        "ready", "stopped", "snapshot", "last_signature", "last_regime",
+        "idle_since", "ready", "stopped", "last_signature", "last_regime",
         "jitter", "answered", "failed", "shed",
     )
 
@@ -619,10 +607,12 @@ class _Replica:
         self.restarts = 0
         self.state = "new"  # new -> live -> (backoff -> live)* -> dead
         self.restart_at = 0.0
-        self.inflight: dict | None = None
+        #: ``(batch_id, batch)`` while a batch is out, else None.
+        self.inflight: tuple[int, Batch] | None = None
+        #: When this replica last became free to take a batch.
+        self.idle_since = float("-inf")
         self.ready = threading.Event()
         self.stopped = threading.Event()
-        self.snapshot = None
         self.last_signature: RegimeSignature | None = None
         #: Last learned-regime broadcast this replica acked.
         self.last_regime: str | None = None
@@ -660,7 +650,6 @@ class ServingFabric:
         self.policy = cfg.policy
         self.controller = cfg.controller
         self.adaptive = cfg.adaptive
-        self.shed = cfg.shed
         self.resilience = cfg.resilience
         #: Intake fault injector for load generators (``corrupt_input``
         #: specs fire here, at the single intake; ``raise``/``delay``
@@ -668,7 +657,6 @@ class ServingFabric:
         self.faults = (
             FaultInjector(cfg.faults) if cfg.faults is not None else None
         )
-        self._validate_inputs = cfg.validate_inputs
         self._obs_root = Path(fc.obs_dir) if fc.obs_dir is not None else None
         self._own_observer = False
         observer = cfg.observer
@@ -683,7 +671,6 @@ class ServingFabric:
         registry = ModelRegistry()
         self._entry = registry.register("fleet", cfg.model)
         self._cdln = self._entry.cdln
-        self._input_shape = self._cdln.baseline.input_shape
         self._detector: DriftDetector | None = None
         if self.adaptive is not None:
             self.adaptive.prime(
@@ -726,15 +713,21 @@ class ServingFabric:
         self._replicas = [
             _Replica(i, jitter_seed) for i in range(fc.replicas)
         ]
-        self._cond = threading.Condition()
-        self._batcher = MicroBatcher(self.policy)
-        self._window_opened_at: float | None = None
-        self._ids = itertools.count()
+        #: Intake, the fleet queue, window, depth and shed decision; its
+        #: condition also guards the fleet's own state.
+        self._dispatcher = Dispatcher(
+            self.policy,
+            input_shape=self._cdln.baseline.input_shape,
+            fail=self._fail_unserved,
+            raise_invalid=self.resilience is None,
+            validate_inputs=cfg.validate_inputs,
+            shed=cfg.shed,
+            observer=self.observer,
+        )
+        self._cond = self._dispatcher.cond
         self._batch_seq = itertools.count()
         self._span_ids = itertools.count()
         self._rr = 0
-        self._service_ewma_s: float | None = None
-        self._shedding = False
         self._broadcast_delta: float | None = None
         self._crash_failures: dict[str, int] = {}
         #: In-flight mini-calibration request, or None: {"name", "replica",
@@ -742,7 +735,7 @@ class ServingFabric:
         self._learning: dict | None = None
         self._overhead_ops = 0.0
         self._regime_acks = 0
-        self._dispatcher: threading.Thread | None = None
+        self._dispatch_thread: threading.Thread | None = None
         self._supervisor: threading.Thread | None = None
         self._started = False
         self._stopped = False
@@ -789,10 +782,10 @@ class ServingFabric:
             self._params.dispose()
             raise ConfigurationError(why)
         self._running = True
-        self._dispatcher = threading.Thread(
+        self._dispatch_thread = threading.Thread(
             target=self._dispatch_loop, name="fabric-dispatch", daemon=True
         )
-        self._dispatcher.start()
+        self._dispatch_thread.start()
         self._supervisor = threading.Thread(
             target=self._supervise_loop, name="fabric-supervise", daemon=True
         )
@@ -815,8 +808,10 @@ class ServingFabric:
         self._stopping = True
         with self._cond:
             self._cond.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=self.fabric_config.drain_timeout_s)
+        if self._dispatch_thread is not None:
+            self._dispatch_thread.join(
+                timeout=self.fabric_config.drain_timeout_s
+            )
         deadline = perf_counter() + self.fabric_config.drain_timeout_s
         while perf_counter() < deadline:
             with self._cond:
@@ -831,26 +826,21 @@ class ServingFabric:
             stuck = []
             for rep in self._replicas:
                 if rep.inflight is not None:
-                    stuck.append((rep, rep.inflight))
+                    stuck.append((rep, rep.inflight[1]))
                     rep.inflight = None
-            backlog = self._batcher.drain()
-            self._window_opened_at = None
-        for rep, inflight in stuck:
-            for _, ticket, enqueued_at, _ in inflight["items"]:
+        for rep, batch in stuck:
+            self._dispatcher.done(batch)
+            for pending in batch.items:
                 self._fail_ticket(
-                    ticket, enqueued_at, rep.id,
+                    pending.ticket, pending.enqueued_at, rep.id,
                     cause="worker_crash",
                     message=f"replica {rep.id} never acked its batch before "
                             "fabric stop",
                 )
-        for batch in backlog:
-            for pending in batch:
-                self._fail_ticket(
-                    pending.ticket, pending.enqueued_at, None,
-                    cause="restart_budget",
-                    message="fabric stopped with no replica able to serve "
-                            "the backlog",
-                )
+        self._dispatcher.fail_waiting(
+            "restart_budget",
+            "fabric stopped with no replica able to serve the backlog",
+        )
         for rep in self._replicas:
             if rep.process is not None and rep.process.is_alive():
                 try:
@@ -910,76 +900,29 @@ class ServingFabric:
             raise ConfigurationError(
                 "fabric is not running (call start(), or it was stopped)"
             )
-        if deadline_s is not None and not deadline_s > 0:
-            raise ConfigurationError(
-                f"deadline_s must be > 0 seconds, got {deadline_s}"
-            )
-        try:
-            image = self._coerce_image(image)
-        except InputValidationError as exc:
-            if self.resilience is None:
-                raise
-            ticket = Ticket(next(self._ids))
-            self._fail_ticket(
-                ticket, perf_counter(), None,
-                cause="invalid_input", message=str(exc),
-            )
-            return ticket
         with self._cond:
             all_dead = all(r.state == "dead" for r in self._replicas)
         if all_dead:
             if self.resilience is None:
                 raise RuntimeError("every replica is dead")
-            ticket = Ticket(next(self._ids))
-            self._fail_ticket(
-                ticket, perf_counter(), None,
-                cause="restart_budget",
-                message="every replica is dead; restart budget exhausted",
+            return self._dispatcher.reject(
+                "restart_budget",
+                "every replica is dead; restart budget exhausted",
             )
-            return ticket
-        pending = _Pending(
-            image=image,
-            ticket=Ticket(next(self._ids)),
-            enqueued_at=perf_counter(),
-            deadline_s=deadline_s,
-            priority=int(priority),
+        return self._dispatcher.submit(
+            image, deadline_s=deadline_s, priority=priority
         )
-        with self._cond:
-            self._batcher.add(pending)
-            if self._window_opened_at is None:
-                self._window_opened_at = perf_counter()
-            self._cond.notify_all()
-        return pending.ticket
 
-    def _coerce_image(self, image: np.ndarray) -> np.ndarray:
-        image = np.asarray(image)
-        expected = self._input_shape
-        if image.shape == (1, *expected):
-            image = image[0]
-        elif image.shape != expected:
-            raise ShapeError(
-                f"image must have shape {expected} or {(1, *expected)}, "
-                f"got {image.shape}"
-            )
-        if (
-            self._validate_inputs
-            and image.dtype.kind == "f"
-            and not np.isfinite(image).all()
-        ):
-            raise InputValidationError(
-                "image contains non-finite values (NaN/Inf); reject at "
-                "intake or disable via ServingConfig(validate_inputs=False)"
-            )
-        return image
+    def _fail_unserved(self, pending: _Pending, cause: str, message: str) -> None:
+        """The dispatcher's failure hook: intake rejections and backlogs."""
+        self._fail_ticket(
+            pending.ticket, pending.enqueued_at, None,
+            cause=cause, message=message,
+        )
 
     def queue_depth(self) -> int:
         """Unified fleet depth: waiting plus in-flight across replicas."""
-        with self._cond:
-            return len(self._batcher) + sum(
-                len(r.inflight["items"])
-                for r in self._replicas
-                if r.inflight is not None
-            )
+        return self._dispatcher.queue_depth()
 
     def health(self) -> HealthStatus:
         """Fleet liveness: live while any replica serves; ``degraded``
@@ -1031,16 +974,6 @@ class ServingFabric:
     def live_replicas(self) -> int:
         with self._cond:
             return sum(1 for r in self._replicas if r.state == "live")
-
-    def replica_snapshots(self) -> dict[int, object]:
-        """Final per-replica engine :class:`MetricsSnapshot`, keyed by
-        replica id (populated by :meth:`stop`; crashed sessions report
-        through parent-side failure accounting instead)."""
-        return {
-            r.id: r.snapshot
-            for r in self._replicas
-            if r.snapshot is not None
-        }
 
     def fleet_snapshot(self) -> FleetSnapshot:
         """The dispatcher's client-truth ledger (see :class:`FleetSnapshot`)."""
@@ -1133,101 +1066,55 @@ class ServingFabric:
         rep.collector.start()
 
     # -- dispatcher -------------------------------------------------------------
-    def _pick_replica_locked(self) -> _Replica | None:
-        candidates = [
-            r for r in self._replicas
-            if r.state == "live" and r.inflight is None and r.ready.is_set()
-        ]
-        if not candidates:
-            return None
-        choice = candidates[self._rr % len(candidates)]
-        self._rr += 1
-        return choice
-
     def _dispatch_loop(self) -> None:
-        policy = self.policy
+        """Ship each batch the dispatcher's window releases to an idle
+        replica; the pool counts as idle since its first replica freed."""
+        dispatcher = self._dispatcher
+        clock = dispatcher.clock
         while True:
             with self._cond:
-                rep = None
                 while True:
                     if self._stopping and (
-                        not len(self._batcher)
-                        or not any(
-                            r.state != "dead" for r in self._replicas
-                        )
+                        not len(dispatcher)
+                        or all(r.state == "dead" for r in self._replicas)
                     ):
                         return
-                    rep = self._pick_replica_locked()
-                    waiting = len(self._batcher)
-                    if waiting and rep is not None:
-                        opened = self._window_opened_at
-                        waited = (
-                            perf_counter() - opened
-                            if opened is not None
-                            else policy.max_wait_s
-                        )
-                        if (
-                            waiting >= policy.max_batch_size
-                            or waited >= policy.max_wait_s
-                            or self._stopping
-                        ):
-                            break
-                        self._cond.wait(
-                            timeout=max(policy.max_wait_s - waited, 1e-3)
-                        )
-                    else:
-                        self._cond.wait(timeout=0.02)
-                batch = self._batcher.next_batch()
-                self._window_opened_at = (
-                    perf_counter() if len(self._batcher) else None
-                )
-                if not batch:
-                    continue
-                depth = len(batch) + len(self._batcher) + sum(
-                    len(r.inflight["items"])
-                    for r in self._replicas
-                    if r.inflight is not None
-                )
-                shed = False
-                if self.shed is not None:
-                    predicted_wait = (
-                        depth * self._service_ewma_s
-                        if self._service_ewma_s is not None
+                    idle = [
+                        r for r in self._replicas
+                        if r.state == "live" and r.inflight is None
+                        and r.ready.is_set()
+                    ]
+                    leave = (
+                        dispatcher.leave_at(min(r.idle_since for r in idle))
+                        if idle
                         else None
                     )
-                    shed = self.shed.should_shed(
-                        queue_depth=depth, predicted_wait_s=predicted_wait
+                    now = clock.now()
+                    if leave is not None and (leave <= now or self._stopping):
+                        break
+                    self._cond.wait(
+                        timeout=0.02 if leave is None else leave - now
                     )
-                shed_flipped = shed != self._shedding
-                self._shedding = shed
+                rep = idle[self._rr % len(idle)]
+                self._rr += 1
+                batch = dispatcher.pop()
+                if not batch:
+                    dispatcher.done(batch)
+                    continue
                 batch_id = next(self._batch_seq)
-                now = perf_counter()
+                rep.inflight = (batch_id, batch)
                 items = [
                     (
                         p.ticket.request_id, p.image, p.deadline_s,
-                        p.priority, now - p.enqueued_at,
+                        p.priority, batch.dispatched_at - p.enqueued_at,
                     )
-                    for p in batch
+                    for p in batch.items
                 ]
-                rep.inflight = {
-                    "batch_id": batch_id,
-                    "items": [
-                        (p.ticket.request_id, p.ticket, p.enqueued_at,
-                         p.deadline_s)
-                        for p in batch
-                    ],
-                    "sent_at": now,
-                    "shed": shed,
-                    "depth": depth,
-                }
-                rep.task_q.put(("batch", batch_id, items, depth, shed))
-            if shed_flipped:
-                self.observer.event(
-                    "shed_engaged" if shed else "shed_released",
-                    queue_depth=depth, batch_size=len(batch),
+                rep.task_q.put(
+                    ("batch", batch_id, items, batch.queue_depth, batch.shed)
                 )
             self.observer.set_gauge(
-                "fleet_queue_depth", float(depth),
+                "fleet_queue_depth", float(batch.queue_depth),
                 "Unified fleet queue depth at dispatch "
                 "(waiting + in-flight across replicas).",
             )
@@ -1251,8 +1138,9 @@ class ServingFabric:
                 return
             kind = msg[0]
             if kind == "ready":
-                rep.ready.set()
                 with self._cond:
+                    rep.idle_since = perf_counter()
+                    rep.ready.set()
                     self._cond.notify_all()
             elif kind == "result":
                 self._handle_result(rep, msg)
@@ -1264,7 +1152,6 @@ class ServingFabric:
                     self._regime_acks += 1
                     self._cond.notify_all()
             elif kind == "stopped":
-                rep.snapshot = msg[2]
                 rep.stopped.set()
                 return
 
@@ -1273,33 +1160,24 @@ class ServingFabric:
         now = perf_counter()
         with self._cond:
             inflight = rep.inflight
-            if inflight is not None and inflight["batch_id"] == batch_id:
+            if inflight is not None and inflight[0] == batch_id:
                 rep.inflight = None
-                lookup = {
-                    rid: (ticket, enqueued_at, deadline_s)
-                    for rid, ticket, enqueued_at, deadline_s
-                    in inflight["items"]
-                }
-                per_request_s = (now - inflight["sent_at"]) / max(
-                    len(results), 1
-                )
-                self._service_ewma_s = (
-                    per_request_s
-                    if self._service_ewma_s is None
-                    else 0.8 * self._service_ewma_s + 0.2 * per_request_s
-                )
+                rep.idle_since = now
+                batch = inflight[1]
+                self._dispatcher.done(batch, now - batch.dispatched_at)
+                lookup = {p.ticket.request_id: p for p in batch.items}
             else:
                 # Post-crash remnant for an already-failed batch: tickets
                 # resolved as worker_crash; first-writer-wins drops these.
-                inflight, lookup = None, {}
+                batch, lookup = None, {}
             answered = 0
             failed_causes: dict[str, int] = {}
             for rid, response in results:
-                found = lookup.get(rid)
-                if found is None:
+                pending = lookup.get(rid)
+                if pending is None:
                     continue
-                ticket, enqueued_at, deadline_s = found
-                latency_s = now - enqueued_at
+                deadline_s = pending.deadline_s
+                latency_s = now - pending.enqueued_at
                 if response.failed:
                     final = replace(response, latency_s=latency_s)
                     failed_causes[response.error] = (
@@ -1309,17 +1187,17 @@ class ServingFabric:
                     final = replace(
                         response,
                         latency_s=latency_s,
-                        queue_wait_s=inflight["sent_at"] - enqueued_at,
+                        queue_wait_s=batch.dispatched_at - pending.enqueued_at,
                         deadline_missed=(
                             deadline_s is not None and latency_s > deadline_s
                         ),
                     )
                     answered += 1
-                ticket._resolve(final)
+                pending.ticket._resolve(final)
             rep.answered += answered
             for cause, count in failed_causes.items():
                 rep.failed[cause] = rep.failed.get(cause, 0) + count
-            was_shed = inflight is not None and inflight["shed"]
+            was_shed = batch is not None and batch.shed
             if was_shed:
                 rep.shed += len(results)
             if self.controller is not None and answered:
@@ -1588,7 +1466,6 @@ class ServingFabric:
             if msg[0] == "result":
                 self._handle_result(rep, msg)
             elif msg[0] == "stopped":  # pragma: no cover -- raced a stop
-                rep.snapshot = msg[2]
                 rep.stopped.set()
         exitcode = rep.process.exitcode if rep.process is not None else None
         policy = self.resilience
@@ -1602,9 +1479,7 @@ class ServingFabric:
                     self._detector.rearm()
             rep.restarts += 1
             can_restart = (
-                policy is not None
-                and policy.supervise
-                and rep.restarts <= policy.max_restarts
+                policy is not None and rep.restarts <= policy.max_restarts
             )
             if can_restart:
                 rep.state = "backoff"
@@ -1616,10 +1491,13 @@ class ServingFabric:
             all_dead = all(r.state == "dead" for r in self._replicas)
             live = sum(1 for r in self._replicas if r.state == "live")
             self._cond.notify_all()
-        items = inflight["items"] if inflight is not None else []
-        for _, ticket, enqueued_at, _ in items:
+        items = []
+        if inflight is not None:
+            items = inflight[1].items
+            self._dispatcher.done(inflight[1])
+        for pending in items:
             self._fail_ticket(
-                ticket, enqueued_at, rep.id,
+                pending.ticket, pending.enqueued_at, rep.id,
                 cause="worker_crash",
                 message=(
                     f"replica {rep.id} died (exit code {exitcode}) with "
@@ -1651,9 +1529,10 @@ class ServingFabric:
             )
             if all_dead:
                 budget = policy.max_restarts if policy is not None else 0
-                failed = self._fail_backlog(
+                failed = self._dispatcher.fail_waiting(
+                    "restart_budget",
                     f"every replica is dead; restart budget ({budget}) "
-                    "exhausted"
+                    "exhausted",
                 )
                 observer.event("fleet_gave_up", backlog_failed=failed)
 
@@ -1753,20 +1632,6 @@ class ServingFabric:
             }
         )
         return True
-
-    def _fail_backlog(self, message: str) -> int:
-        with self._cond:
-            batches = self._batcher.drain()
-            self._window_opened_at = None
-        failed = 0
-        for batch in batches:
-            for pending in batch:
-                if self._fail_ticket(
-                    pending.ticket, pending.enqueued_at, None,
-                    cause="restart_budget", message=message,
-                ):
-                    failed += 1
-        return failed
 
     def __repr__(self) -> str:
         states = ",".join(r.state for r in self._replicas)

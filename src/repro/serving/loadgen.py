@@ -10,10 +10,11 @@ execution modes share everything but the clock:
     stages, OPS/energy, shed decisions, controller feedback, spans and
     metrics are all genuine -- but service time is derived from the
     measured cascade cost (``batch OPS / ops_per_second``) instead of the
-    wall clock, and queueing is replayed analytically under the engine's
-    own micro-batch policy.  Same model + schedule + seed => the
-    identical report, which is what the determinism tests and the gated
-    ``serving_slo_tiny`` / ``loadgen_shed`` benchmarks pin.
+    wall clock.  Queueing is the engine's own
+    :class:`~repro.serving.batching.Dispatcher` running on a
+    :class:`~repro.serving.batching.VirtualClock`.  Same model + schedule
+    + seed => the identical report, which is what the determinism tests
+    and the gated ``serving_slo_tiny`` / ``loadgen_shed`` benchmarks pin.
 :meth:`LoadRunner.run`
     Wall clock.  Arrivals are paced by real sleeps into an
     :class:`~repro.serving.engine.AsyncEngine` worker; latencies are
@@ -43,7 +44,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, InputValidationError
+from repro.errors import ConfigurationError
+from repro.serving.batching import WALL_CLOCK, VirtualClock
 from repro.serving.engine import AsyncEngine, InferenceEngine
 from repro.serving.faults import FaultInjector, FaultPlan
 from repro.serving.schedule import Arrival, ArrivalSchedule
@@ -143,24 +145,24 @@ class LoadRunner:
     ) -> SLOReport:
         """Replay the schedule in virtual time (deterministic).
 
-        ``ops_per_second`` is the modeled service capacity: a dispatched
-        micro-batch occupies the (single) server for
-        ``sum(request OPS) / ops_per_second`` virtual seconds, where the
-        OPS are the *measured* exit-path costs of actually running the
-        cascade on the batch.  Queueing follows the engine's own
-        micro-batch policy: a batch dispatches when ``max_batch_size``
-        requests are waiting or ``max_wait_s`` has passed since the
-        window opened, priority classes board first, and the engine's
-        shed policy sees the true virtual queue depth and predicted wait.
+        Each arrival is submitted to the engine's dispatcher at its
+        scheduled time on a :class:`~repro.serving.batching.VirtualClock`
+        (installed for the run, the wall clock restored afterwards), so
+        batching, priority boarding, queue depth and shed decisions are
+        the ones every other front end gets.  ``ops_per_second`` is the
+        modeled service capacity: a dispatched micro-batch occupies the
+        (single) server for ``sum(request OPS) / ops_per_second`` virtual
+        seconds, where the OPS are the *measured* exit-path costs of
+        actually running the cascade on the batch.
 
         Chaos runs stay deterministic: the fault injector is reset at the
-        start, injected latency accumulates on the engine's virtual clock
-        (drained into the modeled service time per dispatch), and failed
-        requests become failed outcomes.  An *unprotected* engine (no
-        resilience policy) wedges on the first injected batch fault --
-        the exception kills the virtual worker, every not-yet-answered
-        arrival counts as dropped, and the report shows the outage
-        instead of hiding it.
+        start, injected latency is charged to the batch's virtual
+        service time, a payload rejected at intake fails at its arrival
+        (latency 0, as in :meth:`run`), and failed requests become failed
+        outcomes.  An *unprotected* engine (no resilience policy) wedges
+        on the first injected batch fault -- the exception kills the
+        virtual worker, every not-yet-answered arrival counts as dropped,
+        and the report shows the outage instead of hiding it.
         """
         if not ops_per_second > 0:
             raise ConfigurationError(
@@ -173,149 +175,121 @@ class LoadRunner:
                 "duration"
             )
         engine = self.engine
-        policy = engine.policy
-        max_batch = policy.max_batch_size
+        dispatcher = engine.dispatcher
         injector = engine.faults
         if injector is not None:
             injector.reset()
-        engine._virtual_clock = True
-        engine.pop_virtual_delay()
-        outcomes: list[RequestOutcome] = []
+        clock = VirtualClock()
+        dispatcher.set_clock(clock)
+        tickets = []
         timeline: list[tuple[float, int]] = []
-        #: indices into ``arrivals`` waiting for the server.
-        queued: list[int] = []
-        i = 0
-        n = len(arrivals)
+        #: request id -> (dispatch time, completion time), virtual seconds.
+        served_at: dict[int, tuple[float, float]] = {}
         server_free = 0.0
-        service_ewma: float | None = None
-        try:
-            while i < n or queued:
-                if queued:
-                    now = server_free
-                else:
-                    now = max(server_free, arrivals[i].t)
-                while i < n and arrivals[i].t <= now:
-                    queued.append(i)
-                    i += 1
-                if len(queued) < max_batch:
-                    # Window stays open up to max_wait_s for the batch to fill.
-                    close = now + policy.max_wait_s
-                    while (
-                        i < n
-                        and arrivals[i].t <= close
-                        and len(queued) < max_batch
-                    ):
-                        queued.append(i)
-                        now = arrivals[i].t
-                        i += 1
-                    if len(queued) < max_batch:
-                        now = close
-                depth = len(queued)
-                # Priority classes board first, FIFO within a class -- the
-                # same ordering MicroBatcher applies on the real path.
-                queued.sort(key=lambda idx: (-arrivals[idx].priority, idx))
-                members = queued[:max_batch]
-                queued = sorted(queued[max_batch:])
-                batch = []
-                batch_members = []
-                for idx in members:
-                    payload = self._payload(idx, arrivals[idx])
-                    if injector is not None:
-                        payload = injector.corrupt_image(idx, payload)
-                    try:
-                        pending = engine._make_pending(
-                            payload,
-                            deadline_s=arrivals[idx].deadline_s,
-                            priority=arrivals[idx].priority,
-                        )
-                    except InputValidationError as exc:
-                        if engine.resilience is None:
-                            raise
-                        # Intake rejection: a pre-failed ticket, accounted
-                        # in metrics/trace by the engine; fold it straight
-                        # into a failed outcome.
-                        ticket = engine._fail_intake(exc)
-                        failure = ticket.result(timeout=0)
-                        outcomes.append(
-                            self._failed_outcome(
-                                failure,
-                                arrivals[idx],
-                                queue_wait_s=now - arrivals[idx].t,
-                                latency_s=now - arrivals[idx].t,
-                            )
-                        )
-                        continue
-                    batch.append(pending)
-                    batch_members.append(idx)
-                if not batch:
-                    continue
-                # Feed the shed policy the *virtual* service estimate so
-                # predicted-wait triggers are deterministic too (the engine
-                # would otherwise use its wall-clock EWMA).
-                engine._service_ewma_s = service_ewma
+
+        def serve_until(t: float) -> bool:
+            """Serve every batch that leaves before an arrival at ``t``;
+            False once an unprotected engine has wedged."""
+            nonlocal server_free
+            while True:
+                leave = dispatcher.leaves_before(t, idle_since=server_free)
+                if leave is None:
+                    return True
+                clock.t = leave
+                batch = dispatcher.pop()
                 try:
-                    engine._process_batch(batch, queue_depth=depth)
+                    engine._process_batch(
+                        batch.items,
+                        queue_depth=batch.queue_depth,
+                        shed=batch.shed,
+                    )
                 except Exception as exc:  # noqa: BLE001 -- wedge accounting
                     # No resilience layer: the fault killed the (virtual)
                     # worker.  Everything still queued or unscheduled is
                     # stranded -- exactly the outage the report must show.
+                    stranded = len(arrivals) - sum(
+                        ticket.done for ticket in tickets
+                    )
                     _log.warning(
-                        "engine wedged at t=%.3fs: %s -- %d requests stranded",
-                        now, exc, n - len(outcomes),
+                        "engine wedged at t=%.3fs: %s -- %d requests "
+                        "stranded", leave, exc, stranded,
                     )
-                    if not outcomes:
+                    dispatcher.done(batch)
+                    dispatcher.clear()
+                    if stranded == len(arrivals):
                         raise
-                    break
-                responses = [p.ticket.result(timeout=0) for p in batch]
-                served = [r for r in responses if not r.failed]
+                    return False
+                responses = [p.ticket.result(timeout=0) for p in batch.items]
                 service_s = (
-                    sum(r.ops for r in served) / ops_per_second
-                    + engine.pop_virtual_delay()
+                    sum(r.ops for r in responses if not r.failed)
+                    / ops_per_second
+                    + clock.take_charged()
                 )
-                timeline.append((now, depth))
-                server_free = now + service_s
-                per_request = service_s / len(batch)
-                service_ewma = (
-                    per_request
-                    if service_ewma is None
-                    else 0.8 * service_ewma + 0.2 * per_request
-                )
-                for idx, response in zip(batch_members, responses):
-                    arrival = arrivals[idx]
-                    if response.failed:
-                        outcomes.append(
-                            self._failed_outcome(
-                                response,
-                                arrival,
-                                queue_wait_s=now - arrival.t,
-                                latency_s=server_free - arrival.t,
-                            )
-                        )
-                        continue
-                    latency = server_free - arrival.t
-                    outcomes.append(
-                        RequestOutcome(
-                            request_id=response.request_id,
-                            arrival_s=arrival.t,
-                            queue_wait_s=now - arrival.t,
-                            latency_s=latency,
-                            exit_stage=response.exit_stage,
-                            ops=response.ops,
-                            energy_pj=response.energy_pj,
-                            shed=response.shed,
-                            deadline_s=arrival.deadline_s,
-                            deadline_met=(
-                                arrival.deadline_s is None
-                                or latency <= arrival.deadline_s
-                            ),
-                            scenario=arrival.scenario,
-                            priority=arrival.priority,
-                            degraded=response.degraded,
-                        )
+                server_free = leave + service_s
+                dispatcher.done(batch, service_s)
+                timeline.append((leave, batch.queue_depth))
+                for pending in batch.items:
+                    served_at[pending.ticket.request_id] = (leave, server_free)
+
+        try:
+            for index, arrival in enumerate(arrivals):
+                if not serve_until(arrival.t):
+                    break
+                clock.t = arrival.t
+                payload = self._payload(index, arrival)
+                if injector is not None:
+                    payload = injector.corrupt_image(index, payload)
+                tickets.append(
+                    engine.submit(
+                        payload,
+                        deadline_s=arrival.deadline_s,
+                        priority=arrival.priority,
                     )
+                )
+            else:
+                serve_until(float("inf"))
         finally:
-            engine._virtual_clock = False
-        outcomes.sort(key=lambda o: o.request_id)
+            dispatcher.set_clock(WALL_CLOCK)
+        outcomes: list[RequestOutcome] = []
+        for arrival, ticket in zip(arrivals, tickets):
+            if not ticket.done:
+                continue  # stranded by a wedge: dropped
+            response = ticket.result(timeout=0)
+            dispatched, finished = served_at.get(
+                ticket.request_id, (arrival.t, arrival.t)
+            )
+            queue_wait_s = dispatched - arrival.t
+            latency = finished - arrival.t
+            if response.failed:
+                outcomes.append(
+                    self._failed_outcome(
+                        response,
+                        arrival,
+                        queue_wait_s=queue_wait_s,
+                        latency_s=latency,
+                    )
+                )
+                continue
+            outcomes.append(
+                RequestOutcome(
+                    request_id=response.request_id,
+                    arrival_s=arrival.t,
+                    queue_wait_s=queue_wait_s,
+                    latency_s=latency,
+                    exit_stage=response.exit_stage,
+                    ops=response.ops,
+                    energy_pj=response.energy_pj,
+                    shed=response.shed,
+                    deadline_s=arrival.deadline_s,
+                    deadline_met=(
+                        arrival.deadline_s is None
+                        or latency <= arrival.deadline_s
+                    ),
+                    scenario=arrival.scenario,
+                    priority=arrival.priority,
+                    degraded=response.degraded,
+                )
+            )
         self.last_outcomes = tuple(outcomes)
         return SLOReport.from_outcomes(
             outcomes,

@@ -20,11 +20,7 @@ turns on, per concern:
   failures the engine serves the next ``degraded_window`` dispatches
   from the stage-0 early exit with a ``degraded`` flag (accounted
   exactly like ``shed``: answered, cheap, never dropped), then probes
-  full service again;
-* **deadline cancellation** -- a request already
-  ``cancel_after_deadline_s`` past its deadline at dispatch time fails
-  fast with a ``deadline`` cause instead of burning compute on an
-  answer nobody is waiting for (wall-clock facades only).
+  full service again.
 
 :class:`HealthStatus` is the liveness/readiness surface both engine
 facades expose via ``health()`` -- the dict form is what an HTTP
@@ -42,7 +38,6 @@ FAILURE_CAUSES = (
     "compute_error",
     "injected_fault",
     "invalid_input",
-    "deadline",
     "worker_crash",
     "restart_budget",
 )
@@ -74,14 +69,9 @@ class ResiliencePolicy:
     degraded_window:
         Dispatches served from stage-0 per degraded episode before the
         engine probes full service again.
-    cancel_after_deadline_s:
-        Fail a request still queued this many seconds past its deadline
-        (``None`` disables; 0.0 cancels exactly at the deadline).
     isolate:
         Bisect failing batches (disable to let batch failures propagate
         to the supervisor -- the crash-loop stress mode).
-    supervise:
-        Restart the async worker on batch failure.
     """
 
     max_retries: int = 1
@@ -92,9 +82,7 @@ class ResiliencePolicy:
     seed: int = 0
     degraded_after: int = 3
     degraded_window: int = 8
-    cancel_after_deadline_s: float | None = None
     isolate: bool = True
-    supervise: bool = True
 
     def __post_init__(self) -> None:
         if not self.max_retries >= 0:
@@ -125,14 +113,6 @@ class ResiliencePolicy:
         if not self.degraded_window >= 1:
             raise ConfigurationError(
                 f"degraded_window must be >= 1, got {self.degraded_window}"
-            )
-        if (
-            self.cancel_after_deadline_s is not None
-            and not self.cancel_after_deadline_s >= 0
-        ):
-            raise ConfigurationError(
-                "cancel_after_deadline_s must be >= 0 when set, got "
-                f"{self.cancel_after_deadline_s}"
             )
         if self.degraded_after and not self.isolate:
             raise ConfigurationError(

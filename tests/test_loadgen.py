@@ -232,6 +232,21 @@ class TestLoadRunnerSimulate:
             )
         assert reports[0] == reports[1]
 
+    def test_rerun_on_one_engine_is_identical(
+        self, trained_3c, tiny_test_set, burst_schedule
+    ):
+        # The predicted-wait trigger reads the service-time estimate; each
+        # run starts it afresh on its own virtual clock, so the first batch
+        # of every run (no estimate yet) is served in full.
+        engine = make_engine(
+            trained_3c, shed=ShedPolicy(max_predicted_wait_s=1e-9)
+        )
+        runner = LoadRunner(engine, burst_schedule, tiny_test_set.images)
+        first = runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
+        second = runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
+        assert 0 < first.shed_count < first.requests
+        assert first == second
+
     def test_shed_requests_exit_stage0_none_dropped(
         self, trained_3c, tiny_test_set, burst_schedule, tmp_path
     ):
@@ -427,11 +442,6 @@ class TestServingConfig:
         updated = cfg.with_updates(delta=0.9)
         assert updated.delta == 0.9 and cfg.delta == 0.5
 
-    def test_legacy_kwargs_warn_once_and_still_work(self, trained_3c):
-        with pytest.warns(DeprecationWarning, match="ServingConfig"):
-            engine = InferenceEngine(trained_3c.cdln, delta=0.6)
-        assert engine.delta == 0.6
-
     def test_bare_model_is_silent_sugar(self, trained_3c):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -440,7 +450,7 @@ class TestServingConfig:
 
     def test_config_plus_knobs_rejected(self, trained_3c):
         cfg = ServingConfig(model=trained_3c.cdln)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):  # per-knob keywords are gone
             InferenceEngine(config=cfg, delta=0.5)
         with pytest.raises(ConfigurationError):
             InferenceEngine(trained_3c.cdln, config=cfg)
@@ -452,7 +462,7 @@ class TestPublicSurface:
 
         expected = {
             "AdaptiveDeltaPolicy", "Arrival", "ArrivalSchedule",
-            "AsyncEngine", "AsyncInferenceEngine", "CalibrationPoint",
+            "AsyncEngine", "CalibrationPoint",
             "CascadeResult", "CascadeStageRecord", "DeltaCalibration",
             "DeltaController", "DriftDetector", "DriftEvent",
             "FabricConfig", "FaultInjector", "FaultPlan", "FaultSpec",
@@ -482,13 +492,12 @@ class TestPublicSurface:
         with pytest.raises(AttributeError):
             serving.NotAThing
 
-    def test_microbatcher_deprecated_but_resolvable(self):
+    def test_removed_aliases_stay_removed(self):
+        import repro
         import repro.serving as serving
 
-        assert "MicroBatcher" not in serving.__all__
-        assert "MicroBatcher" not in dir(serving)
-        with pytest.warns(DeprecationWarning, match="MicroBatcher"):
-            cls = serving.MicroBatcher
-        from repro.serving.batching import MicroBatcher
-
-        assert cls is MicroBatcher
+        for name in ("MicroBatcher", "AsyncInferenceEngine"):
+            assert name not in dir(serving)
+            with pytest.raises(AttributeError):
+                getattr(serving, name)
+        assert not hasattr(repro, "AsyncInferenceEngine")

@@ -12,18 +12,29 @@ The two load-bearing properties:
   structural depth cap, not a statistical target).
 """
 
-import queue
 import threading
+import time
 from time import perf_counter
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, NotFittedError, ShapeError
-from repro.serving.batching import MicroBatcher, MicroBatchPolicy, collect_from_queue
+from repro.serving.batching import (
+    Dispatcher,
+    MicroBatcher,
+    MicroBatchPolicy,
+    VirtualClock,
+    collect_from_queue,
+)
 from repro.serving.cascade import execute_cascade
 from repro.serving.config import ServingConfig
-from repro.serving.controller import DeltaController, simulate_exit_stages
+from repro.serving.controller import (
+    DeltaController,
+    ShedPolicy,
+    simulate_exit_stages,
+)
+import repro.serving.engine as serving_engine
 from repro.serving.engine import AsyncEngine, InferenceEngine
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry
@@ -184,13 +195,13 @@ class TestEngineParity:
             engine.submit(image)
         assert engine.queue_depth() == engine.pending_count() == 6
         observed = []
-        inner = engine._process_batch_inflight
+        inner = engine._process_batch
 
-        def spy(batch, *, queue_depth=None):
+        def spy(batch, **kwargs):
             observed.append(engine.queue_depth())
-            return inner(batch, queue_depth=queue_depth)
+            return inner(batch, **kwargs)
 
-        engine._process_batch_inflight = spy
+        engine._process_batch = spy
         engine.flush()
         # First batch: 4 in flight + 2 waiting; second: 2 in flight.
         assert observed == [6, 2]
@@ -244,6 +255,84 @@ class TestAsyncFacade:
         assert sorted(results) == list(range(32))
         for i in range(32):
             assert results[i].label == offline.labels[i]
+
+    def test_priority_boards_ahead_of_backlog(self, trained_3c, tiny_test_set):
+        # Every dispatch takes 50 ms, so the bulk backlog queues up; the
+        # late high-priority request must ride the next dispatched batch.
+        engine = InferenceEngine.from_config(
+            ServingConfig(
+                model=trained_3c.cdln,
+                delta=0.6,
+                policy=MicroBatchPolicy(max_batch_size=4, max_wait_s=0.001),
+            )
+        )
+        batches = []
+        inner = engine._process_batch
+
+        def slow(batch, **kwargs):
+            batches.append([p.ticket.request_id for p in batch])
+            time.sleep(0.05)
+            return inner(batch, **kwargs)
+
+        engine._process_batch = slow
+        images = tiny_test_set.images
+        with AsyncEngine(engine) as server:
+            bulk = [server.submit(images[i]) for i in range(12)]
+            while not batches:  # the first batch is being served
+                time.sleep(0.001)
+            urgent = server.submit(images[12], priority=10)
+            for ticket in [*bulk, urgent]:
+                ticket.result(timeout=30.0)
+        assert len(batches) == 4
+        assert urgent.request_id in batches[1]
+
+    def test_profiler_hooks_wrap_one_call_per_batch(
+        self, trained_3c, tiny_test_set, monkeypatch
+    ):
+        """perfbench wraps these two module attributes on a running worker
+        and waits 100 ms for it to re-enter the wrapped collection."""
+        engine = InferenceEngine.from_config(
+            ServingConfig(
+                model=trained_3c.cdln,
+                delta=0.6,
+                policy=MicroBatchPolicy(max_batch_size=4, max_wait_s=5.0),
+            )
+        )
+        collected, idle_polls, cascades = [], [], []
+        collect = serving_engine.collect_from_queue
+        cascade = serving_engine.execute_cascade
+
+        def traced_collect(*args, **kwargs):
+            start = perf_counter()
+            batch = collect(*args, **kwargs)
+            if batch:
+                collected.append(len(batch))
+            else:
+                idle_polls.append(perf_counter() - start)
+            return batch
+
+        def traced_cascade(cdln, images, *args, **kwargs):
+            cascades.append(len(images))
+            return cascade(cdln, images, *args, **kwargs)
+
+        with AsyncEngine(engine) as server:
+            monkeypatch.setattr(serving_engine, "collect_from_queue", traced_collect)
+            monkeypatch.setattr(serving_engine, "execute_cascade", traced_cascade)
+            time.sleep(0.1)
+            for start in (0, 4, 8):
+                tickets = [
+                    server.submit(image)
+                    for image in tiny_test_set.images[start:start + 4]
+                ]
+                for ticket in tickets:
+                    ticket.result(timeout=30.0)
+            time.sleep(0.12)
+        assert collected == [4, 4, 4]
+        assert cascades == [4, 4, 4]
+        # Idle polls return falsy within the 50 ms poll (plus scheduling
+        # slack that stays under perfbench's 100 ms wait).
+        assert idle_polls
+        assert max(idle_polls) < 0.09
 
     def test_stop_is_idempotent_and_restartable(self, trained_3c, tiny_test_set):
         engine = InferenceEngine.from_config(
@@ -440,6 +529,20 @@ class TestModelRegistry:
 
 # -- batching ------------------------------------------------------------------
 
+SHAPE = (1, 2, 2)
+
+
+def _dispatcher(policy, clock=None, **kwargs) -> Dispatcher:
+    dispatcher = Dispatcher(policy, input_shape=SHAPE, fail=None, **kwargs)
+    if clock is not None:
+        dispatcher.set_clock(clock)
+    return dispatcher
+
+
+def _ids(batch) -> list[int]:
+    return [p.ticket.request_id for p in batch.items]
+
+
 
 class TestBatching:
     def test_policy_validation(self):
@@ -458,25 +561,101 @@ class TestBatching:
         assert batcher.next_batch() == []
 
     def test_collect_from_queue_fills_or_times_out(self):
-        source: queue.Queue = queue.Queue()
-        policy = MicroBatchPolicy(max_batch_size=4, max_wait_s=0.01)
-        for i in range(6):
-            source.put(i)
-        assert collect_from_queue(source, policy) == [0, 1, 2, 3]
+        dispatcher = _dispatcher(MicroBatchPolicy(max_batch_size=4, max_wait_s=0.01))
+        for _ in range(6):
+            dispatcher.submit(np.zeros(SHAPE))
+        batch = collect_from_queue(dispatcher)
+        assert _ids(batch) == [0, 1, 2, 3]
+        assert batch.queue_depth == 6
+        assert dispatcher.queue_depth() == 6  # 2 waiting + 4 in flight
+        dispatcher.done(batch)
         start = perf_counter()
-        assert collect_from_queue(source, policy) == [4, 5]
+        batch = collect_from_queue(dispatcher)  # partial: waits its window
+        assert _ids(batch) == [4, 5]
         assert perf_counter() - start < 1.0
-        assert collect_from_queue(source, policy, poll_s=0.01) is None
+        dispatcher.done(batch)
+        assert dispatcher.queue_depth() == 0
+        assert collect_from_queue(dispatcher, poll_s=0.01) is None
 
-    def test_collect_from_queue_sentinel(self):
-        source: queue.Queue = queue.Queue()
-        policy = MicroBatchPolicy(max_batch_size=4, max_wait_s=0.01)
-        source.put(None)
-        assert collect_from_queue(source, policy) == []
-        source.get_nowait()  # the sentinel was re-queued for siblings
-        source.put(0)
-        source.put(None)
-        assert collect_from_queue(source, policy) == [0]
+    def test_collect_from_queue_drains_without_window(self):
+        dispatcher = _dispatcher(MicroBatchPolicy(max_batch_size=4, max_wait_s=60.0))
+        dispatcher.submit(np.zeros(SHAPE))
+        dispatcher.draining = True
+        start = perf_counter()
+        assert _ids(collect_from_queue(dispatcher)) == [0]
+        assert perf_counter() - start < 1.0
+        drained = collect_from_queue(dispatcher)
+        assert drained is not None and not drained
+
+
+class TestDispatcherWindow:
+    """The one window rule, on a virtual clock."""
+
+    def test_window_opens_at_later_of_arrival_and_idle(self):
+        clock = VirtualClock(1.0)
+        dispatcher = _dispatcher(
+            MicroBatchPolicy(max_batch_size=4, max_wait_s=0.5), clock=clock
+        )
+        assert dispatcher.leave_at(idle_since=0.0) is None
+        dispatcher.submit(np.zeros(SHAPE))
+        assert dispatcher.leave_at(idle_since=0.0) == 1.5
+        assert dispatcher.leave_at(idle_since=2.0) == 2.5
+
+    def test_full_batch_leaves_once_executor_is_idle(self):
+        clock = VirtualClock(1.0)
+        dispatcher = _dispatcher(
+            MicroBatchPolicy(max_batch_size=2, max_wait_s=0.5), clock=clock
+        )
+        dispatcher.submit(np.zeros(SHAPE))
+        clock.t = 1.2
+        dispatcher.submit(np.zeros(SHAPE))
+        assert dispatcher.leave_at(idle_since=0.0) == 1.2
+        assert dispatcher.leave_at(idle_since=3.0) == 3.0
+
+    def test_ties_board_unless_the_batch_filled_in_its_window(self):
+        clock = VirtualClock(1.0)
+        dispatcher = _dispatcher(
+            MicroBatchPolicy(max_batch_size=2, max_wait_s=0.5), clock=clock
+        )
+        dispatcher.submit(np.zeros(SHAPE))
+        dispatcher.submit(np.zeros(SHAPE))
+        # Filled at the instant its window opened: a tied arrival boards.
+        assert dispatcher.leaves_before(1.0, idle_since=0.0) is None
+        assert dispatcher.leaves_before(1.1, idle_since=0.0) == 1.0
+        dispatcher.done(dispatcher.pop())
+        dispatcher.submit(np.zeros(SHAPE))
+        clock.t = 1.25
+        dispatcher.submit(np.zeros(SHAPE))
+        # Filled at 1.25 inside a window opened at 1.0: it leaves first.
+        assert dispatcher.leaves_before(1.25, idle_since=0.0) == 1.25
+        # A window that closes at t still takes an arrival at t.
+        dispatcher.done(dispatcher.pop())
+        dispatcher.submit(np.zeros(SHAPE))
+        assert dispatcher.leaves_before(1.75, idle_since=0.0) is None
+        assert dispatcher.leaves_before(2.0, idle_since=0.0) == 1.75
+
+    def test_priority_boards_first_and_depth_counts_in_flight(self):
+        dispatcher = _dispatcher(MicroBatchPolicy(max_batch_size=2))
+        for priority in (0, 0, 0, 7):
+            dispatcher.submit(np.zeros(SHAPE), priority=priority)
+        first = dispatcher.pop()
+        assert _ids(first) == [3, 0]
+        assert first.queue_depth == 4
+        second = dispatcher.pop()
+        assert _ids(second) == [1, 2]
+        assert second.queue_depth == 4  # 2 waiting + 2 still in flight
+
+    def test_shed_decision_uses_depth_and_service_ewma(self):
+        dispatcher = _dispatcher(
+            MicroBatchPolicy(max_batch_size=2),
+            shed=ShedPolicy(max_predicted_wait_s=0.05),
+        )
+        for _ in range(4):
+            dispatcher.submit(np.zeros(SHAPE))
+        batch = dispatcher.pop()
+        assert not batch.shed  # no service estimate yet
+        dispatcher.done(batch, service_s=0.1)  # 0.05 s per request
+        assert dispatcher.pop().shed  # 2 waiting x 0.05 s > 0.05 s
 
 
 # -- metrics -------------------------------------------------------------------
