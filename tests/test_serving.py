@@ -12,6 +12,7 @@ The two load-bearing properties:
   structural depth cap, not a statistical target).
 """
 
+import sys
 import threading
 import time
 from time import perf_counter
@@ -255,6 +256,49 @@ class TestAsyncFacade:
         assert sorted(results) == list(range(32))
         for i in range(32):
             assert results[i].label == offline.labels[i]
+
+    def test_many_submitters_under_fast_switching(self, trained_3c, tiny_test_set):
+        # More submitter threads than cores, switching every microsecond:
+        # a lost update in the dispatcher's queue or in-flight count would
+        # strand a ticket or leave a phantom depth behind.
+        images = tiny_test_set.images[:64]
+        offline = trained_3c.cdln.predict(images, delta=0.6)
+        engine = InferenceEngine.from_config(
+            ServingConfig(
+                model=trained_3c.cdln,
+                delta=0.6,
+                policy=MicroBatchPolicy(max_batch_size=8, max_wait_s=0.001),
+            )
+        )
+        results = {}
+
+        def client(first: int, server) -> None:
+            tickets = [
+                (i, server.submit(images[i], priority=i % 3))
+                for i in range(first, 64, 8)
+            ]
+            for i, ticket in tickets:
+                results[i] = ticket.result(timeout=30.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with AsyncEngine(engine) as server:
+                threads = [
+                    threading.Thread(target=client, args=(first, server))
+                    for first in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == list(range(64))
+        assert [results[i].label for i in range(64)] == offline.labels.tolist()
+        assert engine.queue_depth() == 0
+        assert engine.metrics.snapshot().requests == 64
 
     def test_priority_boards_ahead_of_backlog(self, trained_3c, tiny_test_set):
         # Every dispatch takes 50 ms, so the bulk backlog queues up; the
