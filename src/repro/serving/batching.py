@@ -532,28 +532,31 @@ class Dispatcher:
 def collect_from_queue(
     dispatcher: Dispatcher,
     *,
-    idle_since: float = float("-inf"),
+    idle_since: Callable[[], float | None] = lambda: float("-inf"),
     poll_s: float = 0.05,
 ) -> Batch | None:
     """Block for the next micro-batch under the dispatcher's window.
 
-    The threaded executor's one blocking call per batch: it returns the
-    formed batch as soon as the window lets it leave, or ``None`` when
-    nothing is due within ``poll_s`` (an idle poll, so the caller can
-    check for shutdown).  While the dispatcher drains, batches leave
-    without waiting for their window and an empty batch means the queue
-    is empty.  Reads time from the dispatcher's clock; waits on its
-    condition.
+    The threaded executor's one blocking call per batch.  ``idle_since()``
+    says since when an executor has been idle, or ``None`` while none is
+    (the default: one executor, always idle).  Returns the formed batch as
+    soon as an executor is idle and the window lets the batch leave, or
+    ``None`` when nothing left within ``poll_s`` (an idle poll, so the
+    caller can check for shutdown).  While the dispatcher drains, batches
+    leave without waiting for their window and an empty batch means the
+    queue is empty.  Reads time from the dispatcher's clock; waits on its
+    condition, so callers may hold it.
     """
     clock = dispatcher.clock
     cond = dispatcher.cond
     give_up = clock.now() + poll_s
     with cond:
         while True:
-            leave = dispatcher.leave_at(idle_since)
-            now = clock.now()
-            if leave is None and dispatcher.draining:
+            if dispatcher.draining and not len(dispatcher):
                 return dispatcher.pop()  # empty: drained
+            idle = idle_since()
+            leave = None if idle is None else dispatcher.leave_at(idle)
+            now = clock.now()
             if leave is not None and (leave <= now or dispatcher.draining):
                 batch = dispatcher.pop()
                 if batch:

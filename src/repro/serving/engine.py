@@ -1068,7 +1068,9 @@ class AsyncEngine:
         dispatcher = engine.dispatcher
         idle_since = dispatcher.clock.now()
         while True:
-            batch = collect_from_queue(dispatcher, idle_since=idle_since)
+            batch = collect_from_queue(
+                dispatcher, idle_since=lambda: idle_since
+            )
             if batch is None:
                 continue  # idle poll; loop so stop() can interleave
             if not batch:

@@ -90,7 +90,13 @@ from repro.serving.regimes import (
     MiniCalibrator,
     next_learned_name,
 )
-from repro.serving.batching import Batch, Dispatcher, Ticket, _Pending
+from repro.serving.batching import (
+    Batch,
+    Dispatcher,
+    Ticket,
+    _Pending,
+    collect_from_queue,
+)
 from repro.serving.config import ServingConfig
 from repro.serving.engine import InferenceEngine, RequestFailed
 from repro.serving.faults import FaultInjector
@@ -739,7 +745,6 @@ class ServingFabric:
         self._supervisor: threading.Thread | None = None
         self._started = False
         self._stopped = False
-        self._stopping = False
         self._shutdown = False
         self._running = False
 
@@ -805,8 +810,8 @@ class ServingFabric:
         if not self._started or self._stopped:
             return
         self._stopped = True
-        self._stopping = True
         with self._cond:
+            self._dispatcher.draining = True
             self._cond.notify_all()
         if self._dispatch_thread is not None:
             self._dispatch_thread.join(
@@ -939,7 +944,9 @@ class ServingFabric:
                 )
         return HealthStatus(
             live=self._running and live > 0,
-            ready=self._running and not self._stopping and live > 0,
+            ready=(
+                self._running and not self._dispatcher.draining and live > 0
+            ),
             degraded=dead > 0,
             queue_depth=self.queue_depth(),
             worker_restarts=restarts,
@@ -1066,41 +1073,40 @@ class ServingFabric:
         rep.collector.start()
 
     # -- dispatcher -------------------------------------------------------------
+    def _idle_replicas(self) -> list[_Replica]:
+        return [
+            r for r in self._replicas
+            if r.state == "live" and r.inflight is None and r.ready.is_set()
+        ]
+
+    def _pool_idle_since(self) -> float | None:
+        """When the first idle replica freed, or None while all are busy:
+        the pool is the dispatcher's one executor."""
+        idle = self._idle_replicas()
+        return min(r.idle_since for r in idle) if idle else None
+
     def _dispatch_loop(self) -> None:
         """Ship each batch the dispatcher's window releases to an idle
-        replica; the pool counts as idle since its first replica freed."""
+        replica, until the drained queue (or a dead fleet) ends it."""
         dispatcher = self._dispatcher
-        clock = dispatcher.clock
         while True:
             with self._cond:
-                while True:
-                    if self._stopping and (
-                        not len(dispatcher)
-                        or all(r.state == "dead" for r in self._replicas)
+                batch = collect_from_queue(
+                    dispatcher, idle_since=self._pool_idle_since
+                )
+                if batch is None:
+                    if dispatcher.draining and all(
+                        r.state == "dead" for r in self._replicas
                     ):
-                        return
-                    idle = [
-                        r for r in self._replicas
-                        if r.state == "live" and r.inflight is None
-                        and r.ready.is_set()
-                    ]
-                    leave = (
-                        dispatcher.leave_at(min(r.idle_since for r in idle))
-                        if idle
-                        else None
-                    )
-                    now = clock.now()
-                    if leave is not None and (leave <= now or self._stopping):
-                        break
-                    self._cond.wait(
-                        timeout=0.02 if leave is None else leave - now
-                    )
+                        return  # stop() fails the backlog
+                    continue
+                if not batch:
+                    return  # drained
+                # Still under the condition collect_from_queue found an
+                # idle replica under.
+                idle = self._idle_replicas()
                 rep = idle[self._rr % len(idle)]
                 self._rr += 1
-                batch = dispatcher.pop()
-                if not batch:
-                    dispatcher.done(batch)
-                    continue
                 batch_id = next(self._batch_seq)
                 rep.inflight = (batch_id, batch)
                 items = [
@@ -1442,7 +1448,7 @@ class ServingFabric:
             sleep(0.05)
             now = perf_counter()
             for rep in self._replicas:
-                if self._stopping or self._shutdown:
+                if self._dispatcher.draining or self._shutdown:
                     return
                 if (
                     rep.state == "live"
@@ -1538,15 +1544,17 @@ class ServingFabric:
 
     def _restart_replica(self, rep: _Replica) -> None:
         with self._cond:
-            if rep.state != "backoff" or self._stopping:
+            if rep.state != "backoff" or self._dispatcher.draining:
                 return
             rep.sessions += 1
+        # Spawned while still in backoff: the dispatcher must not see the
+        # replica live (and idle) before its new session's queue exists.
+        self._spawn_replica(rep)
+        with self._cond:
             rep.state = "live"
             live = sum(1 for r in self._replicas if r.state == "live")
-        self._spawn_replica(rep)
-        # A replica spawned mid-run must follow the current fleet delta,
-        # not the start-of-run value baked into its spec.
-        with self._cond:
+            # A replica spawned mid-run must follow the current fleet
+            # delta, not the start-of-run value baked into its spec.
             if (
                 self._broadcast_delta is not None
                 and self._initial_delta is not None

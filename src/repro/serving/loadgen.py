@@ -153,7 +153,9 @@ class LoadRunner:
         modeled service capacity: a dispatched micro-batch occupies the
         (single) server for ``sum(request OPS) / ops_per_second`` virtual
         seconds, where the OPS are the *measured* exit-path costs of
-        actually running the cascade on the batch.
+        actually running the cascade on the batch.  The engine must be
+        idle when the run starts (nothing queued or in flight), and it is
+        left idle however the run ends.
 
         Chaos runs stay deterministic: the fault injector is reset at the
         start, injected latency is charged to the batch's virtual
@@ -176,6 +178,12 @@ class LoadRunner:
             )
         engine = self.engine
         dispatcher = engine.dispatcher
+        busy = dispatcher.queue_depth()
+        if busy:
+            raise ConfigurationError(
+                f"simulate() needs an idle engine, but {busy} requests are "
+                "queued or in flight; flush() it or stop its AsyncEngine first"
+            )
         injector = engine.faults
         if injector is not None:
             injector.reset()
@@ -197,6 +205,7 @@ class LoadRunner:
                     return True
                 clock.t = leave
                 batch = dispatcher.pop()
+                service_s = None
                 try:
                     engine._process_batch(
                         batch.items,
@@ -214,19 +223,21 @@ class LoadRunner:
                         "engine wedged at t=%.3fs: %s -- %d requests "
                         "stranded", leave, exc, stranded,
                     )
-                    dispatcher.done(batch)
-                    dispatcher.clear()
                     if stranded == len(arrivals):
                         raise
                     return False
-                responses = [p.ticket.result(timeout=0) for p in batch.items]
-                service_s = (
-                    sum(r.ops for r in responses if not r.failed)
-                    / ops_per_second
-                    + clock.take_charged()
-                )
+                else:
+                    responses = [
+                        p.ticket.result(timeout=0) for p in batch.items
+                    ]
+                    service_s = (
+                        sum(r.ops for r in responses if not r.failed)
+                        / ops_per_second
+                        + clock.take_charged()
+                    )
+                finally:
+                    dispatcher.done(batch, service_s)
                 server_free = leave + service_s
-                dispatcher.done(batch, service_s)
                 timeline.append((leave, batch.queue_depth))
                 for pending in batch.items:
                     served_at[pending.ticket.request_id] = (leave, server_free)
@@ -249,6 +260,9 @@ class LoadRunner:
             else:
                 serve_until(float("inf"))
         finally:
+            # Whatever stopped the run (a wedge, or an exception from
+            # intake), no virtual-time request outlives it in the engine.
+            dispatcher.clear()
             dispatcher.set_clock(WALL_CLOCK)
         outcomes: list[RequestOutcome] = []
         for arrival, ticket in zip(arrivals, tickets):

@@ -303,6 +303,23 @@ class TestFleetServing:
                 ticket.result(timeout=60.0)
             assert fabric.queue_depth() == 0
 
+    def test_stop_drains_a_partial_window(self, trained_3c, images):
+        # The window would hold these three for a minute; stop() sets the
+        # dispatcher draining, so they leave at once and are answered.
+        config = _fabric_config(
+            trained_3c,
+            replicas=1,
+            policy=MicroBatchPolicy(max_batch_size=64, max_wait_s=60.0),
+        )
+        fabric = ServingFabric(config).start()
+        tickets = [fabric.submit(images[i]) for i in range(3)]
+        time.sleep(0.05)
+        assert fabric.queue_depth() == 3
+        start = time.perf_counter()
+        fabric.stop()
+        assert time.perf_counter() - start < 30.0
+        assert all(not t.result(timeout=0).failed for t in tickets)
+
     def test_submit_after_stop_raises(self, trained_3c, images):
         fabric = ServingFabric(_fabric_config(trained_3c, replicas=1)).start()
         fabric.stop()

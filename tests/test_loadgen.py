@@ -17,10 +17,16 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SerializationError
+from repro.errors import (
+    ConfigurationError,
+    InputValidationError,
+    SerializationError,
+)
 from repro.obs import Observer, read_spans, reconcile_shed
 from repro.serving import (
     ArrivalSchedule,
+    FaultPlan,
+    FaultSpec,
     InferenceEngine,
     LoadRunner,
     MicroBatchPolicy,
@@ -28,6 +34,7 @@ from repro.serving import (
     ShedPolicy,
     SLOReport,
 )
+from repro.serving.batching import WALL_CLOCK
 from repro.serving.schedule import Arrival
 from repro.serving.slo import RequestOutcome
 
@@ -340,6 +347,43 @@ class TestLoadRunnerSimulate:
         report = runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
         assert report.answered == report.requests
         assert all(o.scenario == "dark" for o in runner.last_outcomes)
+
+    def test_intake_error_leaves_the_engine_idle(
+        self, trained_3c, tiny_test_set
+    ):
+        # Without a resilience policy a corrupt payload raises from
+        # submit(), mid-run, with earlier arrivals still queued: none of
+        # them (stamped in virtual time) may stay behind in the engine.
+        sched = ArrivalSchedule.replay([Arrival(t=0.0) for _ in range(8)])
+        engine = make_engine(
+            trained_3c, policy=MicroBatchPolicy(max_batch_size=4)
+        )
+        runner = LoadRunner(
+            engine, sched, tiny_test_set.images,
+            fault_plan=FaultPlan(
+                (FaultSpec("corrupt_input", rate=1.0, first=5, last=5),)
+            ),
+        )
+        with pytest.raises(InputValidationError):
+            runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
+        assert engine.queue_depth() == 0
+        assert engine.dispatcher.clock is WALL_CLOCK
+        answer = engine.classify(tiny_test_set.images[0])
+        assert 0.0 <= answer.latency_s < 5.0
+
+    def test_refuses_an_engine_with_queued_work(
+        self, trained_3c, tiny_test_set
+    ):
+        sched = ArrivalSchedule.poisson(rate_rps=10, duration_s=1, seed=0)
+        engine = make_engine(trained_3c)
+        queued = engine.submit(tiny_test_set.images[0])
+        runner = LoadRunner(engine, sched, tiny_test_set.images)
+        with pytest.raises(ConfigurationError, match="idle engine"):
+            runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
+        # The refused run touched nothing: the request is still served
+        # on the wall clock.
+        assert engine.flush() == 1
+        assert 0.0 <= queued.result(timeout=0).latency_s < 5.0
 
     def test_rejects_bad_inputs(self, trained_3c, tiny_test_set):
         sched = ArrivalSchedule.poisson(rate_rps=10, duration_s=1, seed=0)

@@ -735,12 +735,6 @@ class TestFleetLearning:
                 not t.result(timeout=30.0).failed for t in tickets
             )
             submitted = fabric.fleet_snapshot().requests
-            # The clean traffic's own 4-image windows can already drift
-            # past the cutoff and learn; let that settle and count from it.
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline and fabric._learning is not None:
-                time.sleep(0.05)
-            before = fabric.fleet_snapshot()
             # Inject a fleet-wide unknown-regime window and pump the
             # merged-drift path until the learning request goes out.
             far = far_signature(table.entry("clean").signature_at(DELTA))
@@ -760,18 +754,14 @@ class TestFleetLearning:
             assert requested, "unknown regime never requested learning"
             deadline = time.monotonic() + 30.0
             snapshot = fabric.fleet_snapshot()
-            while (
-                time.monotonic() < deadline
-                and snapshot.learned_regimes == before.learned_regimes
-            ):
+            while time.monotonic() < deadline and not snapshot.learned_regimes:
                 time.sleep(0.05)
                 snapshot = fabric.fleet_snapshot()
-            assert snapshot.learned_regimes == before.learned_regimes + 1
+            assert snapshot.learned_regimes == 1
             # Overhead lands in the fleet ledger -- bounded by the window
             # the replica scored -- and never in the request count.
             full_pass = float(cdln.path_cost_table().exit_totals()[-1])
-            spent = snapshot.overhead_ops - before.overhead_ops
-            assert 0 < spent <= 64 * full_pass
+            assert 0 < snapshot.overhead_ops <= 64 * full_pass
             assert snapshot.overhead_ops == pytest.approx(
                 adaptive.overhead_ops_total
             )

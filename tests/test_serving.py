@@ -621,6 +621,19 @@ class TestBatching:
         assert dispatcher.queue_depth() == 0
         assert collect_from_queue(dispatcher, poll_s=0.01) is None
 
+    def test_collect_from_queue_waits_for_an_idle_executor(self):
+        dispatcher = _dispatcher(MicroBatchPolicy(max_batch_size=1))
+        dispatcher.submit(np.zeros(SHAPE))
+
+        def busy():  # no executor is idle
+            return None
+
+        assert collect_from_queue(dispatcher, idle_since=busy, poll_s=0.01) is None
+        dispatcher.draining = True  # draining skips the window, not the executor
+        assert collect_from_queue(dispatcher, idle_since=busy, poll_s=0.01) is None
+        assert len(dispatcher) == 1
+        assert _ids(collect_from_queue(dispatcher, idle_since=lambda: 0.0)) == [0]
+
     def test_collect_from_queue_drains_without_window(self):
         dispatcher = _dispatcher(MicroBatchPolicy(max_batch_size=4, max_wait_s=60.0))
         dispatcher.submit(np.zeros(SHAPE))
