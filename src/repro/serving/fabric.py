@@ -1102,8 +1102,8 @@ class ServingFabric:
                     continue
                 if not batch:
                     return  # drained
-                # Still under the condition collect_from_queue found an
-                # idle replica under.
+                # The condition has been held since collect_from_queue saw
+                # an idle replica, so that replica is still idle.
                 idle = self._idle_replicas()
                 rep = idle[self._rr % len(idle)]
                 self._rr += 1
