@@ -18,7 +18,7 @@ from pathlib import Path
 from repro.bench.artifact import artifact_filename, load_artifact_dir
 from repro.bench.compare import compare_dirs
 from repro.bench.registry import TIERS, iter_benchmarks, load_suites
-from repro.bench.runner import run_benchmarks, tier_from_env
+from repro.bench.runner import BenchCheckFailures, run_benchmarks, tier_from_env
 from repro.errors import ConfigurationError
 from repro.utils.tables import AsciiTable
 
@@ -139,20 +139,33 @@ def cmd_run(
     args: argparse.Namespace, out_dir: Path, baseline_dir: Path | None = None
 ) -> int:
     tier = _resolve_tier(args.scale, baseline_dir)
-    artifacts = run_benchmarks(
-        args.only,
-        tier=tier,
-        seed=args.seed,
-        out_dir=out_dir,
-        rounds=args.rounds,
-        warmup_rounds=args.warmup_rounds,
-        check=args.check,
-        progress=print,
-    )
+    failures: list[tuple[str, str]] = []
+    try:
+        artifacts = run_benchmarks(
+            args.only,
+            tier=tier,
+            seed=args.seed,
+            out_dir=out_dir,
+            rounds=args.rounds,
+            warmup_rounds=args.warmup_rounds,
+            check=args.check,
+            progress=print,
+        )
+    except BenchCheckFailures as exc:
+        artifacts, failures = exc.artifacts, exc.failures
     print(
         f"wrote {len(artifacts)} artifact(s) to {out_dir} "
         f"(tier={tier}, seed={args.seed})"
     )
+    if failures:
+        for name, message in failures:
+            print(f"FAIL {name}: {message}", file=sys.stderr)
+        print(
+            f"{len(failures)} shape-check(s) failed; their artifacts "
+            "were not written",
+            file=sys.stderr,
+        )
+        return 1
     # A full update-baseline owns the directory: drop artifacts for
     # benchmarks that were renamed or removed, or every later compare
     # would report them MISSING forever.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import traceback
 from pathlib import Path
 from typing import Callable
 
@@ -27,6 +28,26 @@ SCALE_ENV_VAR = "REPRO_BENCH_SCALE"
 #: the compute policy); the tier-1 test suite keeps the library's float64
 #: default for bit-level parity with the seed.
 BENCH_DTYPE_DEFAULT = "float32"
+
+
+class BenchCheckFailures(AssertionError):
+    """Raised by :func:`run_benchmarks` after every benchmark has run when
+    one or more of them failed an assertion, usually a shape-check.
+
+    ``failures`` holds ``(benchmark name, message)`` per failed check, in
+    run order; ``artifacts`` the benchmarks that passed (and were written).
+    """
+
+    def __init__(
+        self,
+        failures: list[tuple[str, str]],
+        artifacts: list[BenchArtifact],
+    ) -> None:
+        self.failures = failures
+        self.artifacts = artifacts
+        super().__init__(
+            "; ".join(f"{name}: {message}" for name, message in failures)
+        )
 
 
 def tier_from_env(default: str = "small") -> str:
@@ -88,6 +109,14 @@ def run_benchmark(
     )
 
 
+def _describe_failure(exc: AssertionError) -> str:
+    """The assertion's message, or where a bare ``assert`` failed."""
+    if str(exc):
+        return str(exc)
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{Path(frame.filename).name}:{frame.lineno}: {frame.line}"
+
+
 def run_benchmarks(
     names: list[str] | None = None,
     *,
@@ -104,7 +133,9 @@ def run_benchmarks(
 
     Benchmarks run in registry order (group, then name) so trained-model
     caching in :mod:`repro.experiments.common` is exercised the same way
-    every run.
+    every run.  A benchmark that fails an assertion (with ``check``, its
+    shape-check) writes no artifact and the rest still run;
+    :class:`BenchCheckFailures` then reports every failure at the end.
     """
     if registry is None:
         load_suites()
@@ -113,21 +144,30 @@ def run_benchmarks(
     if not specs:
         raise ConfigurationError("no benchmarks registered")
     artifacts: list[BenchArtifact] = []
+    failures: list[tuple[str, str]] = []
     for spec in specs:
         if progress:
             progress(f"[{spec.group}] {spec.name} @ {tier} ...")
-        artifact = run_benchmark(
-            spec,
-            tier=tier,
-            seed=seed,
-            rounds=rounds,
-            warmup_rounds=warmup_rounds,
-            check=check,
-        )
+        try:
+            artifact = run_benchmark(
+                spec,
+                tier=tier,
+                seed=seed,
+                rounds=rounds,
+                warmup_rounds=warmup_rounds,
+                check=check,
+            )
+        except AssertionError as exc:
+            failures.append((spec.name, _describe_failure(exc)))
+            if progress:
+                progress(f"    CHECK FAILED: {failures[-1][1]}")
+            continue
         if out_dir is not None:
             artifact.write(out_dir)
         artifacts.append(artifact)
         if progress:
             wall = artifact.timing["wall_s_mean"]
             progress(f"    done in {wall:.3f}s/round, {len(artifact.metrics)} metrics")
+    if failures:
+        raise BenchCheckFailures(failures, artifacts)
     return artifacts

@@ -43,6 +43,40 @@ SPAN_REQUIRED_KEYS = frozenset({
 })
 
 
+def failure_span(
+    *,
+    request_id: int,
+    batch_id: int,
+    model_spec: str,
+    latency_s: float,
+    cause: str,
+) -> dict:
+    """The span of a request that resolved failed: every required key
+    (``exit_stage`` -1, zero cost, an empty stage timeline) plus ``error``,
+    which :func:`reconcile_errors` re-derives.  Its whole latency counts
+    as queue wait, since no stage ran."""
+    return {
+        "kind": "span",
+        "request_id": request_id,
+        "batch_id": batch_id,
+        "model_spec": model_spec,
+        "queue_wait_s": latency_s,
+        "latency_s": latency_s,
+        "exit_stage": -1,
+        "exit_stage_name": "",
+        "confidence": 0.0,
+        "delta": 0.0,
+        "max_stage": None,
+        "batch_size": 1,
+        "ops": 0.0,
+        "energy_pj": 0.0,
+        "shed": False,
+        "degraded": False,
+        "error": cause,
+        "stages": [],
+    }
+
+
 class TraceRecorder:
     """Lock-protected JSON-lines span writer.
 

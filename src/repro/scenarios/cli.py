@@ -72,20 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         "operating-table retargeting in the drift replay",
     )
     run.add_argument(
-        "--learn",
-        action="store_true",
-        help="unknown-regime mode (implies --adaptive): the offline table "
-        "only knows the clean regime, and past the match cutoff the "
-        "policy mini-calibrates new regimes from live traffic",
-    )
-    run.add_argument(
-        "--unknown-distance",
-        type=float,
-        default=None,
-        help="match-distance cutoff beyond which --learn fits a new "
-        "regime instead of snapping to the nearest tabulated one",
-    )
-    run.add_argument(
         "--out", type=Path, default=None, help="write the report as JSON here"
     )
 
@@ -212,13 +198,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         # with one linear stage, too shallow for a binding depth cap and a
         # soft delta target to both act.
         cdln = get_trained(args.arch, scale, seed=args.seed, attach="all").cdln
-        table_scenarios = None
-        if args.learn:
-            # Unknown-regime mode: the offline table deliberately only
-            # knows clean traffic; the shifted regime must be learned.
-            from repro.scenarios.spec import Scenario
-
-            table_scenarios = [Scenario(name="clean", seed=args.seed)]
         drift_result = budgeted_drift_replay(
             cdln,
             test,
@@ -230,18 +209,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             delta=args.delta,
             recalibrate_every=max(2, args.drift_batches // 4),
             adaptive=args.adaptive,
-            learning=args.learn,
-            unknown_distance=args.unknown_distance,
-            table_scenarios=table_scenarios,
         )
         hard = drift_result.hard_ops_budget
         cap_desc = f"hard cap {hard:g} OPS" if hard is not None else "no hard cap"
-        if args.learn:
-            mode = "adaptive retargeting with regime learning"
-        elif args.adaptive:
-            mode = "adaptive table retargeting"
-        else:
-            mode = "scheduled recalibration"
+        mode = (
+            "adaptive table retargeting"
+            if args.adaptive
+            else "scheduled recalibration"
+        )
         print()
         print(
             f"drift replay ({mode}): {args.drift} shift to {shifted_name!r}, "
@@ -249,11 +224,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"soft target {drift_result.target_mean_ops:g} OPS, {cap_desc}"
         )
         print(drift_result.render())
-        if drift_result.learned_regimes:
-            print(
-                f"learned {drift_result.learned_regimes} regime(s) online "
-                f"({drift_result.total_overhead_ops:g} mini-calibration OPS)"
-            )
         payload["drift"] = drift_result.to_dict()
         if not drift_result.hard_cap_held:
             print("FAIL: hard per-request ops cap violated", file=sys.stderr)

@@ -409,8 +409,6 @@ class DriftReplayResult:
     recalibrations: int
     retargets: int = 0
     offline_table_ops: float = 0.0
-    #: Regimes mini-calibrated online during the replay (learning only).
-    learned_regimes: int = 0
     #: Detector signal behind each retarget, in order ("level" / "rate").
     retarget_triggers: tuple[str, ...] = ()
     #: Detector observation count at each retarget (resets on rebase, so
@@ -533,7 +531,6 @@ class DriftReplayResult:
             "retargets": self.retargets,
             "overhead_ops": self.total_overhead_ops,
             "offline_table_ops": self.offline_table_ops,
-            "learned_regimes": self.learned_regimes,
             "retarget_triggers": list(self.retarget_triggers),
             "retarget_observations": list(self.retarget_observations),
             "phases": [
@@ -571,13 +568,8 @@ def budgeted_drift_replay(
     adaptive: bool = False,
     table_deltas: Sequence[float] | None = None,
     table_scenarios: Sequence[Scenario] | None = None,
-    learning: bool = False,
-    unknown_distance: float | None = None,
-    learn_samples: int = 64,
-    learn_batches: int = 2,
     detector_kwargs: dict | None = None,
     controller_kwargs: dict | None = None,
-    table_path=None,
 ) -> DriftReplayResult:
     """The standard budgeted replay recipe (one definition for the CLI, the
     Robustness experiment and the drift bench): soft target at
@@ -596,24 +588,16 @@ def budgeted_drift_replay(
 
     ``table_scenarios`` overrides which regimes are tabulated offline --
     e.g. a clean-*only* table models a deployment whose live mix was
-    never characterized (the unknown-regime head-to-head).  With
-    ``learning=True`` (implies ``adaptive``) the engine runs a
-    :class:`~repro.serving.regimes.LearningDeltaPolicy`: beyond the
-    ``unknown_distance`` match cutoff it mini-calibrates a new regime
-    from the last ``learn_batches`` served batches (at most
-    ``learn_samples`` images) and every OP of that pass lands in
-    :attr:`DriftPhaseStats.overhead_ops`.  ``detector_kwargs`` configures
-    the derived detector (e.g. ``rate_threshold`` for ramp detection) on
-    any adaptive replay, and ``controller_kwargs`` the budget controller
-    (e.g. ``feedback_smoothing=0.0`` serves the table open loop);
-    ``table_path`` persists the (growing) table artifact atomically.
+    never characterized (the unknown-regime head-to-head).
+    ``detector_kwargs`` configures the derived detector (e.g.
+    ``rate_threshold`` for ramp detection) on any adaptive replay, and
+    ``controller_kwargs`` the budget controller (e.g.
+    ``feedback_smoothing=0.0`` serves the table open loop).
     """
     from dataclasses import replace
 
     from repro.serving.adaptive import DEFAULT_TABLE_GRID, OperatingTable
-    from repro.serving.regimes import MiniCalibrator
 
-    adaptive = adaptive or learning
     costs = cdln.path_cost_table()
     totals = costs.exit_totals()
     target = target_fraction * float(costs.baseline_cost.total)
@@ -644,12 +628,6 @@ def budgeted_drift_replay(
         )
         # One full scoring pass per regime over the base pool.
         offline_ops = len(regimes) * len(base) * float(totals[-1])
-    calibrator = None
-    if learning:
-        calibrator = MiniCalibrator(
-            max_samples=learn_samples,
-            deltas=tuple(table_deltas or DEFAULT_TABLE_GRID),
-        )
     result = replay_drift(
         cdln,
         stream,
@@ -658,13 +636,8 @@ def budgeted_drift_replay(
         delta=delta,
         recalibrate_every=None if adaptive else recalibrate_every,
         operating_table=table,
-        learning=learning,
-        unknown_distance=unknown_distance,
-        calibrator=calibrator,
-        learn_batches=learn_batches,
         detector_kwargs=detector_kwargs,
         controller_kwargs=controller_kwargs,
-        table_path=table_path,
     )
     return replace(result, offline_table_ops=offline_ops) if adaptive else result
 
@@ -680,13 +653,8 @@ def replay_drift(
     recalibrate_every: int | None = None,
     operating_table=None,
     detector=None,
-    learning: bool = False,
-    unknown_distance: float | None = None,
-    calibrator=None,
-    learn_batches: int = 2,
     detector_kwargs: dict | None = None,
     controller_kwargs: dict | None = None,
-    table_path=None,
 ) -> DriftReplayResult:
     """Serve a drift stream through a real engine under a budget controller.
 
@@ -720,31 +688,18 @@ def replay_drift(
         :class:`~repro.serving.adaptive.DriftDetector` for the adaptive
         policy (default: derived from the table's reference regime, with
         ``detector_kwargs`` applied).
-    learning / unknown_distance / calibrator / learn_batches / table_path:
-        With ``learning=True`` the adaptive policy is a
-        :class:`~repro.serving.regimes.LearningDeltaPolicy`: past the
-        ``unknown_distance`` match cutoff it fits a new regime live (via
-        ``calibrator``, default :class:`~repro.serving.regimes.MiniCalibrator`)
-        from the last ``learn_batches`` served batches, persists the
-        grown table to ``table_path`` when set, and its mini-calibration
-        OPS are charged to the phase they occurred in.
     """
     from repro.serving.adaptive import AdaptiveDeltaPolicy
     from repro.serving.batching import MicroBatchPolicy
     from repro.serving.config import ServingConfig
     from repro.serving.controller import DeltaController
     from repro.serving.engine import InferenceEngine
-    from repro.serving.regimes import LearningDeltaPolicy
 
     if recalibrate_every is not None:
         check_positive_int(recalibrate_every, "recalibrate_every")
     if detector is not None and operating_table is None:
         raise ConfigurationError(
             "a drift detector is only used together with an operating_table"
-        )
-    if learning and operating_table is None:
-        raise ConfigurationError(
-            "regime learning needs an operating_table to grow"
         )
     if operating_table is not None and target_mean_ops is None:
         raise ConfigurationError(
@@ -765,23 +720,9 @@ def replay_drift(
         )
     adaptive = None
     if operating_table is not None:
-        if learning:
-            learn_kwargs = {} if unknown_distance is None else {
-                "unknown_distance": unknown_distance
-            }
-            adaptive = LearningDeltaPolicy(
-                operating_table,
-                detector,
-                calibrator=calibrator,
-                learn_batches=learn_batches,
-                table_path=table_path,
-                detector_kwargs=detector_kwargs,
-                **learn_kwargs,
-            )
-        else:
-            adaptive = AdaptiveDeltaPolicy(
-                operating_table, detector, detector_kwargs=detector_kwargs
-            )
+        adaptive = AdaptiveDeltaPolicy(
+            operating_table, detector, detector_kwargs=detector_kwargs
+        )
     engine = InferenceEngine.from_config(
         ServingConfig(
             model=cdln,
@@ -823,10 +764,6 @@ def replay_drift(
             overhead_pending += sample.shape[0] * full_pass_ops
             recalibrations += 1
         responses = engine.classify_many(batch.images)
-        if adaptive is not None:
-            # Mini-calibration passes triggered while serving this batch
-            # land in *this* phase's overhead -- never in served mean_ops.
-            overhead_pending += adaptive.pop_overhead_ops()
         ops = np.array([r.ops for r in responses])
         exits = np.array([r.exit_stage for r in responses])
         labels = np.array([r.label for r in responses])
@@ -872,9 +809,6 @@ def replay_drift(
         ),
         recalibrations=recalibrations,
         retargets=len(adaptive.events) if adaptive is not None else 0,
-        learned_regimes=(
-            len(adaptive.learned) if isinstance(adaptive, LearningDeltaPolicy) else 0
-        ),
         retarget_triggers=(
             tuple(e.trigger for e in adaptive.events)
             if adaptive is not None

@@ -70,9 +70,6 @@ _EXPORTS = {
     "population_stability_index": "repro.serving.adaptive",
     "robust_slope": "repro.serving.adaptive",
     "signature_distance": "repro.serving.adaptive",
-    "LearningDeltaPolicy": "repro.serving.regimes",
-    "MiniCalibration": "repro.serving.regimes",
-    "MiniCalibrator": "repro.serving.regimes",
     "Arrival": "repro.serving.schedule",
     "ArrivalSchedule": "repro.serving.schedule",
     "LoadRunner": "repro.serving.loadgen",

@@ -67,14 +67,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = get_logger("serving.adaptive")
 
-#: First-generation schema tag; artifacts written before regime learning.
-#: Loads forever -- v1 payloads simply have no ``learned`` flags and no
-#: null accuracies, so the upgrade is lossless.
+#: First-generation schema tag.  Loads forever: a v1 payload is a v2
+#: payload without null accuracies, so the upgrade is lossless.
 TABLE_SCHEMA_V1 = "repro.operating_table/v1"
 
 #: JSON schema tag written into every serialized operating table.  v2
-#: adds per-regime ``learned`` markers and permits ``accuracy: null`` on
-#: points fitted from unlabeled live traffic.
+#: permits ``accuracy: null`` (a point with no labeled estimate, e.g. one
+#: fitted from unlabeled live traffic by an earlier release's online
+#: regime learning).  Such entries may also carry ``"learned": true``;
+#: the flag is ignored on load, so they serve as ordinary regimes.
 TABLE_SCHEMA = "repro.operating_table/v2"
 
 #: Every schema :meth:`OperatingTable.from_dict` accepts.
@@ -609,19 +610,6 @@ class DriftDetector:
         self._calm_streak = 0
         self._rate_streak = 0
 
-    def rearm(self) -> None:
-        """Re-arm without touching the reference or the window.
-
-        For the fleet path: when a drift event's follow-up work (a
-        replica-side mini-calibration) is lost -- e.g. the chosen replica
-        died -- the detector must not stay silently disarmed; re-arming
-        lets the still-drifted window fire again and retry.
-        """
-        self._armed = True
-        self._breach_streak = 0
-        self._calm_streak = 0
-        self._rate_streak = 0
-
     def __repr__(self) -> str:
         return (
             f"DriftDetector(window={self.window}, threshold={self.threshold}, "
@@ -636,11 +624,10 @@ class OperatingPoint:
     ``mean_ops`` in scalar OPS per request, ``mean_energy_pj`` in pJ,
     ``exit_fractions`` the uncapped exit histogram at this δ.
 
-    ``accuracy`` is NaN on points fitted from unlabeled live traffic
-    (mini-calibration has no ground truth); it serializes as JSON
-    ``null`` so the artifact stays strict JSON.  The controller never
-    reads accuracy when retargeting, only ``mean_ops`` and
-    ``exit_fractions``.
+    ``accuracy`` is NaN where a v2 artifact holds ``null`` (a point with
+    no labeled estimate); it serializes back as ``null`` so the artifact
+    stays strict JSON.  The controller never reads accuracy when
+    retargeting, only ``mean_ops`` and ``exit_fractions``.
     """
 
     delta: float
@@ -672,19 +659,13 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class RegimeEntry:
-    """One regime's precomputed operating curve plus its signature.
-
-    ``learned`` marks entries fitted online by
-    :class:`~repro.serving.regimes.MiniCalibrator` from live traffic
-    rather than built offline from a labeled scenario.
-    """
+    """One regime's precomputed operating curve plus its signature."""
 
     name: str
     scenario_spec: str
     num_samples: int
     signature: RegimeSignature
     points: tuple[OperatingPoint, ...]
-    learned: bool = False
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -756,7 +737,6 @@ class RegimeEntry:
             "num_samples": self.num_samples,
             "signature": self.signature.to_dict(),
             "points": [p.to_dict() for p in self.points],
-            "learned": self.learned,
         }
 
     @classmethod
@@ -767,9 +747,6 @@ class RegimeEntry:
             num_samples=int(payload["num_samples"]),
             signature=RegimeSignature.from_dict(payload["signature"]),
             points=tuple(OperatingPoint.from_dict(p) for p in payload["points"]),
-            # v1 artifacts predate learning: everything in them was built
-            # offline, so the missing flag defaults to False losslessly.
-            learned=bool(payload.get("learned", False)),
         )
 
 
@@ -918,22 +895,15 @@ class OperatingTable:
         delta: float | None = None,
         max_stage: int | None = None,
         quantile_weight: float = 2.0,
-        max_distance: float | None = None,
-    ) -> tuple[str | None, float]:
+    ) -> tuple[str, float]:
         """The regime whose signature is nearest to ``signature``.
 
         Pass the δ / depth cap the observed traffic was served under, so
         each regime's expected exit histogram is evaluated at the same
         operating point (:meth:`RegimeEntry.signature_at`).  Returns
-        ``(regime name, distance)``.  Equidistant regimes resolve to the
-        lexicographically lowest name -- deterministic, never insertion
-        order.
-
-        ``max_distance`` is the unknown-regime cutoff: when even the
-        nearest regime is further than this, the match returns
-        ``(None, distance)`` instead of snapping to a table entry that
-        does not describe the traffic -- the caller can then learn a new
-        regime (:class:`~repro.serving.regimes.LearningDeltaPolicy`).
+        ``(regime name, distance)``; the nearest regime always wins, however
+        far it is.  Equidistant regimes resolve to the lexicographically
+        lowest name -- deterministic, never insertion order.
         """
         at = self.reference_delta if delta is None else delta
         best_name, best_distance = "", float("inf")
@@ -947,30 +917,7 @@ class OperatingTable:
             )
             if distance < best_distance:
                 best_name, best_distance = name, distance
-        if max_distance is not None and best_distance > max_distance:
-            return None, best_distance
         return best_name, best_distance
-
-    def add_regime(self, entry: RegimeEntry) -> None:
-        """Append a (typically learned) regime to the table in place.
-
-        Refuses duplicates and stage-count mismatches; everything else --
-        persisting the grown table, retargeting onto the new curve -- is
-        the caller's job.
-        """
-        if entry.name in self._regimes:
-            raise ConfigurationError(
-                f"regime {entry.name!r} already in table; "
-                f"have {sorted(self._regimes)}"
-            )
-        stages = next(iter(self._regimes.values())).signature.exit_fractions.shape
-        if entry.signature.exit_fractions.shape != stages:
-            raise ConfigurationError(
-                f"regime {entry.name!r} has "
-                f"{entry.signature.exit_fractions.shape[0]} stages, "
-                f"table has {stages[0]}"
-            )
-        self._regimes[entry.name] = entry
 
     # -- serialization -----------------------------------------------------------
     def to_dict(self) -> dict:
@@ -1009,9 +956,9 @@ class OperatingTable:
 
         The write is atomic: the payload goes to a temporary file in the
         same directory and is moved over the target with ``os.replace``.
-        Regime learning rewrites the artifact while serving is live, so a
-        crash mid-write must leave the previous table intact, never a
-        truncated one.
+        Rebuilding a table over the artifact a live engine loads from must
+        never leave a truncated file behind: a crash mid-write leaves the
+        previous table intact.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -1049,8 +996,7 @@ class RetargetEvent:
     at which drift score, and the δ the controller landed on.
 
     ``trigger`` propagates the detector signal that fired ("level" or
-    "rate"); ``learned`` is True when the regime was fitted live by a
-    mini-calibration pass rather than matched from the existing table.
+    "rate").
     """
 
     observation: int
@@ -1059,7 +1005,6 @@ class RetargetEvent:
     distance: float
     delta: float
     trigger: str = "level"
-    learned: bool = False
 
 
 class AdaptiveDeltaPolicy:
@@ -1071,7 +1016,9 @@ class AdaptiveDeltaPolicy:
     operating table at the *current* (δ, depth cap) operating point, the
     controller retargets onto the matched regime's curve, and the
     detector is rebased onto that regime's signature -- so a later shift
-    (including back to clean) is just another drift event.
+    (including back to clean) is just another drift event.  A
+    :class:`~repro.serving.fabric.ServingFabric` feeds its merged fleet
+    window to :meth:`after_window` instead, which runs the same step.
 
     The whole reaction is table lookups: zero online OPS, versus a full
     backbone pass per scheduled recalibration.
@@ -1096,17 +1043,6 @@ class AdaptiveDeltaPolicy:
         #: Telemetry sink propagated onto a prime()-derived detector; the
         #: engine rebinds it (and the detector's) when telemetry is on.
         self.observer = NULL_OBSERVER
-
-    def pop_overhead_ops(self) -> float:
-        """Online-adaptation OPS accrued since the last pop.
-
-        The base policy reacts with pure table lookups, so this is always
-        0; :class:`~repro.serving.regimes.LearningDeltaPolicy` overrides
-        it to surface mini-calibration cost.  Replay harnesses poll this
-        after every batch and charge it to
-        :attr:`~repro.scenarios.evaluate.DriftPhaseStats.overhead_ops`.
-        """
-        return 0.0
 
     def rebind(self, table: OperatingTable) -> None:
         """Point the policy at another model's operating table (hot swap).
@@ -1152,28 +1088,56 @@ class AdaptiveDeltaPolicy:
         exit_stages: np.ndarray,
         stage0_confidences: np.ndarray,
     ) -> RetargetEvent | None:
-        """Feed the detector; on a drift event, match + retarget + rebase."""
+        """Feed the detector one served batch; on a drift event, retarget.
+
+        Matches on the freshest ``min_observations`` batches only: the
+        full window straddles the shift and is diluted with the previous
+        regime.
+        """
+        detector = self._primed_detector()
+        event = detector.observe(exit_stages, stage0_confidences)
+        if event is None:
+            return None
+        observed = detector.window_signature(recent=detector.min_observations)
+        return self._retarget(engine, event, observed)
+
+    def after_window(
+        self, engine: "InferenceEngine", signature: RegimeSignature
+    ) -> RetargetEvent | None:
+        """Feed the detector one assembled window; on a drift event, retarget.
+
+        The fleet path: :class:`~repro.serving.fabric.ServingFabric` merges
+        its replicas' window signatures count-weighted and hands the
+        merged view here, which is also what a drift event matches on.
+        ``engine`` only needs the ``controller`` and ``entry`` attributes.
+        """
+        event = self._primed_detector().observe_signature(signature)
+        if event is None:
+            return None
+        return self._retarget(engine, event, signature)
+
+    def _primed_detector(self) -> DriftDetector:
         if self.detector is None:
             raise ConfigurationError(
                 "adaptive policy was never primed (pass it to InferenceEngine)"
             )
-        event = self.detector.observe(exit_stages, stage0_confidences)
-        if event is None:
-            return None
-        return self._respond(engine, event)
+        return self.detector
 
-    def _respond(
-        self, engine: "InferenceEngine", event: DriftEvent
+    def _retarget(
+        self,
+        engine: "InferenceEngine",
+        event: DriftEvent,
+        observed: RegimeSignature,
     ) -> RetargetEvent:
-        """React to a fired drift event: choose a regime, retarget, rebase."""
+        """Match ``observed`` against the table, retarget, rebase."""
         controller = engine.controller
         cap = controller.max_stage(engine.entry.cost_table)
-        observed = self.detector.window_signature(
-            # Match on the freshest batches only: the full window straddles
-            # the shift and is diluted with the previous regime.
-            recent=self.detector.min_observations
+        regime, distance = self.table.match(
+            observed,
+            delta=controller.delta,
+            max_stage=cap,
+            quantile_weight=self.detector.quantile_weight,
         )
-        regime, distance, learned = self._choose_regime(engine, observed, cap)
         controller.retarget(self.table, regime)
         self.detector.rebase(
             self.table.entry(regime).signature_at(controller.delta, max_stage=cap)
@@ -1183,9 +1147,8 @@ class AdaptiveDeltaPolicy:
             regime=regime,
             score=event.score,
             distance=distance,
-            delta=controller.delta,
+            delta=float(controller.delta),
             trigger=event.trigger,
-            learned=learned,
         )
         self.current_regime = regime
         self.events.append(retarget)
@@ -1197,26 +1160,6 @@ class AdaptiveDeltaPolicy:
             controller.delta,
         )
         return retarget
-
-    def _choose_regime(
-        self,
-        engine: "InferenceEngine",
-        observed: RegimeSignature,
-        cap: int | None,
-    ) -> tuple[str, float, bool]:
-        """Pick the regime to retarget onto: ``(name, distance, learned)``.
-
-        The base policy always snaps to the nearest tabulated regime;
-        :class:`~repro.serving.regimes.LearningDeltaPolicy` overrides
-        this to mini-calibrate a fresh regime past the distance cutoff.
-        """
-        regime, distance = self.table.match(
-            observed,
-            delta=engine.controller.delta,
-            max_stage=cap,
-            quantile_weight=self.detector.quantile_weight,
-        )
-        return regime, distance, False
 
     def __repr__(self) -> str:
         return (

@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, InputValidationError
 from repro.obs.observer import NULL_OBSERVER
+from repro.obs.trace import failure_span
 from repro.serving.batching import (
     Batch,
     Dispatcher,
@@ -527,10 +528,8 @@ class InferenceEngine:
     ) -> None:
         """Resolve one ticket as failed, accounted across all three ledgers.
 
-        The failure span carries every v1-required key (``exit_stage``
-        -1, zero cost, empty stage timeline) plus ``error`` -- that is
-        what :func:`repro.obs.trace.reconcile_errors` re-derives and the
-        chaos gate checks against metrics and the SLO report.
+        The trace gets a :func:`~repro.obs.trace.failure_span`, which the
+        chaos gate reconciles against metrics and the SLO report.
         """
         ticket = pending.ticket
         if ticket.done:
@@ -561,26 +560,13 @@ class InferenceEngine:
         with self._lock:
             entry = self._entry
         observer.span(
-            {
-                "kind": "span",
-                "request_id": ticket.request_id,
-                "batch_id": next(self._batch_ids),
-                "model_spec": entry.spec,
-                "queue_wait_s": latency_s,
-                "latency_s": latency_s,
-                "exit_stage": -1,
-                "exit_stage_name": "",
-                "confidence": 0.0,
-                "delta": 0.0,
-                "max_stage": None,
-                "batch_size": 1,
-                "ops": 0.0,
-                "energy_pj": 0.0,
-                "shed": False,
-                "degraded": False,
-                "error": cause,
-                "stages": [],
-            }
+            failure_span(
+                request_id=ticket.request_id,
+                batch_id=next(self._batch_ids),
+                model_spec=entry.spec,
+                latency_s=latency_s,
+                cause=cause,
+            )
         )
 
     def health(self) -> HealthStatus:
@@ -737,12 +723,6 @@ class InferenceEngine:
         if controller is not None:
             controller.observe(float(ops.mean()), len(batch))
         if self.adaptive is not None:
-            # Learning policies buffer the raw served images so a drift
-            # event can mini-calibrate on the freshest traffic; plain
-            # policies don't define the hook and pay nothing.
-            record_images = getattr(self.adaptive, "record_batch_images", None)
-            if record_images is not None:
-                record_images(images)
             self.adaptive.after_batch(
                 self, result.exit_stages, stage0_confidences
             )

@@ -28,11 +28,11 @@ bill or forking the control plane:
   fleet, not per process.  One shared
   :class:`~repro.serving.adaptive.DriftDetector` scores the
   count-weighted :meth:`~repro.serving.adaptive.RegimeSignature.merge` of
-  per-replica window signatures (the PR-9 bugfix: naive fraction
-  averaging inflates PSI when replica windows are unevenly filled);
-  a drift event retargets the fleet controller off the operating table
-  and rebases the detector -- the same loop
-  :class:`~repro.serving.adaptive.AdaptiveDeltaPolicy` runs in-process.
+  per-replica window signatures (naive fraction averaging inflates PSI
+  when replica windows are unevenly filled).  The merged window goes to
+  :meth:`~repro.serving.adaptive.AdaptiveDeltaPolicy.after_window`, the
+  same match, retarget and rebase step the policy runs in-process; the
+  fabric only broadcasts the δ it lands on.
 * **Resilience at the process boundary** -- the same
   :class:`~repro.serving.resilience.ResiliencePolicy` ladder extends to
   replica *death*: in-flight tickets fail with cause ``worker_crash``
@@ -78,18 +78,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.serving.adaptive import (
-    DriftDetector,
-    OperatingTable,
-    RegimeEntry,
-    RegimeSignature,
-    RetargetEvent,
-)
-from repro.serving.regimes import (
-    LearningDeltaPolicy,
-    MiniCalibrator,
-    next_learned_name,
-)
+from repro.obs.trace import failure_span
+from repro.serving.adaptive import RegimeSignature
 from repro.serving.batching import (
     Batch,
     Dispatcher,
@@ -283,9 +273,6 @@ class _ReplicaSpec:
     report_every: int
     window: int
     batch_id_base: int
-    #: Served batches buffered replica-side for unknown-regime
-    #: mini-calibration (0 = fleet has no learning policy, keep nothing).
-    learn_batches: int = 0
 
 
 class _SignatureTap:
@@ -299,15 +286,11 @@ class _SignatureTap:
     across replicas without the fraction-averaging bias.
     """
 
-    def __init__(
-        self, num_stages: int, window: int, learn_batches: int = 0
-    ) -> None:
+    def __init__(self, num_stages: int, window: int) -> None:
         self.num_stages = num_stages
         self.window = window
-        self.learn_batches = learn_batches
         self._exit_counts: list[np.ndarray] = []
         self._confidences: list[np.ndarray] = []
-        self._images: list[np.ndarray] = []
 
     def after_batch(self, engine, exit_stages, stage0_confidences):
         self._exit_counts.append(
@@ -319,23 +302,6 @@ class _SignatureTap:
         del self._exit_counts[: -self.window]
         del self._confidences[: -self.window]
         return None
-
-    def record_batch_images(self, images: np.ndarray) -> None:
-        """Buffer served pixels for a parent-requested mini-calibration.
-
-        The engine calls this unconditionally when the hook exists; a
-        fleet without a learning policy sets ``learn_batches=0`` and the
-        buffer stays empty.
-        """
-        if not self.learn_batches:
-            return
-        self._images.append(np.asarray(images))
-        del self._images[: -self.learn_batches]
-
-    def window_images(self) -> np.ndarray | None:
-        if not self._images:
-            return None
-        return np.concatenate(self._images, axis=0)
 
     def window_signature(self) -> RegimeSignature | None:
         if not self._exit_counts:
@@ -353,17 +319,9 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
     """Replica process entry point (module-level for spawn picklability).
 
     Protocol (parent -> replica): ``("batch", id, items, depth, shed)``,
-    ``("delta", value)``, ``("learn", name, reference_delta, deltas,
-    max_samples)``, ``("regime", name, table_payload)``, ``("stop",)``.
-    Replica -> parent: ``("ready", rid)``, ``("result", rid, batch_id,
-    results, ok_ops, signature_or_None)``, ``("learned", rid, name,
-    entry_payload_or_None, num_samples, overhead_ops)``, ``("regime_ack",
-    rid, name, num_regimes)``, ``("stopped", rid)``.
-
-    ``learn`` runs a bounded mini-calibration over the replica's buffered
-    recent window (the fleet picks ONE replica to pay this); ``regime``
-    broadcasts the grown operating table so every replica acks the fleet's
-    learned state and a future promotion to local control starts warm.
+    ``("delta", value)``, ``("stop",)``.  Replica -> parent: ``("ready",
+    rid)``, ``("result", rid, batch_id, results, ok_ops,
+    signature_or_None)``, ``("stopped", rid)``.
 
     The replica flushes its trace *before* acking each batch: an acked
     batch always has its spans on disk, which is the invariant fleet
@@ -394,12 +352,9 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
     )
     engine._batch_ids = itertools.count(spec.batch_id_base)
     tap = _SignatureTap(
-        num_stages=len(engine.entry.cdln.stage_names),
-        window=spec.window,
-        learn_batches=spec.learn_batches,
+        num_stages=len(engine.entry.cdln.stage_names), window=spec.window
     )
     engine.adaptive = tap
-    operating_table: OperatingTable | None = None
     result_q.put(("ready", spec.replica_id))
     batches = 0
     clean_stop = False
@@ -412,45 +367,6 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
                 return
             if kind == "delta":
                 engine.delta = float(msg[1])
-                continue
-            if kind == "learn":
-                _, name, reference_delta, deltas, max_samples = msg
-                images = tap.window_images()
-                payload, num_samples, overhead_ops = None, 0, 0.0
-                if images is not None:
-                    calibrator = (
-                        MiniCalibrator(max_samples=max_samples)
-                        if deltas is None
-                        else MiniCalibrator(
-                            max_samples=max_samples, deltas=deltas
-                        )
-                    )
-                    calibration = calibrator.fit(
-                        engine.entry.cdln,
-                        images,
-                        name=name,
-                        reference_delta=reference_delta,
-                        exit_energies_pj=engine.entry.exit_energies_pj,
-                    )
-                    payload = calibration.entry.to_dict()
-                    num_samples = calibration.num_samples
-                    overhead_ops = calibration.overhead_ops
-                result_q.put(
-                    (
-                        "learned", spec.replica_id, name,
-                        payload, num_samples, overhead_ops,
-                    )
-                )
-                continue
-            if kind == "regime":
-                _, name, table_payload = msg
-                operating_table = OperatingTable.from_dict(table_payload)
-                result_q.put(
-                    (
-                        "regime_ack", spec.replica_id, name,
-                        len(operating_table),
-                    )
-                )
                 continue
             _, batch_id, items, fleet_depth, shed = msg
             now = perf_counter()
@@ -575,17 +491,13 @@ class FleetSnapshot:
     shed_requests: int
     restarts: int
     requests_by_replica: tuple[tuple[int, int], ...]
-    #: Regimes mini-calibrated online by the fleet (learning policies).
-    learned_regimes: int = 0
-    #: OPS spent on replica-side mini-calibration passes -- the fleet's
-    #: online control-plane cost, never folded into served request OPS.
-    overhead_ops: float = 0.0
 
 
 class _FleetEngineView:
-    """The two attributes ``AdaptiveDeltaPolicy.prime`` reads off an
-    engine, backed by fleet-level objects -- so priming the fleet is
-    literally the same code path as priming one engine."""
+    """The two attributes ``AdaptiveDeltaPolicy.prime`` and
+    ``.after_window`` read off an engine, backed by fleet-level objects --
+    so priming and retargeting the fleet are the same code paths as for
+    one engine."""
 
     def __init__(self, controller, entry) -> None:
         self.controller = controller
@@ -598,8 +510,8 @@ class _Replica:
     __slots__ = (
         "id", "process", "task_q", "result_q", "collector", "epoch",
         "sessions", "restarts", "state", "restart_at", "inflight",
-        "idle_since", "ready", "stopped", "last_signature", "last_regime",
-        "jitter", "answered", "failed", "shed",
+        "idle_since", "ready", "stopped", "last_signature", "jitter",
+        "answered", "failed", "shed",
     )
 
     def __init__(self, replica_id: int, jitter_seed: int) -> None:
@@ -620,8 +532,6 @@ class _Replica:
         self.ready = threading.Event()
         self.stopped = threading.Event()
         self.last_signature: RegimeSignature | None = None
-        #: Last learned-regime broadcast this replica acked.
-        self.last_regime: str | None = None
         self.jitter = random.Random(jitter_seed * 1_000_003 + replica_id)
         self.answered = 0
         self.failed: dict[str, int] = {}
@@ -677,17 +587,15 @@ class ServingFabric:
         registry = ModelRegistry()
         self._entry = registry.register("fleet", cfg.model)
         self._cdln = self._entry.cdln
-        self._detector: DriftDetector | None = None
+        self._view = _FleetEngineView(self.controller, self._entry)
         if self.adaptive is not None:
-            self.adaptive.prime(
-                _FleetEngineView(self.controller, self._entry)
-            )
-            self._detector = self.adaptive.detector
+            self.adaptive.prime(self._view)
+            detector = self.adaptive.detector
             if self.observer is not NULL_OBSERVER:
                 if self.adaptive.observer is NULL_OBSERVER:
                     self.adaptive.observer = self.observer
-                if self._detector.observer is NULL_OBSERVER:
-                    self._detector.observer = self.observer
+                if detector.observer is NULL_OBSERVER:
+                    detector.observer = self.observer
         if self.controller is not None:
             if self.controller.needs_calibration:
                 raise ConfigurationError(
@@ -736,11 +644,6 @@ class ServingFabric:
         self._rr = 0
         self._broadcast_delta: float | None = None
         self._crash_failures: dict[str, int] = {}
-        #: In-flight mini-calibration request, or None: {"name", "replica",
-        #: "event", "distance"}.  At most one at a time fleet-wide.
-        self._learning: dict | None = None
-        self._overhead_ops = 0.0
-        self._regime_acks = 0
         self._dispatch_thread: threading.Thread | None = None
         self._supervisor: threading.Thread | None = None
         self._started = False
@@ -999,8 +902,6 @@ class ServingFabric:
                 requests_by_replica=tuple(
                     (r.id, r.answered) for r in self._replicas
                 ),
-                learned_regimes=len(getattr(self.adaptive, "learned", ())),
-                overhead_ops=self._overhead_ops,
             )
 
     @property
@@ -1039,15 +940,14 @@ class ServingFabric:
             obs_dir=obs_dir,
             capacity_ops_per_s=self.fabric_config.capacity_ops_per_s,
             report_every=self.fabric_config.report_every,
-            window=self._detector.window if self._detector is not None else 4,
+            window=(
+                self.adaptive.detector.window
+                if self.adaptive is not None
+                else 4
+            ),
             batch_id_base=(
                 (rep.id + 1) * _REPLICA_BATCH_STRIDE
                 + rep.sessions * _SESSION_BATCH_STRIDE
-            ),
-            learn_batches=(
-                self.adaptive.learn_batches
-                if isinstance(self.adaptive, LearningDeltaPolicy)
-                else 0
             ),
         )
 
@@ -1150,13 +1050,6 @@ class ServingFabric:
                     self._cond.notify_all()
             elif kind == "result":
                 self._handle_result(rep, msg)
-            elif kind == "learned":
-                self._handle_learned(rep, msg)
-            elif kind == "regime_ack":
-                with self._cond:
-                    rep.last_regime = msg[2]
-                    self._regime_acks += 1
-                    self._cond.notify_all()
             elif kind == "stopped":
                 rep.stopped.set()
                 return
@@ -1271,8 +1164,7 @@ class ServingFabric:
         )
 
     def _feed_drift_locked(self) -> None:
-        detector = self._detector
-        if detector is None:
+        if self.adaptive is None:
             return
         signatures = [
             r.last_signature
@@ -1281,166 +1173,17 @@ class ServingFabric:
         ]
         if not signatures:
             return
-        merged = RegimeSignature.merge(signatures)
-        event = detector.observe_signature(merged)
-        if event is None or self.adaptive is None:
+        retarget = self.adaptive.after_window(
+            self._view, RegimeSignature.merge(signatures)
+        )
+        if retarget is None:
             return
-        # Mirror AdaptiveDeltaPolicy.after_batch, with the merged fleet
-        # window standing in for one engine's recent window.
-        adaptive = self.adaptive
-        controller = self.controller
-        cap = controller.max_stage(self._entry.cost_table)
-        regime, distance = adaptive.table.match(
-            merged,
-            delta=controller.delta,
-            max_stage=cap,
-            quantile_weight=detector.quantile_weight,
-        )
-        if (
-            isinstance(adaptive, LearningDeltaPolicy)
-            and distance > adaptive.unknown_distance
-            and len(adaptive.learned) < adaptive.max_learned
-            and self._learning is None
-            and self._request_learning_locked(event, distance)
-        ):
-            # One replica is now scoring its recent window; the retarget
-            # happens in _handle_learned when the fitted curve arrives.
-            return
-        self._retarget_fleet_locked(
-            regime, event.score, event.observation, distance,
-            trigger=event.trigger, learned=False,
-        )
-
-    def _retarget_fleet_locked(
-        self,
-        regime: str,
-        score: float,
-        observation: int,
-        distance: float,
-        *,
-        trigger: str,
-        learned: bool,
-    ) -> None:
-        adaptive = self.adaptive
-        controller = self.controller
-        cap = controller.max_stage(self._entry.cost_table)
-        controller.retarget(adaptive.table, regime)
-        self._detector.rebase(
-            adaptive.table.entry(regime).signature_at(
-                controller.delta, max_stage=cap
-            )
-        )
-        retarget = RetargetEvent(
-            observation=observation,
-            regime=regime,
-            score=score,
-            distance=distance,
-            delta=float(controller.delta),
-            trigger=trigger,
-            learned=learned,
-        )
-        adaptive.current_regime = regime
-        adaptive.events.append(retarget)
         self.observer.event(
-            "fleet_retarget", regime=regime, score=score,
-            distance=distance, delta=float(controller.delta),
-            trigger=trigger, learned=learned,
-        )
-        _log.info(
-            "fleet retargeted to regime %r (score %.3f) -> delta %.3f",
-            regime, score, controller.delta,
+            "fleet_retarget", regime=retarget.regime, score=retarget.score,
+            distance=retarget.distance, delta=retarget.delta,
+            trigger=retarget.trigger,
         )
         self._broadcast_delta_locked()
-
-    def _request_learning_locked(self, event, distance: float) -> bool:
-        """Ask one live replica to mini-calibrate its recent window.
-
-        The fleet pays the bounded scoring pass exactly once, on a single
-        replica (the others keep serving); returns False when no replica
-        can take the request, in which case the caller falls back to a
-        plain nearest-regime retarget.
-        """
-        adaptive = self.adaptive
-        candidates = [
-            r for r in self._replicas
-            if r.state == "live" and r.ready.is_set()
-            and r.last_signature is not None
-        ]
-        if not candidates:
-            return False
-        rep = candidates[0]
-        name = next_learned_name(adaptive.table.regime_names)
-        try:
-            rep.task_q.put(
-                (
-                    "learn", name, adaptive.table.reference_delta,
-                    adaptive.calibrator.deltas,
-                    adaptive.calibrator.max_samples,
-                )
-            )
-        except (OSError, ValueError):  # pragma: no cover -- dying queue
-            return False
-        self._learning = {
-            "name": name,
-            "replica": rep.id,
-            "event": event,
-            "distance": distance,
-        }
-        self.observer.event(
-            "fleet_learning_requested",
-            regime=name, replica=rep.id, distance=distance,
-        )
-        _log.info(
-            "fleet requested mini-calibration %r on replica %d "
-            "(distance %.3f > cutoff %.3f)",
-            name, rep.id, distance, adaptive.unknown_distance,
-        )
-        return True
-
-    def _handle_learned(self, rep: _Replica, msg: tuple) -> None:
-        _, _, name, payload, num_samples, overhead_ops = msg
-        with self._cond:
-            pending, self._learning = self._learning, None
-            if pending is None or pending["name"] != name:
-                return  # stale reply (e.g. raced a restart); drop it
-            adaptive = self.adaptive
-            event = pending["event"]
-            if payload is None:
-                # The replica had no buffered window to score; re-arm the
-                # detector so the next drifted window can retry.
-                self.observer.event(
-                    "fleet_learning_failed", regime=name, replica=rep.id,
-                )
-                self._detector.rearm()
-                self._cond.notify_all()
-                return
-            entry = RegimeEntry.from_dict(name, payload)
-            adaptive.table.add_regime(entry)
-            if adaptive.table_path is not None:
-                adaptive.table.save(adaptive.table_path)
-            adaptive.learned.append(name)
-            adaptive.overhead_ops_total += overhead_ops
-            self._overhead_ops += overhead_ops
-            self.observer.event(
-                "fleet_regime_learned",
-                regime=name, replica=rep.id,
-                num_samples=num_samples, overhead_ops=overhead_ops,
-            )
-            self._retarget_fleet_locked(
-                name, event.score, event.observation, pending["distance"],
-                trigger=event.trigger, learned=True,
-            )
-            # Broadcast the grown table so every replica holds the fleet's
-            # learned state (and acks it -- regime_acks is the barrier
-            # tests and operators can wait on).
-            table_payload = adaptive.table.to_dict()
-            for r in self._replicas:
-                if r.state != "dead" and r.task_q is not None:
-                    try:
-                        r.task_q.put(("regime", name, table_payload))
-                    except (OSError, ValueError):  # pragma: no cover
-                        pass
-            self._cond.notify_all()
 
     # -- supervision ------------------------------------------------------------
     def _supervise_loop(self) -> None:
@@ -1477,12 +1220,6 @@ class ServingFabric:
         policy = self.resilience
         with self._cond:
             inflight, rep.inflight = rep.inflight, None
-            if self._learning is not None and self._learning["replica"] == rep.id:
-                # The mini-calibration died with the replica; re-arm the
-                # detector so the next drifted window can retry elsewhere.
-                self._learning = None
-                if self._detector is not None:
-                    self._detector.rearm()
             rep.restarts += 1
             can_restart = (
                 policy is not None and rep.restarts <= policy.max_restarts
@@ -1583,8 +1320,9 @@ class ServingFabric:
     ) -> bool:
         """Parent-side mirror of ``InferenceEngine._fail_pending``: resolve
         the ticket failed and account it across counters and the parent
-        trace (full v1 span shape, so fleet reconciliation re-derives the
-        same causes from concatenated traces)."""
+        trace (the same :func:`~repro.obs.trace.failure_span`, so fleet
+        reconciliation re-derives the same causes from concatenated
+        traces)."""
         if ticket.done:
             return False
         latency_s = perf_counter() - enqueued_at
@@ -1618,26 +1356,13 @@ class ServingFabric:
         if observer.trace is None:
             return True
         observer.span(
-            {
-                "kind": "span",
-                "request_id": ticket.request_id,
-                "batch_id": next(self._span_ids),
-                "model_spec": self._entry.spec,
-                "queue_wait_s": latency_s,
-                "latency_s": latency_s,
-                "exit_stage": -1,
-                "exit_stage_name": "",
-                "confidence": 0.0,
-                "delta": 0.0,
-                "max_stage": None,
-                "batch_size": 1,
-                "ops": 0.0,
-                "energy_pj": 0.0,
-                "shed": False,
-                "degraded": False,
-                "error": cause,
-                "stages": [],
-            }
+            failure_span(
+                request_id=ticket.request_id,
+                batch_id=next(self._span_ids),
+                model_spec=self._entry.spec,
+                latency_s=latency_s,
+                cause=cause,
+            )
         )
         return True
 

@@ -219,6 +219,45 @@ class TestArtifact:
         with pytest.raises(AssertionError, match="shape violated"):
             run_benchmark(registry.get("fails"), tier="tiny", check=True)
 
+    def test_failed_check_does_not_stop_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``run --check`` runs every benchmark, reports every failed
+        check and exits 1; a failed benchmark writes no artifact."""
+        import repro.bench.cli as cli_mod
+        import repro.bench.runner as runner_mod
+
+        registry = Registry()
+
+        @benchmark("fails", rounds=1, warmup_rounds=0, registry=registry)
+        def fails(ctx):
+            return BenchResult(metrics={"m": 1.0})
+
+        @fails.check
+        def _check(res):
+            raise AssertionError("shape violated")
+
+        @benchmark("passes", rounds=1, warmup_rounds=0, registry=registry)
+        def passes(ctx):
+            return BenchResult(metrics={"m": 2.0})
+
+        original = runner_mod.run_benchmarks
+        monkeypatch.setattr(
+            cli_mod,
+            "run_benchmarks",
+            lambda *a, **kw: original(*a, **dict(kw, registry=registry)),
+        )
+        code = cli_main(
+            [
+                "run", "--scale", "tiny", "--check", "--out", str(tmp_path),
+                "--only", "fails", "passes",
+            ]
+        )
+        assert code == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_passes.json"]
+        err = capsys.readouterr().err
+        assert "FAIL fails: shape violated" in err
+
 
 class TestCompare:
     def _write_dirs(self, tmp_path, registry, *, perturb=None):

@@ -496,11 +496,11 @@ class TestFleetControl:
         fabric = self._controlled_fabric(trained_3c_all_taps, table)
         assert not fabric.controller.needs_calibration
         assert fabric.delta == pytest.approx(fabric.controller.delta)
-        assert fabric._detector is not None
+        assert fabric.adaptive.detector is not None
 
     def test_merged_drift_retargets_fleet(self, trained_3c_all_taps, table):
         fabric = self._controlled_fabric(trained_3c_all_taps, table)
-        detector = fabric._detector
+        detector = fabric.adaptive.detector
         shifted = table.entry("noise").signature_at(
             fabric.controller.delta, max_stage=None
         )

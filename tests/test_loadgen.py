@@ -512,8 +512,7 @@ class TestPublicSurface:
             "FabricConfig", "FaultInjector", "FaultPlan", "FaultSpec",
             "FleetSnapshot", "HealthStatus",
             "InferenceEngine", "InferenceResponse", "InjectedFault",
-            "LearningDeltaPolicy", "LoadRunner", "MetricsSnapshot",
-            "MicroBatchPolicy", "MiniCalibration", "MiniCalibrator",
+            "LoadRunner", "MetricsSnapshot", "MicroBatchPolicy",
             "ModelEntry", "ModelRegistry", "OperatingPoint",
             "OperatingTable", "RegimeEntry", "RegimeSignature",
             "RequestFailed", "RequestOutcome", "ResiliencePolicy",
@@ -540,7 +539,10 @@ class TestPublicSurface:
         import repro
         import repro.serving as serving
 
-        for name in ("MicroBatcher", "AsyncInferenceEngine"):
+        for name in (
+            "MicroBatcher", "AsyncInferenceEngine", "LearningDeltaPolicy",
+            "MiniCalibrator", "MiniCalibration",
+        ):
             assert name not in dir(serving)
             with pytest.raises(AttributeError):
                 getattr(serving, name)

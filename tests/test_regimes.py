@@ -1,26 +1,20 @@
-"""Tests for repro.serving.regimes and the drift-rate signal: unknown-regime
-mini-calibration, the v2 table schema, rate-triggered retargeting, and the
-overhead accounting that keeps learning-vs-frozen comparisons fair.
+"""Tests for the operating-table artifact and the drift-rate signal: the
+atomic table rewrite, the v1/v2 schemas, nearest-regime matching, and
+rate-triggered retargeting.
 
-The property/differential layer the closed-loop learning PR is pinned by:
-
-* a learned table is a strict superset of the old one, and the learned
-  entry's predicted mean-OPS agrees with a fresh offline calibration over
-  the *same* window images (differential oracle);
 * the table artifact rewrite is atomic -- a crash injected mid-rename
   leaves the previous file loadable, never a truncated one;
-* v1 artifacts load forever and round-trip losslessly through v2;
+* v1 artifacts load forever and round-trip losslessly through v2, and v2
+  entries written by the removed online regime learning (``"learned":
+  true``, ``"accuracy": null``) load and match as ordinary regimes;
 * gradual ramps fire the rate trigger within a pinned batch budget across
-  seeds and slopes, while clean replays never false-trigger;
-* every mini-calibration OP lands in ``overhead_ops``, never in served
-  ``mean_ops`` -- on the single-engine replay path and the fabric path.
+  seeds and slopes, while clean replays never false-trigger.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 
 import numpy as np
 import pytest
@@ -32,23 +26,12 @@ from repro.scenarios import (
     budgeted_drift_replay,
 )
 from repro.serving import (
-    AdaptiveDeltaPolicy,
-    DeltaController,
     DriftDetector,
-    InferenceEngine,
-    LearningDeltaPolicy,
-    MicroBatchPolicy,
-    MiniCalibrator,
     OperatingTable,
-    RegimeEntry,
     RegimeSignature,
-    ResiliencePolicy,
-    ServingConfig,
     robust_slope,
 )
 from repro.serving.adaptive import TABLE_SCHEMA, TABLE_SCHEMA_V1
-from repro.serving.fabric import FabricConfig, ServingFabric
-from repro.serving.regimes import LEARNED_PREFIX, next_learned_name
 
 DELTA = 0.6
 NOISE = Scenario(name="noise", corruptions=(("gaussian_noise", 1.0),))
@@ -71,22 +54,6 @@ def regime_setup(trained_3c_all_taps, tiny_test_set):
     return cdln, tiny_test_set, table
 
 
-def fresh_copy(table: OperatingTable) -> OperatingTable:
-    """An independent table the test can mutate (learning grows in place)."""
-    return OperatingTable.from_dict(json.loads(json.dumps(table.to_dict())))
-
-
-def learning_engine(cdln, table, **policy_kwargs) -> InferenceEngine:
-    target = 0.75 * float(cdln.path_cost_table().baseline_cost.total)
-    return InferenceEngine.from_config(
-        ServingConfig(
-            model=cdln,
-            controller=DeltaController(target_mean_ops=target),
-            adaptive=LearningDeltaPolicy(table, **policy_kwargs),
-        )
-    )
-
-
 def far_signature(like: RegimeSignature) -> RegimeSignature:
     """A signature no tabulated regime matches: all mass on the deepest
     exit, stage-0 confidence collapsed."""
@@ -96,225 +63,21 @@ def far_signature(like: RegimeSignature) -> RegimeSignature:
     return RegimeSignature(fractions, quantiles, count=256)
 
 
-def drive_until_event(engine, images, *, batches=8, batch_size=32):
-    """Serve traffic until the adaptive policy emits a *new* retarget
-    event; returns the number of batches served."""
-    adaptive = engine.adaptive
-    start = len(adaptive.events)
-    for i in range(batches):
-        lo = (i * batch_size) % max(len(images) - batch_size, 1)
-        engine.classify_many(images[lo : lo + batch_size])
-        if len(adaptive.events) > start:
-            return i + 1
-    return batches
-
-
-class TestNextLearnedName:
-    def test_first_name(self):
-        assert next_learned_name([]) == f"{LEARNED_PREFIX}_0"
-        assert next_learned_name(["clean", "noise"]) == f"{LEARNED_PREFIX}_0"
-
-    def test_fills_first_gap(self):
-        taken = [f"{LEARNED_PREFIX}_0", f"{LEARNED_PREFIX}_2"]
-        assert next_learned_name(taken) == f"{LEARNED_PREFIX}_1"
-
-    def test_sequential(self):
-        names: list[str] = []
-        for _ in range(3):
-            names.append(next_learned_name(names))
-        assert names == [f"{LEARNED_PREFIX}_{i}" for i in range(3)]
-
-
-class TestMiniCalibrator:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="max_samples"):
-            MiniCalibrator(max_samples=0)
-        with pytest.raises(ConfigurationError, match="batch_size"):
-            MiniCalibrator(batch_size=0)
-        with pytest.raises(ConfigurationError, match="grid"):
-            MiniCalibrator(deltas=())
-
-    def test_zero_images_refused(self, regime_setup):
-        cdln, base, _ = regime_setup
-        calibrator = MiniCalibrator(max_samples=8)
-        with pytest.raises(ConfigurationError, match="zero images"):
-            calibrator.fit(
-                cdln, base.images[:0], name="x", reference_delta=DELTA
-            )
-
-    def test_fit_shape_and_truncation(self, regime_setup):
-        cdln, base, _ = regime_setup
-        calibrator = MiniCalibrator(max_samples=24, deltas=(0.4, DELTA, 0.8))
-        calibration = calibrator.fit(
-            cdln, base.images[:64], name="learned_0", reference_delta=DELTA
-        )
-        entry = calibration.entry
-        # Newest traffic wins: the window is truncated to max_samples.
-        assert calibration.num_samples == 24
-        assert entry.num_samples == 24
-        assert entry.learned
-        assert entry.name == "learned_0"
-        assert [p.delta for p in entry.points] == [0.4, DELTA, 0.8]
-        # Live traffic is unlabeled: no accuracy estimate, ever.
-        assert all(np.isnan(p.accuracy) for p in entry.points)
-        # The pass's cost is the full-depth price of every scored image.
-        full_pass = float(cdln.path_cost_table().exit_totals()[-1])
-        assert calibration.overhead_ops == pytest.approx(24 * full_pass)
-
-    def test_differential_oracle_against_offline_calibration(
-        self, regime_setup
-    ):
-        """The learned curve must agree with a fresh offline calibration
-        pass (DeltaController.calibrate) over the same window images."""
-        cdln, base, _ = regime_setup
-        window = base.images[:48]
-        grid = (0.3, 0.5, DELTA, 0.7, 0.9)
-        calibrator = MiniCalibrator(max_samples=len(window), deltas=grid)
-        entry = calibrator.fit(
-            cdln, window, name="learned_0", reference_delta=DELTA
-        ).entry
-        controller = DeltaController(target_mean_ops=1.0, delta_grid=grid)
-        offline = controller.calibrate(cdln, window)
-        for delta in grid:
-            assert entry.point_for_delta(delta).mean_ops == pytest.approx(
-                offline.point_for_delta(delta).mean_ops, rel=1e-9
-            )
-
-
-class TestLearningPolicy:
-    def test_validation(self, regime_setup):
-        _, _, table = regime_setup
-        with pytest.raises(ConfigurationError, match="unknown_distance"):
-            LearningDeltaPolicy(fresh_copy(table), unknown_distance=0.0)
-        with pytest.raises(ConfigurationError, match="learn_batches"):
-            LearningDeltaPolicy(fresh_copy(table), learn_batches=0)
-        with pytest.raises(ConfigurationError, match="max_learned"):
-            LearningDeltaPolicy(fresh_copy(table), max_learned=0)
-
-    def test_window_buffer_is_bounded(self, regime_setup):
-        _, base, table = regime_setup
-        policy = LearningDeltaPolicy(fresh_copy(table), learn_batches=2)
-        assert policy.window_images() is None
-        for i in range(4):
-            policy.record_batch_images(base.images[i * 8 : (i + 1) * 8])
-        window = policy.window_images()
-        # Only the newest learn_batches batches survive.
-        assert window.shape[0] == 16
-        np.testing.assert_array_equal(window, base.images[16:32])
-
-    def test_unknown_regime_learns_and_grows_table(self, regime_setup):
-        cdln, base, table = regime_setup
-        table = fresh_copy(table)
-        before = set(table.regime_names)
-        before_payload = {
-            name: table.entry(name).to_dict() for name in before
-        }
-        engine = learning_engine(
-            cdln,
-            table,
-            unknown_distance=0.05,
-            calibrator=MiniCalibrator(max_samples=32),
-        )
-        shifted = NOISE.realize(base).images
-        drive_until_event(engine, shifted)
-        adaptive = engine.adaptive
-        assert adaptive.learned == ["learned_0"]
-        assert adaptive.current_regime == "learned_0"
-        event = adaptive.events[-1]
-        assert event.learned
-        assert event.regime == "learned_0"
-        assert event.distance > 0.05
-        # Superset property: every old regime survives byte-identical.
-        after = set(table.regime_names)
-        assert before < after
-        assert after - before == {"learned_0"}
-        for name in before:
-            assert table.entry(name).to_dict() == before_payload[name]
-        assert table.entry("learned_0").learned
-
-    def test_learned_curve_matches_fresh_offline_calibration(
-        self, regime_setup
-    ):
-        """Differential oracle through the live path: the regime the
-        engine learned must predict the same mean-OPS as an offline
-        calibration over the very window it was fitted on."""
-        cdln, base, table = regime_setup
-        table = fresh_copy(table)
-        engine = learning_engine(
-            cdln,
-            table,
-            unknown_distance=0.05,
-            calibrator=MiniCalibrator(max_samples=64),
-        )
-        shifted = NOISE.realize(base).images
-        drive_until_event(engine, shifted)
-        window = engine.adaptive.window_images()
-        entry = table.entry("learned_0")
-        assert window.shape[0] >= entry.num_samples
-        controller = DeltaController(
-            target_mean_ops=1.0,
-            delta_grid=engine.adaptive.calibrator.deltas,
-        )
-        offline = controller.calibrate(cdln, window[-entry.num_samples :])
-        for point in entry.points:
-            assert point.mean_ops == pytest.approx(
-                offline.point_for_delta(point.delta).mean_ops, rel=1e-9
-            )
-
-    def test_within_cutoff_is_plain_retarget(self, regime_setup):
-        cdln, base, table = regime_setup
-        table = fresh_copy(table)
-        # A generous cutoff: even shifted traffic matches "clean".
-        engine = learning_engine(cdln, table, unknown_distance=100.0)
-        shifted = NOISE.realize(base).images
-        drive_until_event(engine, shifted)
-        adaptive = engine.adaptive
-        assert adaptive.learned == []
-        assert adaptive.overhead_ops_total == 0.0
-        assert len(table) == 1
-        assert adaptive.events and not adaptive.events[-1].learned
-
-    def test_full_table_degrades_to_nearest(self, regime_setup):
-        cdln, base, table = regime_setup
-        table = fresh_copy(table)
-        engine = learning_engine(
-            cdln,
-            table,
-            unknown_distance=0.05,
-            max_learned=1,
-            calibrator=MiniCalibrator(max_samples=16),
-        )
-        shifted = NOISE.realize(base).images
-        drive_until_event(engine, shifted)
-        assert engine.adaptive.learned == ["learned_0"]
-        # Swing the traffic back to clean: against the (noise-shaped)
-        # learned reference that is drift again, but with the table full
-        # the policy must degrade to nearest-match, not grow.
-        drive_until_event(engine, base.images, batches=12)
-        assert len(engine.adaptive.learned) == 1
-        assert len(table) == 2
-
-    def test_persists_atomically_when_table_path_set(
-        self, regime_setup, tmp_path
-    ):
-        cdln, base, table = regime_setup
-        table = fresh_copy(table)
-        path = tmp_path / "table.json"
-        table.save(path)
-        engine = learning_engine(
-            cdln,
-            table,
-            unknown_distance=0.05,
-            table_path=path,
-            calibrator=MiniCalibrator(max_samples=16),
-        )
-        drive_until_event(engine, NOISE.realize(base).images)
-        assert engine.adaptive.learned == ["learned_0"]
-        reloaded = OperatingTable.load(path)
-        assert set(reloaded.regime_names) == set(table.regime_names)
-        assert reloaded.entry("learned_0").learned
-        # No stray temporaries left behind.
-        assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
+def with_learned_entry(table: OperatingTable) -> dict:
+    """``table``'s v2 payload plus ``learned_0``, an entry as online regime
+    learning wrote them: the ``learned`` flag, null accuracies, and a
+    signature far from clean."""
+    payload = json.loads(json.dumps(table.to_dict()))
+    entry = json.loads(json.dumps(table.entry("clean").to_dict()))
+    far = far_signature(table.entry("clean").signature)
+    entry["signature"] = far.to_dict()
+    entry["scenario"] = "<live mini-calibration>"
+    entry["learned"] = True
+    for point in entry["points"]:
+        point["accuracy"] = None
+        point["exit_fractions"] = list(far.exit_fractions)
+    payload["regimes"]["learned_0"] = entry
+    return payload
 
 
 class TestAtomicRewrite:
@@ -322,18 +85,12 @@ class TestAtomicRewrite:
         self, regime_setup, tmp_path, monkeypatch
     ):
         """A crash injected mid-rewrite must leave the previous artifact
-        loadable -- regime learning rewrites it while serving is live."""
+        loadable, never a truncated one."""
         _, _, table = regime_setup
         path = tmp_path / "table.json"
         table.save(path)
         before = path.read_text()
-        grown = fresh_copy(table)
-        grown.add_regime(
-            RegimeEntry.from_dict(
-                "learned_0",
-                {**table.entry("clean").to_dict(), "learned": True},
-            )
-        )
+        grown = OperatingTable.from_dict(with_learned_entry(table))
 
         def crash(src, dst):
             raise OSError("simulated crash mid-replace")
@@ -360,42 +117,42 @@ class TestSchemaVersions:
         payload = table.to_dict()
         assert payload["schema"] == TABLE_SCHEMA
         for entry in payload["regimes"].values():
-            assert entry["learned"] is False
+            assert "learned" not in entry
 
     def test_v1_round_trip_is_lossless(self, regime_setup):
-        """A v1 artifact (no ``learned`` flags) loads forever, defaults
-        everything to offline-built, and re-saves as identical v2."""
+        """A v1 artifact loads forever and re-saves as identical v2."""
         _, _, table = regime_setup
         v1 = json.loads(json.dumps(table.to_dict()))
         v1["schema"] = TABLE_SCHEMA_V1
-        for entry in v1["regimes"].values():
-            del entry["learned"]
         loaded = OperatingTable.from_dict(v1)
-        assert not any(
-            loaded.entry(name).learned for name in loaded.regime_names
-        )
         assert loaded.to_dict() == table.to_dict()
 
-    def test_learned_flag_survives_round_trip(self, regime_setup):
+    def test_learned_v2_entry_loads_and_matches_like_any_regime(
+        self, regime_setup
+    ):
+        """v2 artifacts written by online regime learning still load: the
+        ``learned`` entry is an ordinary regime, and the nearest-match
+        lookup picks it for traffic that looks like it."""
         _, _, table = regime_setup
-        grown = fresh_copy(table)
-        payload = {**table.entry("clean").to_dict(), "learned": True}
-        grown.add_regime(RegimeEntry.from_dict("learned_0", payload))
-        again = OperatingTable.from_dict(
-            json.loads(json.dumps(grown.to_dict()))
-        )
-        assert again.entry("learned_0").learned
-        assert not again.entry("clean").learned
+        loaded = OperatingTable.from_dict(with_learned_entry(table))
+        assert set(loaded.regime_names) == {"clean", "learned_0"}
+        entry = loaded.entry("learned_0")
+        assert all(np.isnan(p.accuracy) for p in entry.points)
+        observed = entry.signature_at(DELTA)
+        name, distance = loaded.match(observed, delta=DELTA)
+        assert name == "learned_0"
+        assert distance == pytest.approx(0.0)
+        # Clean traffic still matches the clean regime.
+        clean = loaded.entry("clean").signature_at(DELTA)
+        assert loaded.match(clean, delta=DELTA)[0] == "clean"
+        # The flag is not carried forward: re-saves are plain v2.
+        assert "learned" not in loaded.to_dict()["regimes"]["learned_0"]
 
     def test_nan_accuracy_round_trips_through_null(self, regime_setup):
-        """Learned points carry accuracy NaN (live traffic is unlabeled);
-        that must serialize as JSON null, not the non-standard NaN token."""
-        cdln, base, table = regime_setup
-        calibration = MiniCalibrator(max_samples=8).fit(
-            cdln, base.images[:8], name="learned_0", reference_delta=DELTA
-        )
-        grown = fresh_copy(table)
-        grown.add_regime(calibration.entry)
+        """Points without a labeled estimate carry accuracy NaN; that must
+        serialize as JSON null, not the non-standard NaN token."""
+        _, _, table = regime_setup
+        grown = OperatingTable.from_dict(with_learned_entry(table))
         text = json.dumps(grown.to_dict(), allow_nan=False)  # strict JSON
         again = OperatingTable.from_dict(json.loads(text))
         assert all(
@@ -427,15 +184,6 @@ class TestMatchTieHandling:
             name, distance = twins.match(signature, delta=DELTA)
             assert name == "aa", f"insertion order {order} leaked into match"
             assert distance == pytest.approx(0.0)
-
-    def test_cutoff_returns_none(self, regime_setup):
-        _, _, table = regime_setup
-        signature = far_signature(table.entry("clean").signature_at(DELTA))
-        name, distance = table.match(signature, delta=DELTA, max_distance=0.5)
-        assert name is None
-        assert distance > 0.5
-        # Without the cutoff the same lookup snaps to the nearest entry.
-        assert table.match(signature, delta=DELTA)[0] == "clean"
 
 
 class TestRobustSlope:
@@ -546,27 +294,6 @@ class TestRateDetectorUnit:
                 )
         assert fired_open, "floor 0 must let the same ramp rate-fire"
 
-    def test_rearm_restores_rate_streak(self):
-        reference = self._reference()
-        detector = self._detector(reference)
-        for step in range(40):
-            if detector.observe_signature(
-                self._signature_at(reference, 0.008 * step)
-            ):
-                break
-        assert not detector.armed
-        detector.rearm()
-        assert detector.armed
-        # The streak machinery restarts cleanly: another ramp re-fires.
-        fired = False
-        for step in range(40):
-            if detector.observe_signature(
-                self._signature_at(reference, 0.01 * step)
-            ):
-                fired = True
-                break
-        assert fired
-
 
 class TestRateDetectorReplays:
     """Seeded end-to-end pins: gradual ramps the level trigger would
@@ -618,42 +345,8 @@ class TestRateDetectorReplays:
 
 
 class TestOverheadAccounting:
-    """Regression: mini-calibration passes are charged to ``overhead_ops``
-    explicitly -- never folded into served ``mean_ops`` -- so the
-    learning-vs-frozen head-to-head stays fair."""
-
-    def test_replay_charges_learning_to_overhead(
-        self, regime_setup
-    ):
-        cdln, base, _ = regime_setup
-        full_pass = float(cdln.path_cost_table().exit_totals()[-1])
-        result = budgeted_drift_replay(
-            cdln,
-            base,
-            NOISE,
-            DriftSchedule.sudden(3),
-            rng=0,
-            batch_size=32,
-            num_batches=12,
-            delta=DELTA,
-            learning=True,
-            table_scenarios=[Scenario(name="clean")],
-            unknown_distance=0.5,
-            learn_samples=32,
-        )
-        assert result.learned_regimes == 1
-        # Exactly one bounded scoring pass: learn_samples images at the
-        # full-depth price, charged to the phase that learned.
-        assert result.total_overhead_ops == pytest.approx(32 * full_pass)
-        charged = [p for p in result.phases if p.overhead_ops > 0]
-        assert len(charged) == 1
-        # Served cost excludes it: every phase's mean is bounded by the
-        # deepest exit, which a folded-in pass would break.
-        for phase in result.phases:
-            assert phase.mean_ops <= full_pass
-        assert result.budget_error() > result.budget_error(
-            include_overhead=False
-        )
+    """Table retargets are free: an adaptive replay charges no online
+    control-plane OPS, however often the detector fires."""
 
     def test_frozen_table_pays_zero_overhead(self, regime_setup):
         cdln, base, _ = regime_setup
@@ -669,113 +362,4 @@ class TestOverheadAccounting:
             adaptive=True,
             table_scenarios=[Scenario(name="clean")],
         )
-        assert result.learned_regimes == 0
         assert result.total_overhead_ops == 0.0
-
-    def test_pop_overhead_ops_drains(self, regime_setup):
-        cdln, base, table = regime_setup
-        table = fresh_copy(table)
-        engine = learning_engine(
-            cdln,
-            table,
-            unknown_distance=0.05,
-            calibrator=MiniCalibrator(max_samples=16),
-        )
-        drive_until_event(engine, NOISE.realize(base).images)
-        adaptive = engine.adaptive
-        assert adaptive.learned == ["learned_0"]
-        full_pass = float(cdln.path_cost_table().exit_totals()[-1])
-        assert adaptive.overhead_ops_total == pytest.approx(16 * full_pass)
-        # The pending bucket hands the pass's cost to whoever accounts
-        # for it (the replay loop) exactly once...
-        assert adaptive.pop_overhead_ops() == pytest.approx(16 * full_pass)
-        assert adaptive.pop_overhead_ops() == 0.0
-        # ...while the lifetime total stays monotone.
-        assert adaptive.overhead_ops_total == pytest.approx(16 * full_pass)
-
-
-class TestFleetLearning:
-    """The fabric path: one replica mini-calibrates for the whole fleet,
-    the parent grows + persists the table, retargets every replica, and
-    charges the pass to the fleet's overhead ledger."""
-
-    def test_fleet_learns_unknown_regime(
-        self, trained_3c_all_taps, tiny_test_set, tmp_path
-    ):
-        cdln = trained_3c_all_taps.cdln
-        table = OperatingTable.build(
-            cdln, tiny_test_set, [Scenario(name="clean")],
-            reference_delta=DELTA,
-        )
-        table_path = tmp_path / "table.json"
-        table.save(table_path)
-        adaptive = LearningDeltaPolicy(
-            table,
-            unknown_distance=0.05,
-            calibrator=MiniCalibrator(max_samples=32),
-            table_path=table_path,
-        )
-        target = table.entry("clean").point_for_delta(DELTA).mean_ops
-        config = FabricConfig(
-            config=ServingConfig(
-                model=cdln,
-                policy=MicroBatchPolicy(max_batch_size=4, max_wait_s=0.005),
-                controller=DeltaController(
-                    target_mean_ops=target, delta=DELTA
-                ),
-                adaptive=adaptive,
-                resilience=ResiliencePolicy(max_retries=1),
-            ),
-            replicas=2,
-        )
-        images = tiny_test_set.images[:64]
-        with ServingFabric(config) as fabric:
-            tickets = [fabric.submit(images[i % 64]) for i in range(32)]
-            assert all(
-                not t.result(timeout=30.0).failed for t in tickets
-            )
-            submitted = fabric.fleet_snapshot().requests
-            # Inject a fleet-wide unknown-regime window and pump the
-            # merged-drift path until the learning request goes out.
-            far = far_signature(table.entry("clean").signature_at(DELTA))
-            detector = fabric._detector
-            requested = False
-            for _ in range(
-                detector.min_observations + detector.patience + 4
-            ):
-                with fabric._cond:
-                    for rep in fabric._replicas:
-                        if rep.state == "live":
-                            rep.last_signature = far
-                    fabric._feed_drift_locked()
-                    requested = requested or fabric._learning is not None
-                if requested:
-                    break
-            assert requested, "unknown regime never requested learning"
-            deadline = time.monotonic() + 30.0
-            snapshot = fabric.fleet_snapshot()
-            while time.monotonic() < deadline and not snapshot.learned_regimes:
-                time.sleep(0.05)
-                snapshot = fabric.fleet_snapshot()
-            assert snapshot.learned_regimes == 1
-            # Overhead lands in the fleet ledger -- bounded by the window
-            # the replica scored -- and never in the request count.
-            full_pass = float(cdln.path_cost_table().exit_totals()[-1])
-            assert 0 < snapshot.overhead_ops <= 64 * full_pass
-            assert snapshot.overhead_ops == pytest.approx(
-                adaptive.overhead_ops_total
-            )
-            assert snapshot.requests == submitted
-            event = fabric.adaptive.events[-1]
-            assert event.learned
-            assert event.regime.startswith(LEARNED_PREFIX)
-            assert fabric.adaptive.current_regime == event.regime
-            # Every replica acks the broadcast table (the barrier).
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and fabric._regime_acks < 2:
-                time.sleep(0.05)
-            assert fabric._regime_acks >= 2
-        # The grown artifact was re-persisted atomically and reloads.
-        reloaded = OperatingTable.load(table_path)
-        assert event.regime in reloaded.regime_names
-        assert reloaded.entry(event.regime).learned
