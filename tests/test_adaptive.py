@@ -655,6 +655,135 @@ class TestEngineIntegration:
             replay_drift(cdln, stream, operating_table=table)
 
 
+class TestAfterWindow:
+    """``after_window`` is the fleet's entry into the policy: one assembled
+    window in, the same match -> retarget -> rebase step ``after_batch``
+    runs, and a :class:`RetargetEvent` out."""
+
+    @staticmethod
+    def _engine(table_setup, **detector_kwargs) -> InferenceEngine:
+        cdln, _, table = table_setup
+        target = 0.75 * float(cdln.path_cost_table().baseline_cost.total)
+        return InferenceEngine.from_config(
+            ServingConfig(
+                model=cdln,
+                controller=DeltaController(target_mean_ops=target),
+                adaptive=AdaptiveDeltaPolicy(
+                    table, detector_kwargs=detector_kwargs
+                ),
+            )
+        )
+
+    @staticmethod
+    def _feed_until_retarget(engine, signature, limit: int = 10):
+        for _ in range(limit):
+            event = engine.adaptive.after_window(engine, signature)
+            if event is not None:
+                return event
+        raise AssertionError(f"no retarget within {limit} windows")
+
+    def test_unprimed_policy_refuses_a_window(self, table_setup):
+        _, _, table = table_setup
+        policy = AdaptiveDeltaPolicy(table)
+        window = table.entry("noise").signature_at(DELTA)
+        with pytest.raises(ConfigurationError, match="primed"):
+            policy.after_window(object(), window)
+        assert policy.events == []
+
+    def test_reference_window_holds_delta(self, table_setup):
+        engine = self._engine(table_setup)
+        policy = engine.adaptive
+        primed = engine.controller.delta
+        for _ in range(12):
+            assert policy.after_window(engine, policy.detector.reference) is None
+        assert engine.controller.delta == primed
+        assert policy.events == []
+        assert policy.current_regime == "clean"
+
+    def test_shifted_window_retargets_and_rebases(self, table_setup):
+        _, _, table = table_setup
+        engine = self._engine(table_setup)
+        policy = engine.adaptive
+        window = table.entry("noise").signature_at(engine.controller.delta)
+        event = self._feed_until_retarget(engine, window)
+        assert event.regime == "noise" and event.trigger == "level"
+        assert policy.current_regime == "noise"
+        assert policy.events == [event]
+        assert type(event.delta) is float
+        assert event.delta == engine.controller.delta
+        # The controller sits where a retarget onto the same curves puts it.
+        fresh = DeltaController(target_mean_ops=engine.controller.target_mean_ops)
+        fresh.retarget(table, "clean")
+        fresh.retarget(table, "noise")
+        assert engine.controller.delta == fresh.delta
+        # The detector was rebased onto the matched regime at the new δ.
+        detector = policy.detector
+        rebased = table.entry("noise").signature_at(event.delta, max_stage=None)
+        np.testing.assert_array_equal(
+            detector.reference.exit_fractions, rebased.exit_fractions
+        )
+        assert detector.armed and detector.observations == 0
+
+    def test_matches_the_window_it_was_handed(self, table_setup):
+        """Unlike ``after_batch``, which matches on its freshest batches,
+        the fleet path matches on the merged window it passes in."""
+        _, _, table = table_setup
+        engine = self._engine(table_setup)
+        policy = engine.adaptive
+        before = engine.controller.delta
+        reference = policy.detector.reference
+        weight = policy.detector.quantile_weight
+        window = table.entry("noise").signature_at(before)
+        event = self._feed_until_retarget(engine, window)
+        regime, distance = table.match(
+            window, delta=before, max_stage=None, quantile_weight=weight
+        )
+        assert (event.regime, event.distance) == (regime, distance)
+        assert event.score == signature_distance(
+            window, reference, quantile_weight=weight
+        )
+
+    def test_shift_back_to_clean_is_another_event(self, table_setup):
+        _, _, table = table_setup
+        engine = self._engine(table_setup)
+        primed = engine.controller.delta
+        noise = table.entry("noise").signature_at(primed)
+        self._feed_until_retarget(engine, noise)
+        clean = table.entry("clean").signature_at(engine.controller.delta)
+        back = self._feed_until_retarget(engine, clean)
+        assert back.regime == "clean"
+        assert engine.adaptive.current_regime == "clean"
+        assert [e.regime for e in engine.adaptive.events] == ["noise", "clean"]
+        assert engine.controller.delta == pytest.approx(primed)
+
+    def test_window_and_batch_paths_share_one_step(self, table_setup):
+        """Differential: one shifted batch fed to ``after_batch`` and its
+        window signature fed to ``after_window`` retarget two identical
+        engines identically."""
+        _, _, table = table_setup
+        single = {"window": 1, "min_observations": 1}
+        by_batch = self._engine(table_setup, **single)
+        by_window = self._engine(table_setup, **single)
+        noise = table.entry("noise").signature_at(by_batch.controller.delta)
+        rng = np.random.default_rng(5)
+        fractions = np.asarray(noise.exit_fractions, dtype=np.float64)
+        exits = rng.choice(len(fractions), size=256, p=fractions / fractions.sum())
+        confidences = np.clip(rng.normal(0.5, 0.15, size=256), 0.0, 1.0)
+        probe = DriftDetector(by_window.adaptive.detector.reference, **single)
+        probe.observe(exits, confidences)
+        window = probe.window_signature()
+
+        batch_event = by_batch.adaptive.after_batch(by_batch, exits, confidences)
+        window_event = by_window.adaptive.after_window(by_window, window)
+        assert batch_event is not None
+        assert window_event == batch_event
+        assert by_window.controller.delta == by_batch.controller.delta
+        np.testing.assert_array_equal(
+            by_window.adaptive.detector.reference.exit_fractions,
+            by_batch.adaptive.detector.reference.exit_fractions,
+        )
+
+
 class TestOverheadAccounting:
     """Regression: calibration passes must be charged explicitly to
     ``overhead_ops`` -- never folded into the served ``mean_ops`` -- so

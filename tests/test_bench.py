@@ -29,6 +29,7 @@ from repro.bench import (
 )
 from repro.bench.artifact import validate_artifact_dict
 from repro.bench.cli import main as cli_main
+from repro.bench.runner import BenchCheckFailures
 from repro.errors import ConfigurationError
 
 
@@ -257,6 +258,62 @@ class TestArtifact:
         assert [p.name for p in tmp_path.iterdir()] == ["BENCH_passes.json"]
         err = capsys.readouterr().err
         assert "FAIL fails: shape violated" in err
+
+    @staticmethod
+    def _mixed_registry() -> Registry:
+        """``a_fails`` and ``c_fails`` fail their checks; ``b_passes``
+        passes (registry order is by name within a group)."""
+        registry = Registry()
+
+        for name, limit in (("a_fails", 5.0), ("b_passes", 0.0), ("c_fails", 9.0)):
+
+            @benchmark(name, rounds=1, warmup_rounds=0, registry=registry)
+            def run(ctx):
+                return BenchResult(metrics={"m": 1.0})
+
+            def check(res, limit=limit):
+                # A message-less failure, as a bare ``assert`` raises in a
+                # suite module (pytest rewrites the ones in this file).
+                if res.metrics["m"] <= limit:
+                    raise AssertionError
+
+            run.check(check)
+        return registry
+
+    def test_run_benchmarks_reports_every_failure(self, tmp_path):
+        with pytest.raises(BenchCheckFailures) as caught:
+            run_benchmarks(
+                tier="tiny", out_dir=tmp_path, check=True,
+                registry=self._mixed_registry(),
+            )
+        failures = caught.value
+        # Callers that catch AssertionError (the pytest front ends) still do.
+        assert isinstance(failures, AssertionError)
+        assert [name for name, _ in failures.failures] == ["a_fails", "c_fails"]
+        assert [a.benchmark for a in failures.artifacts] == ["b_passes"]
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_b_passes.json"]
+        assert "a_fails" in str(failures) and "c_fails" in str(failures)
+
+    def test_bare_assert_failure_names_its_line(self):
+        with pytest.raises(BenchCheckFailures) as caught:
+            run_benchmarks(
+                ["a_fails"], tier="tiny", check=True,
+                registry=self._mixed_registry(),
+            )
+        ((name, message),) = caught.value.failures
+        assert name == "a_fails"
+        assert message.startswith("test_bench.py:")
+        assert message.endswith(": raise AssertionError")
+
+    def test_unchecked_run_writes_every_artifact(self, tmp_path):
+        artifacts = run_benchmarks(
+            tier="tiny", out_dir=tmp_path, registry=self._mixed_registry()
+        )
+        names = ["a_fails", "b_passes", "c_fails"]
+        assert [a.benchmark for a in artifacts] == names
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"BENCH_{n}.json" for n in names
+        ]
 
 
 class TestCompare:

@@ -20,6 +20,7 @@ import pytest
 
 import repro
 from repro.errors import ConfigurationError, ShapeError
+from repro.obs import Observer, parse_prometheus, read_spans
 from repro.scenarios import Scenario
 from repro.serving import (
     AdaptiveDeltaPolicy,
@@ -472,7 +473,9 @@ class TestFleetControl:
             reference_delta=DELTA,
         )
 
-    def _controlled_fabric(self, trained, table, **kw) -> ServingFabric:
+    def _controlled_fabric(
+        self, trained, table, *, observer=None, **kw
+    ) -> ServingFabric:
         entry = table.entry(table.reference_regime)
         target = entry.point_for_delta(DELTA).mean_ops
         return ServingFabric(
@@ -485,6 +488,7 @@ class TestFleetControl:
                     ),
                     adaptive=AdaptiveDeltaPolicy(table),
                     resilience=ResiliencePolicy(max_retries=1),
+                    observer=observer,
                 ),
                 **kw,
             )
@@ -537,6 +541,117 @@ class TestFleetControl:
         event = fabric.adaptive.events[-1]
         assert event.regime == "noise"
         assert fabric.delta == pytest.approx(fabric.controller.delta)
+
+    @staticmethod
+    def _window(table, regime, delta, count) -> RegimeSignature:
+        signature = table.entry(regime).signature_at(delta, max_stage=None)
+        return RegimeSignature(
+            signature.exit_fractions, signature.stage0_quantiles, count=count
+        )
+
+    @staticmethod
+    def _feed(fabric, signatures, states=None, rounds=8) -> None:
+        """Install one window per replica and run the drift feed."""
+        states = states or ["live"] * len(signatures)
+        for rep, signature, state in zip(fabric._replicas, signatures, states):
+            rep.state = state
+            rep.last_signature = signature
+        for _ in range(rounds):
+            with fabric._cond:
+                fabric._feed_drift_locked()
+
+    def test_clean_fleet_window_holds_delta(self, trained_3c_all_taps, table):
+        fabric = self._controlled_fabric(trained_3c_all_taps, table)
+        primed = fabric.controller.delta
+        clean = self._window(table, "clean", primed, 128)
+        self._feed(fabric, [clean, clean])
+        assert fabric.adaptive.detector.observations == 8
+        assert fabric.adaptive.events == []
+        assert fabric.controller.delta == primed
+
+    def test_replicas_without_a_window_feed_nothing(
+        self, trained_3c_all_taps, table
+    ):
+        fabric = self._controlled_fabric(trained_3c_all_taps, table)
+        self._feed(fabric, [None, None])
+        assert fabric.adaptive.detector.observations == 0
+
+    def test_dead_replica_window_is_left_out(self, trained_3c_all_taps, table):
+        """A dead replica's last window must not sway the fleet view: its
+        shifted traffic stops counting, and counts again once it is live."""
+        fabric = self._controlled_fabric(trained_3c_all_taps, table)
+        delta = fabric.controller.delta
+        noise = self._window(table, "noise", delta, 4096)
+        clean = self._window(table, "clean", delta, 16)
+        self._feed(fabric, [noise, clean], states=["dead", "live"])
+        assert fabric.adaptive.events == []
+        self._feed(fabric, [noise, clean], states=["live", "live"])
+        assert [e.regime for e in fabric.adaptive.events] == ["noise"]
+
+    def test_fleet_retarget_event_and_delta_gauge(
+        self, trained_3c_all_taps, table
+    ):
+        observer = Observer()
+        fabric = self._controlled_fabric(
+            trained_3c_all_taps, table, observer=observer
+        )
+        primed = fabric.controller.delta
+        noise = self._window(table, "noise", primed, 256)
+        self._feed(fabric, [noise, noise])
+        (retarget,) = fabric.adaptive.events
+        (emitted,) = [
+            e for e in observer.events.tail() if e["kind"] == "fleet_retarget"
+        ]
+        assert {k: emitted[k] for k in (
+            "regime", "score", "distance", "delta", "trigger"
+        )} == {
+            "regime": retarget.regime, "score": retarget.score,
+            "distance": retarget.distance, "delta": retarget.delta,
+            "trigger": retarget.trigger,
+        }
+        assert retarget.delta != primed
+        gauges = parse_prometheus(observer.render_prometheus())
+        assert gauges[("delta", ())] == retarget.delta
+
+    def test_fleet_and_engine_retarget_alike(
+        self, trained_3c_all_taps, table
+    ):
+        """Differential: the merged fleet window and the same window handed
+        to an in-process engine's policy land on the same regime and δ."""
+        fabric = self._controlled_fabric(trained_3c_all_taps, table)
+        target = fabric.controller.target_mean_ops
+        engine = InferenceEngine.from_config(
+            ServingConfig(
+                model=trained_3c_all_taps.cdln,
+                controller=DeltaController(target_mean_ops=target, delta=DELTA),
+                adaptive=AdaptiveDeltaPolicy(table),
+            )
+        )
+        delta = fabric.controller.delta
+        assert engine.controller.delta == delta
+        parts = [
+            self._window(table, "noise", delta, 300),
+            self._window(table, "noise", delta, 20),
+        ]
+        merged = RegimeSignature.merge(parts)
+        self._feed(fabric, parts)
+        in_process = []
+        for _ in range(8):
+            event = engine.adaptive.after_window(engine, merged)
+            if event is not None:
+                in_process.append(event)
+        assert fabric.adaptive.events == in_process
+        assert [e.regime for e in in_process] == ["noise"]
+        assert fabric.controller.delta == engine.controller.delta
+
+    def test_fleet_without_adaptive_policy_never_feeds(
+        self, trained_3c_all_taps, table
+    ):
+        fabric = ServingFabric(_fabric_config(trained_3c_all_taps))
+        assert fabric.adaptive is None
+        noise = self._window(table, "noise", DELTA, 256)
+        self._feed(fabric, [noise, noise])
+        assert fabric.delta == DELTA
 
     def test_fleet_delta_control_end_to_end(
         self, trained_3c_all_taps, table, images
@@ -607,3 +722,42 @@ class TestLoadRunnerIntegration:
             assert report.requests == snap.requests + snap.failed_requests
         finally:
             fabric.stop()
+
+
+class TestFailureSpan:
+    def test_fabric_and_engine_write_the_same_failure_span(
+        self, trained_3c, tmp_path
+    ):
+        """Both front ends record a rejected request through one
+        ``failure_span``: the records differ only in ids, timing and the
+        model's registry name."""
+        shape = trained_3c.cdln.baseline.input_shape
+        bad = np.full(shape, np.nan)
+        spans = {}
+        for name in ("engine", "fabric"):
+            with Observer.to_directory(tmp_path / name) as observer:
+                config = ServingConfig(
+                    model=trained_3c.cdln,
+                    delta=DELTA,
+                    policy=FAST,
+                    resilience=ResiliencePolicy(max_retries=1),
+                    observer=observer,
+                )
+                if name == "engine":
+                    ticket = InferenceEngine.from_config(config).submit(bad)
+                else:
+                    # Intake runs in the dispatcher process: no replica
+                    # needs to boot for a payload it rejects.
+                    fabric = ServingFabric(FabricConfig(config=config))
+                    ticket = fabric._dispatcher.submit(bad)
+                answer = ticket.result(timeout=5.0)
+                assert answer.failed and answer.error == "invalid_input"
+            (spans[name],) = read_spans(tmp_path / name / "trace.jsonl")
+        varying = ("request_id", "batch_id", "latency_s", "queue_wait_s")
+        for span in spans.values():
+            assert span["queue_wait_s"] == span["latency_s"] >= 0.0
+            for key in (*varying, "model_spec"):
+                del span[key]
+        assert spans["engine"] == spans["fabric"]
+        assert spans["fabric"]["error"] == "invalid_input"
+        assert spans["fabric"]["exit_stage"] == -1

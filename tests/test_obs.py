@@ -26,6 +26,7 @@ from repro.obs import (
     EVENTS_SCHEMA,
     METRICS_SCHEMA,
     NULL_OBSERVER,
+    SPAN_REQUIRED_KEYS,
     TRACE_SCHEMA,
     EventLog,
     MetricsRegistry,
@@ -35,14 +36,17 @@ from repro.obs import (
     parse_prometheus,
     read_header,
     read_spans,
+    reconcile_errors,
     reconcile_ops,
     validate_span,
 )
 from repro.obs import cli
+from repro.obs.trace import failure_span
 from repro.serving.config import ServingConfig
 from repro.serving.controller import DeltaController
 from repro.serving.engine import InferenceEngine
 from repro.serving.batching import MicroBatchPolicy
+from repro.serving.resilience import ResiliencePolicy
 
 
 def _example_span(request_id=0, batch_id=0, ops=10.0, exit_stage=0):
@@ -300,6 +304,57 @@ class TestTraceRecorder:
         assert total == 15.0
 
 
+class TestFailureSpan:
+    """``failure_span``: the one record a failed request writes."""
+
+    @staticmethod
+    def _failed(**overrides) -> dict:
+        fields = dict(
+            request_id=7,
+            batch_id=3,
+            model_spec="default:1",
+            latency_s=0.25,
+            cause="injected_fault",
+        )
+        fields.update(overrides)
+        return failure_span(**fields)
+
+    def test_carries_every_required_key(self):
+        span = self._failed()
+        assert validate_span(span) is span
+        assert SPAN_REQUIRED_KEYS <= set(span)
+
+    def test_no_stage_ran(self):
+        span = self._failed()
+        assert span["exit_stage"] == -1 and span["exit_stage_name"] == ""
+        assert span["stages"] == []
+        assert span["ops"] == 0.0 and span["energy_pj"] == 0.0
+        # No stage ran, so the whole latency was spent waiting.
+        assert span["queue_wait_s"] == span["latency_s"] == 0.25
+        assert span["batch_size"] == 1
+        assert span["shed"] is False and span["degraded"] is False
+        assert span["error"] == "injected_fault"
+
+    def test_reconciles_by_cause_at_zero_cost(self):
+        causes = ["injected_fault", "invalid_input", "injected_fault"]
+        spans = [
+            self._failed(request_id=i, batch_id=i, cause=cause)
+            for i, cause in enumerate(causes)
+        ]
+        spans.append(_example_span(request_id=3, batch_id=3, ops=10.0))
+        failed, degraded, count = reconcile_errors(spans)
+        assert failed == {"injected_fault": 2, "invalid_input": 1}
+        assert degraded == 0 and count == 4
+        assert reconcile_ops(spans) == (10.0, 4)
+
+    def test_round_trips_through_a_trace_file(self, tmp_path):
+        span = self._failed()
+        path = tmp_path / "trace.jsonl"
+        with TraceRecorder(path) as rec:
+            rec.record(span)
+        assert read_spans(path) == [span]
+
+
 # -- event log -----------------------------------------------------------------
 
 
@@ -478,6 +533,28 @@ class TestEngineIntegration:
         trips = [e for e in obs.events.tail() if e["kind"] == "hard_cap_trip"]
         assert trips, "a sub-final hard budget must force at least one exit"
         assert all(e["forced"] > 0 for e in trips)
+
+    def test_rejected_request_writes_a_failure_span(self, tmp_path, trained_3c):
+        shape = trained_3c.cdln.baseline.input_shape
+        with Observer.to_directory(tmp_path) as obs:
+            engine = InferenceEngine.from_config(
+                ServingConfig(
+                    model=trained_3c.cdln,
+                    delta=0.6,
+                    resilience=ResiliencePolicy(),
+                    observer=obs,
+                )
+            )
+            ticket = engine.submit(np.full(shape, np.nan))
+            assert ticket.result(timeout=1.0).error == "invalid_input"
+        (span,) = read_spans(tmp_path / "trace.jsonl")
+        assert span == failure_span(
+            request_id=ticket.request_id,
+            batch_id=span["batch_id"],
+            model_spec=engine.entry.spec,
+            latency_s=span["latency_s"],
+            cause="invalid_input",
+        )
 
     def test_default_engine_has_null_observer(self, trained_3c):
         engine = InferenceEngine.from_config(

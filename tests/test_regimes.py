@@ -26,6 +26,7 @@ from repro.scenarios import (
     budgeted_drift_replay,
 )
 from repro.serving import (
+    DeltaController,
     DriftDetector,
     OperatingTable,
     RegimeSignature,
@@ -163,6 +164,21 @@ class TestSchemaVersions:
         with pytest.raises(ConfigurationError, match="schema"):
             OperatingTable.from_dict({"schema": "repro.operating_table/v99"})
 
+    def test_controller_retargets_onto_a_learned_v2_regime(self, regime_setup):
+        """Null accuracies do not stop a retarget, which reads only each
+        point's mean OPS and exit fractions: the loaded entry's own curve
+        is installed."""
+        _, _, table = regime_setup
+        loaded = OperatingTable.from_dict(with_learned_entry(table))
+        entry = loaded.entry("learned_0")
+        wanted = entry.points[len(entry.points) // 3]
+        controller = DeltaController(target_mean_ops=wanted.mean_ops)
+        point = controller.retarget(loaded, "learned_0")
+        assert point.mean_ops == wanted.mean_ops
+        np.testing.assert_array_equal(
+            point.exit_fractions, far_signature(entry.signature).exit_fractions
+        )
+
 
 class TestMatchTieHandling:
     """Regression: equidistant regimes must resolve to the
@@ -184,6 +200,18 @@ class TestMatchTieHandling:
             name, distance = twins.match(signature, delta=DELTA)
             assert name == "aa", f"insertion order {order} leaked into match"
             assert distance == pytest.approx(0.0)
+
+
+class TestNearestMatch:
+    def test_far_window_still_names_the_nearest_regime(self, regime_setup):
+        """There is no unknown-regime cutoff: however far the observed
+        window sits from every regime, the match names the nearest one and
+        reports the distance."""
+        _, _, table = regime_setup
+        far = far_signature(table.entry("clean").signature)
+        name, distance = table.match(far, delta=DELTA)
+        assert name == "clean"
+        assert np.isfinite(distance) and distance > 0.5
 
 
 class TestRobustSlope:

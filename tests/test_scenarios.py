@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.scenarios import (
     DriftStream,
     Scenario,
     ScenarioSuite,
+    budgeted_drift_replay,
     default_suite,
     evaluate_scenario,
     evaluate_suite,
@@ -340,6 +342,21 @@ class TestDriftReplay:
         assert result.final_delta == 0.6
         assert all(p.delta == 0.6 for p in result.phases)
 
+    def test_learning_options_are_gone(self, drift_setup):
+        """Online regime learning is deleted: neither replay recipe takes
+        its settings, and results report no learned regimes."""
+        removed = {
+            "learning", "unknown_distance", "learn_samples", "learn_batches",
+            "calibrator", "table_path",
+        }
+        for replay in (replay_drift, budgeted_drift_replay):
+            params = set(inspect.signature(replay).parameters)
+            assert not removed & params, replay.__name__
+        cdln, stream = drift_setup
+        result = replay_drift(cdln, stream, delta=0.6)
+        assert not hasattr(result, "learned_regimes")
+        assert "learned_regimes" not in result.to_dict()
+
 
 class TestCli:
     def test_list_exits_zero(self, capsys):
@@ -347,6 +364,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "gaussian_noise@1" in out
         assert "class_skew" in out
+
+    @pytest.mark.parametrize(
+        "flags", [["--learn"], ["--unknown-distance", "0.5"]]
+    )
+    def test_learning_flags_are_gone(self, flags, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["run", "--tier", "tiny", "--adaptive", *flags])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_corruption_is_config_error(self, capsys):
         code = cli_main(["list", "--corruptions", "fog"])
