@@ -6,10 +6,16 @@ pen-thickness variation, elastic deformation of the raster, and pixel
 noise/clutter.  Difficulty 0 yields near-canonical prototypes (the "easy
 instances far from the decision boundary" of the paper's Fig. 1); difficulty
 1 yields heavily distorted, cluttered samples (the "hard instances").
+
+The raster-space steps run over batches of images.  Each image's random
+values are drawn first (:func:`draw_raster_augmentation`), since none
+depends on the image; :func:`apply_raster_draws` then does the math for
+the whole batch.  The one-image functions are batches of one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,22 +89,197 @@ def transform_strokes(
     return out
 
 
+def _smooth_rows(images: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One ``gaussian_filter`` pass along axis -2 of ``(..., H, W)``."""
+    radius = len(weights) // 2
+    n = images.shape[-2]
+    pad = [(0, 0)] * (images.ndim - 2) + [(radius, radius), (0, 0)]
+    padded = np.pad(images, pad, mode="symmetric")
+    out = padded[..., radius : radius + n, :] * weights[radius]
+    pair = np.empty_like(out)
+    for k in range(radius, 0, -1):
+        left = padded[..., radius - k : radius - k + n, :]
+        right = padded[..., radius + k : radius + k + n, :]
+        np.add(left, right, out=pair)
+        pair *= weights[radius - k]
+        out += pair
+    return out
+
+
+def gaussian_smooth(fields: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian-filter each image of ``(..., H, W)`` over its last two axes.
+
+    The arithmetic is ``scipy.ndimage.gaussian_filter``'s, so the result
+    is the same bit for bit: its normalized kernel of radius
+    ``int(4 sigma + 0.5)``, reflect (numpy's ``symmetric``) padding, axis
+    -2 then axis -1, and per output the centre tap times its weight plus
+    ``(left + right) * w`` pair by pair from the outermost tap inward.
+    """
+    sigma = float(sigma)
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    weights = phi / phi.sum()
+    rows_done = _smooth_rows(fields, weights)
+    # The axis -1 pass runs on the transpose, so it too reads whole rows.
+    return np.swapaxes(_smooth_rows(np.swapaxes(rows_done, -1, -2), weights), -1, -2)
+
+
+def bilinear_warp(images: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sample each of ``(K, H, W)`` images at its own ``(K, H, W)`` coordinates.
+
+    The arithmetic is ``scipy.ndimage.map_coordinates(order=1,
+    mode="constant")``'s, bit for bit: weights ``(1 - t, 1 - (1 - t))``
+    per axis, terms ``value * row_weight * col_weight`` summed onto 0.0
+    in raster order, and 0 wherever a coordinate falls outside
+    ``[0, H - 1]`` x ``[0, W - 1]``.
+    """
+    k, h, w = images.shape
+    inside = (rows >= 0) & (rows <= h - 1) & (cols >= 0) & (cols <= w - 1)
+    r0, c0 = np.floor(rows), np.floor(cols)
+    wr0 = 1.0 - (rows - r0)
+    wr1 = 1.0 - wr0
+    wc0 = 1.0 - (cols - c0)
+    wc1 = 1.0 - wc0
+    # A neighbour past the last row/column only ever carries weight 0.
+    i0 = np.where(inside, r0, 0).astype(np.intp)
+    j0 = np.where(inside, c0, 0).astype(np.intp)
+    i1, j1 = np.minimum(i0 + 1, h - 1), np.minimum(j0 + 1, w - 1)
+    flat = images.reshape(-1)
+    base = np.arange(k).reshape(k, 1, 1) * (h * w)
+    out = np.add(0.0, flat[base + i0 * w + j0] * wr0 * wc0)
+    out += flat[base + i0 * w + j1] * wr0 * wc1
+    out += flat[base + i1 * w + j0] * wr1 * wc0
+    out += flat[base + i1 * w + j1] * wr1 * wc1
+    out[~inside] = 0.0
+    return out
+
+
+def _elastic(
+    images: np.ndarray, fields: np.ndarray, alpha: np.ndarray, sigma: float
+) -> np.ndarray:
+    """Warp ``(K, H, W)`` images by their ``(K, 2, H, W)`` uniform fields
+    (dx's, then dy's), smoothed and scaled by the ``(K,)`` ``alpha``."""
+    smooth = gaussian_smooth(fields, sigma) * alpha[:, None, None, None]
+    h, w = images.shape[1:]
+    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    return bilinear_warp(images, rows + smooth[:, 1], cols + smooth[:, 0])
+
+
+def _add_clutter(images: np.ndarray, blobs: Sequence[np.ndarray]) -> None:
+    """Add the Gaussian blobs of ``blobs[i]``'s ``(cy, cx, 2 radius**2,
+    weight)`` rows to image ``i`` of a ``(K, H, W)`` batch, then clip the
+    batch, in place.  An image without blobs must already lie in [0, 1],
+    where clipping leaves every bit as it is."""
+    size = images.shape[-2]
+    ys, xs = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    counts = np.array([len(b) for b in blobs])
+    # An image's blobs add one after another, so add them rank by rank.
+    for rank in range(counts.max(initial=0)):
+        members = np.flatnonzero(counts > rank)
+        rows = np.stack([blobs[i][rank] for i in members])
+        cy, cx, spread, weight = (rows[:, j, None, None] for j in range(4))
+        blob = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / spread)
+        images[members] += weight * blob
+    np.clip(images, 0.0, 1.0, out=images)
+
+
+@dataclass(frozen=True)
+class RasterDraws:
+    """Every rng value one image's raster augmentation consumes.
+
+    None of them depends on the image, so a batch draws them all, image
+    by image in the order :func:`augment_image` would, and then runs the
+    raster math over the whole batch (:func:`apply_raster_draws`).
+
+    Attributes
+    ----------
+    alpha:
+        Elastic displacement scale.
+    fields:
+        ``(2, H, W)`` uniform(-1, 1) fields for x then y displacement, or
+        None when ``alpha <= 0``: no warp, and nothing drawn for it.
+    noise:
+        ``(H, W)`` additive pixel noise, or None.
+    blobs:
+        ``(n, 4)`` clutter blobs as ``(cy, cx, 2 radius**2, weight)``
+        rows; n may be 0.
+    """
+
+    alpha: float
+    fields: np.ndarray | None
+    noise: np.ndarray | None
+    blobs: np.ndarray
+
+
+def _draw_fields(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    dx = rng.uniform(-1, 1, shape)
+    dy = rng.uniform(-1, 1, shape)
+    return np.stack([dx, dy])
+
+
+def _draw_blobs(
+    size: int, num_blobs: int, intensity: float, rng: np.random.Generator
+) -> np.ndarray:
+    blobs = np.empty((int(num_blobs), 4))
+    for row in blobs:
+        cy, cx = rng.uniform(0, size, size=2)
+        radius = rng.uniform(0.5, 2.0)
+        row[:] = cy, cx, 2 * radius**2, intensity * rng.uniform(0.3, 1.0)
+    return blobs
+
+
+def draw_raster_augmentation(
+    difficulty: float,
+    params: AugmentationParams,
+    shape: tuple[int, int],
+    rng: np.random.Generator,
+) -> RasterDraws:
+    """Draw one ``shape`` image's elastic fields, noise and clutter."""
+    difficulty = check_fraction(difficulty, "difficulty")
+    alpha = params.max_elastic_alpha * difficulty
+    fields = _draw_fields(shape, rng) if alpha > 0 else None
+    noise = None
+    if params.max_pixel_noise > 0 and difficulty > 0:
+        noise = rng.normal(0.0, params.max_pixel_noise * difficulty, size=shape)
+    max_blobs = int(round(params.max_clutter_blobs * difficulty))
+    num_blobs = rng.integers(0, max_blobs + 1) if max_blobs > 0 else 0
+    blobs = _draw_blobs(shape[0], num_blobs, params.clutter_intensity * difficulty, rng)
+    return RasterDraws(alpha, fields, noise, blobs)
+
+
+def apply_raster_draws(
+    images: np.ndarray, draws: Sequence[RasterDraws], sigma: float
+) -> np.ndarray:
+    """Elastic warp, noise and clutter over a ``(K, H, W)`` batch, in place.
+
+    ``draws[i]`` holds image ``i``'s draws and ``sigma`` is the elastic
+    smoothing width.  Returns ``images``.
+    """
+    warped = [i for i, d in enumerate(draws) if d.fields is not None]
+    if warped:
+        images[warped] = _elastic(
+            images[warped],
+            np.stack([draws[i].fields for i in warped]),
+            np.array([draws[i].alpha for i in warped]),
+            sigma,
+        )
+    noisy = [i for i, d in enumerate(draws) if d.noise is not None]
+    if noisy:
+        images[noisy] += np.stack([draws[i].noise for i in noisy])
+    np.clip(images, 0.0, 1.0, out=images)
+    _add_clutter(images, [d.blobs for d in draws])
+    return images
+
+
 def elastic_deform(
     image: np.ndarray, alpha: float, sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Simard-style elastic deformation via a smoothed displacement field."""
     if alpha <= 0:
         return image
-    from scipy import ndimage  # lazy: keeps scipy out of ``import repro``
-
-    shape = image.shape
-    dx = ndimage.gaussian_filter(rng.uniform(-1, 1, shape), sigma) * alpha
-    dy = ndimage.gaussian_filter(rng.uniform(-1, 1, shape), sigma) * alpha
-    rows, cols = np.meshgrid(
-        np.arange(shape[0]), np.arange(shape[1]), indexing="ij"
-    )
-    coords = np.stack([rows + dy, cols + dx])
-    return ndimage.map_coordinates(image, coords, order=1, mode="constant")
+    fields = _draw_fields(image.shape, rng)
+    return _elastic(image[None], fields[None], np.array([alpha]), sigma)[0]
 
 
 def add_clutter(
@@ -110,15 +291,9 @@ def add_clutter(
     """Add soft Gaussian blobs emulating background structure/partial strokes."""
     if num_blobs <= 0:
         return image
-    size = image.shape[0]
-    ys, xs = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     out = image.copy()
-    for _ in range(num_blobs):
-        cy, cx = rng.uniform(0, size, size=2)
-        radius = rng.uniform(0.5, 2.0)
-        blob = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2 * radius**2))
-        out += intensity * rng.uniform(0.3, 1.0) * blob
-    return np.clip(out, 0.0, 1.0)
+    _add_clutter(out[None], [_draw_blobs(image.shape[0], num_blobs, intensity, rng)])
+    return out
 
 
 def augment_image(
@@ -130,16 +305,6 @@ def augment_image(
     """Apply the raster-space augmentations (elastic, noise, clutter)."""
     difficulty = check_fraction(difficulty, "difficulty")
     rng = ensure_rng(rng)
-    out = elastic_deform(
-        image, params.max_elastic_alpha * difficulty, params.elastic_sigma, rng
-    )
-    if params.max_pixel_noise > 0 and difficulty > 0:
-        noise = rng.normal(0.0, params.max_pixel_noise * difficulty, size=out.shape)
-        out = out + noise
-    out = np.clip(out, 0.0, 1.0)
-    max_blobs = int(round(params.max_clutter_blobs * difficulty))
-    if max_blobs > 0:
-        out = add_clutter(
-            out, rng.integers(0, max_blobs + 1), params.clutter_intensity * difficulty, rng
-        )
-    return out
+    draws = draw_raster_augmentation(difficulty, params, image.shape, rng)
+    batch = np.array(image, dtype=np.float64)[None]
+    return apply_raster_draws(batch, [draws], params.elastic_sigma)[0]

@@ -11,14 +11,20 @@ dataset so experiments can stratify by it (Fig. 8).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.augment import AugmentationParams, augment_image, transform_strokes
+from repro.data.augment import (
+    AugmentationParams,
+    apply_raster_draws,
+    draw_raster_augmentation,
+    transform_strokes,
+)
 from repro.data.dataset import DigitDataset
 from repro.data.glyphs import DIGIT_STYLE_VARIABILITY, glyph_strokes
-from repro.data.rasterize import IMAGE_SIZE, rasterize_strokes
+from repro.data.rasterize import IMAGE_SIZE, rasterize_batch
 from repro.errors import ConfigurationError
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
@@ -64,6 +70,40 @@ class SyntheticMnistConfig:
             raise ConfigurationError("class_variability must cover digits 0..9")
 
 
+#: Digits rendered per batch: enough to amortize numpy's per-call cost,
+#: few enough that a batch's raster temporaries stay at a few MB.
+_BATCH = 32
+
+
+def render_digits(
+    digits: Sequence[int],
+    difficulties: Sequence[float],
+    config: SyntheticMnistConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Render a ``(len(digits), image_size, image_size)`` batch of samples.
+
+    ``rng`` is drawn exactly as one :func:`render_digit` call per digit, in
+    order, would draw it: stroke jitter and wobble, pen thickness, elastic
+    fields, pixel noise, clutter.  No draw depends on an image, so every
+    digit's draws come first and the raster math then runs over the batch.
+    """
+    params = config.augmentation
+    shape = (config.image_size, config.image_size)
+    glyphs, thickness, draws = [], [], []
+    for digit, difficulty in zip(digits, difficulties):
+        glyphs.append(transform_strokes(glyph_strokes(digit), difficulty, params, rng))
+        pen = config.base_thickness * (
+            1.0 + rng.uniform(-1, 1) * params.max_thickness_jitter * difficulty
+        )
+        thickness.append(max(pen, 0.02))
+        draws.append(draw_raster_augmentation(difficulty, params, shape, rng))
+    images = rasterize_batch(
+        glyphs, thickness, size=config.image_size, softness=config.base_softness
+    )
+    return apply_raster_draws(images, draws, params.elastic_sigma)
+
+
 def render_digit(
     digit: int,
     difficulty: float,
@@ -71,20 +111,7 @@ def render_digit(
     rng: int | np.random.Generator | None,
 ) -> np.ndarray:
     """Render one ``(image_size, image_size)`` sample of ``digit``."""
-    rng = ensure_rng(rng)
-    params = config.augmentation
-    strokes = transform_strokes(glyph_strokes(digit), difficulty, params, rng)
-    thickness = config.base_thickness * (
-        1.0 + rng.uniform(-1, 1) * params.max_thickness_jitter * difficulty
-    )
-    thickness = max(thickness, 0.02)
-    image = rasterize_strokes(
-        strokes,
-        size=config.image_size,
-        thickness=thickness,
-        softness=config.base_softness,
-    )
-    return augment_image(image, difficulty, params, rng)
+    return render_digits([digit], [difficulty], config, ensure_rng(rng))[0]
 
 
 def generate_synthetic_mnist(
@@ -122,8 +149,11 @@ def generate_synthetic_mnist(
     difficulty = np.clip(raw_difficulty * variability[labels], 0.0, 1.0)
 
     images = np.empty((num_samples, 1, config.image_size, config.image_size))
-    for i in range(num_samples):
-        images[i, 0] = render_digit(int(labels[i]), float(difficulty[i]), config, rng)
+    for start in range(0, num_samples, _BATCH):
+        batch = slice(start, start + _BATCH)
+        images[batch, 0] = render_digits(
+            labels[batch].tolist(), difficulty[batch].tolist(), config, rng
+        )
     return DigitDataset(
         images=images,
         labels=labels,

@@ -92,6 +92,27 @@ def test_importing_the_fabric_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_synthesis_and_training_leave_scipy_unloaded():
+    # The benchmark's set-up: digits, the contrast corruption and a
+    # trained cascade.  None of it needs scipy, so none of it may load it.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys\n"
+        "from repro.data import corrupt_dataset, make_dataset_pair\n"
+        "from repro.experiments.common import Scale, get_trained\n"
+        "_train, test = make_dataset_pair(400, 200)\n"
+        "corrupt_dataset(test, 'contrast', 0.7)\n"
+        "get_trained('mnist_3c', Scale.tiny())\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "False"
+
+
 class TestSharedParams:
     def test_rehydrated_model_serves_identically(self, trained_3c, images):
         params = SharedParams(trained_3c.cdln)
