@@ -7,6 +7,16 @@ plan, replays it in virtual time and records:
   ``request_id``, keyed by arrival index;
 * the full :class:`~repro.serving.slo.SLOReport`.
 
+The traced cases (:data:`TRACED`) also record the engine's telemetry in a
+``<name>.telemetry.json`` beside the outcomes:
+
+* the span count and a sha256 of the spans' canonical JSON (sorted keys,
+  without ``confidence`` and ``stages[].wall_s``, which BLAS and the wall
+  clock move from machine to machine);
+* the observer's Prometheus exposition text, one line per entry;
+* every :class:`~repro.serving.metrics.MetricsSnapshot` field except the
+  wall-clock ``elapsed_s`` and ``throughput_rps`` and the stage-0 window.
+
 ``tests/test_simulate_fixtures.py`` compares fresh runs against the files
 under ``tests/fixtures/simulate/<dtype>/``.  Regenerate them with::
 
@@ -16,16 +26,18 @@ under ``tests/fixtures/simulate/<dtype>/``.  Regenerate them with::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.bench.suites.chaos import _chaos_plan
 from repro.nn.compute import active_policy
-from repro.obs import Observer
+from repro.obs import Observer, read_spans
 from repro.serving import (
     ArrivalSchedule,
     InferenceEngine,
@@ -42,6 +54,20 @@ DELTA = 0.6
 SLO_P99_S = 0.25
 #: Modeled capacity, scalar OPS/s: ~150 req/s of the tiny cascade.
 CAPACITY = 3e7
+#: Span keys left out of the span digest: BLAS moves the confidence bits.
+UNSTABLE_SPAN_KEYS = ("confidence",)
+#: Snapshot fields left out of the frozen metrics: wall-clock timing and
+#: the stage-0 window.
+UNFROZEN_SNAPSHOT_FIELDS = ("elapsed_s", "throughput_rps", "stage0_quantiles")
+
+
+class Run(NamedTuple):
+    """One case's outputs; ``telemetry`` is ``None`` for untraced cases."""
+
+    arrivals: list
+    outcomes: tuple
+    report: object
+    telemetry: dict | None = None
 
 
 def fixture_dir() -> Path:
@@ -81,13 +107,63 @@ def _ties() -> ArrivalSchedule:
     return ArrivalSchedule.replay(arrivals)
 
 
-def _run(engine, schedule, images, *, fault_plan=None):
+def _run(engine, schedule, images, *, fault_plan=None) -> Run:
     runner = LoadRunner(engine, schedule, images, fault_plan=fault_plan)
     report = runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO_P99_S)
-    return schedule.materialize(), runner.last_outcomes, report
+    return Run(schedule.materialize(), runner.last_outcomes, report)
 
 
-def _chaos(trained, images, *, resilient: bool):
+def _traced(trained, schedule, images, **overrides) -> Run:
+    """``_run`` with an observer on, plus the telemetry it recorded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with Observer.to_directory(Path(tmp)) as observer:
+            engine = _engine(trained, observer=observer, **overrides)
+            run = _run(engine, schedule, images)
+            observer.flush()
+            spans = read_spans(Path(tmp) / "trace.jsonl")
+            return run._replace(
+                telemetry=telemetry(spans, observer, engine.metrics.snapshot())
+            )
+
+
+def span_digest(spans: list[dict]) -> str:
+    """sha256 of the spans' canonical JSON, machine-dependent keys removed."""
+    stable = [
+        {
+            **{k: v for k, v in span.items() if k not in UNSTABLE_SPAN_KEYS},
+            "stages": [
+                {k: v for k, v in stage.items() if k != "wall_s"}
+                for stage in span["stages"]
+            ],
+        }
+        for span in spans
+    ]
+    canonical = json.dumps(stable, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def telemetry(spans: list[dict], observer, snapshot) -> dict:
+    """The JSON-ready record of one traced run's spans, exposition text
+    and metrics snapshot (what a ``.telemetry.json`` file holds)."""
+    metrics = {
+        field.name: getattr(snapshot, field.name)
+        for field in fields(snapshot)
+        if field.name not in UNFROZEN_SNAPSHOT_FIELDS
+    }
+    metrics["exit_stage_counts"] = metrics["exit_stage_counts"].tolist()
+    return json.loads(
+        json.dumps(
+            {
+                "span_count": len(spans),
+                "span_sha256": span_digest(spans),
+                "metrics": metrics,
+                "prometheus": observer.render_prometheus().splitlines(),
+            }
+        )
+    )
+
+
+def _chaos(trained, images, *, resilient: bool) -> Run:
     # The chaos_resilience bench's engine and plan, on a shorter schedule.
     policy = MicroBatchPolicy(max_batch_size=8, max_wait_s=0.05)
     schedule = ArrivalSchedule.poisson(
@@ -96,34 +172,33 @@ def _chaos(trained, images, *, resilient: bool):
     if not resilient:
         engine = _engine(trained, policy=policy, faults=_chaos_plan())
         return _run(engine, schedule, images)
-    with tempfile.TemporaryDirectory() as tmp:
-        with Observer.to_directory(Path(tmp)) as observer:
-            engine = _engine(
-                trained,
-                policy=policy,
-                faults=_chaos_plan(),
-                resilience=ResiliencePolicy(
-                    max_retries=1, degraded_after=2, degraded_window=8
-                ),
-                observer=observer,
-            )
-            return _run(engine, schedule, images)
+    return _traced(
+        trained,
+        schedule,
+        images,
+        policy=policy,
+        faults=_chaos_plan(),
+        resilience=ResiliencePolicy(
+            max_retries=1, degraded_after=2, degraded_window=8
+        ),
+    )
 
 
-def run_case(name: str, trained, images):
-    """``(arrivals, outcomes, report)`` of one named case."""
+def run_case(name: str, trained, images) -> Run:
+    """The :class:`Run` of one named case."""
     if name == "poisson_default":
         schedule = ArrivalSchedule.poisson(
             rate_rps=200.0, duration_s=1.0, seed=11, deadline_s=0.02
         )
         return _run(_engine(trained), schedule, images)
     if name == "bursty_shed_depth":
-        engine = _engine(
+        return _traced(
             trained,
+            _bursty(),
+            images,
             policy=MicroBatchPolicy(max_batch_size=8, max_wait_s=0.005),
             shed=ShedPolicy(max_queue_depth=12),
         )
-        return _run(engine, _bursty(), images)
     if name == "bursty_shed_wait":
         engine = _engine(
             trained,
@@ -159,6 +234,9 @@ CASES = (
     "chaos_unprotected",
 )
 
+#: Cases run with an observer, whose telemetry is frozen too.
+TRACED = ("bursty_shed_depth", "chaos_resilient")
+
 
 #: Outcome fields in the order a fixture row stores them.
 FIELDS = (
@@ -186,14 +264,14 @@ def outcomes_by_arrival(arrivals, outcomes) -> dict[str, list]:
     return dict(sorted(keyed.items(), key=lambda item: int(item[0])))
 
 
-def snapshot(arrivals, outcomes, report) -> dict:
+def snapshot(run: Run) -> dict:
     """The JSON-ready record of one run (what a fixture file holds)."""
     return json.loads(
         json.dumps(
             {
                 "fields": list(FIELDS),
-                "outcomes": outcomes_by_arrival(arrivals, outcomes),
-                "report": json.loads(report.to_json()),
+                "outcomes": outcomes_by_arrival(run.arrivals, run.outcomes),
+                "report": json.loads(run.report.to_json()),
             }
         )
     )
@@ -225,10 +303,15 @@ def main() -> None:
     out = fixture_dir()
     out.mkdir(parents=True, exist_ok=True)
     for name in CASES:
-        frozen = snapshot(*run_case(name, trained, images))
+        run = run_case(name, trained, images)
+        frozen = snapshot(run)
         path = out / f"{name}.json"
         path.write_text(dumps(frozen))
         print(f"wrote {path} ({len(frozen['outcomes'])} outcomes)")
+        if run.telemetry is not None:
+            path = out / f"{name}.telemetry.json"
+            path.write_text(json.dumps(run.telemetry, indent=1) + "\n")
+            print(f"wrote {path} ({run.telemetry['span_count']} spans)")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,10 @@ Every value must match exactly, except the report's three means: they
 sum outcomes in request-id order, and request ids follow arrival order,
 not boarding order, so a priority mix may only move them by summation
 order (relative 1e-12).
+
+The two traced cases also freeze the engine's telemetry (the span count
+and digest, the Prometheus exposition and the metrics snapshot), which
+must match exactly too.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ def test_simulate_matches_frozen_fixture(name, trained_3c, tiny_test_set):
     path = cases.fixture_dir() / f"{name}.json"
     frozen = json.loads(path.read_text())
     fresh = cases.snapshot(
-        *cases.run_case(name, trained_3c, tiny_test_set.images)
+        cases.run_case(name, trained_3c, tiny_test_set.images)
     )
     assert fresh["fields"] == frozen["fields"]
     assert fresh["outcomes"] == frozen["outcomes"]
@@ -41,12 +45,25 @@ def test_simulate_matches_frozen_fixture(name, trained_3c, tiny_test_set):
     assert fresh["report"] == frozen["report"]
 
 
+@pytest.mark.parametrize("name", cases.TRACED)
+def test_traced_telemetry_matches_frozen_fixture(
+    name, trained_3c, tiny_test_set
+):
+    path = cases.fixture_dir() / f"{name}.telemetry.json"
+    frozen = json.loads(path.read_text())
+    fresh = cases.run_case(name, trained_3c, tiny_test_set.images).telemetry
+    assert fresh["span_count"] == frozen["span_count"]
+    assert fresh["span_sha256"] == frozen["span_sha256"]
+    assert fresh["metrics"] == frozen["metrics"]
+    assert fresh["prometheus"] == frozen["prometheus"]
+
+
 def test_rejected_payload_fails_at_arrival(trained_3c, tiny_test_set):
     """A payload rejected at intake fails when it arrives, as in ``run()``:
     no queue wait and no latency."""
-    _arrivals, outcomes, _report = cases.run_case(
+    outcomes = cases.run_case(
         "chaos_resilient", trained_3c, tiny_test_set.images
-    )
+    ).outcomes
     rejected = [o for o in outcomes if o.error == "invalid_input"]
     assert rejected
     assert all(o.queue_wait_s == o.latency_s == 0.0 for o in rejected)
