@@ -12,7 +12,7 @@ virtual time against the same schedule twice (body and checks in
   stranded tickets, retries saving the transients, degraded stage-0
   fallback absorbing the outage, and the failed/degraded accounting
   reconciling *exactly* across SLO report, metrics snapshot, and trace
-  spans (:func:`repro.obs.reconcile_errors`).
+  spans (:func:`repro.obs.fold_spans`).
 """
 
 

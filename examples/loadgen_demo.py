@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from repro import CdlTrainingConfig, make_dataset_pair, train_cdln
-from repro.obs import Observer, read_spans, reconcile_shed
+from repro.obs import Observer, fold_spans, read_spans
 from repro.serving import (
     ArrivalSchedule,
     InferenceEngine,
@@ -87,13 +87,12 @@ def main() -> None:
     )
 
     # -- 4. shed fraction reconciles exactly with the trace ------------------
-    spans = read_spans(outdir / "trace.jsonl")
-    shed_in_trace, span_count = reconcile_shed(spans)
-    assert span_count == shed_report.answered
-    assert shed_in_trace == shed_report.shed_count  # ==, not approx
+    trace = fold_spans(read_spans(outdir / "trace.jsonl"))
+    assert trace.spans == shed_report.answered
+    assert trace.shed_requests == shed_report.shed_count  # ==, not approx
     print(
-        f"\n{span_count} spans reconcile: {shed_in_trace} shed in trace == "
-        f"{shed_report.shed_count} in the SLO report"
+        f"\n{trace.spans} spans reconcile: {trace.shed_requests} shed in "
+        f"trace == {shed_report.shed_count} in the SLO report"
     )
 
 

@@ -3,8 +3,9 @@
 Serves a short workload with every telemetry sink enabled -- the
 per-request span trace, the labeled metrics registry, and the lifecycle
 event log -- then shows the three read paths: a Prometheus text scrape,
-the span-reconciled OPS total (bit-exact against the engine's own
-metrics), and the ``python -m repro.obs summary`` operator view.
+the span fold's OPS total (bit-exact against the engine's own metrics,
+since both fold the same answers), and the ``python -m repro.obs
+summary`` operator view.
 
 Usage::
 
@@ -19,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 from repro import CdlTrainingConfig, InferenceEngine, make_dataset_pair, train_cdln
-from repro.obs import Observer, read_spans, reconcile_ops
+from repro.obs import Observer, fold_spans, read_spans
 from repro.obs.cli import main as obs_cli
 from repro.serving import MicroBatchPolicy, ServingConfig
 from repro.utils.logging import enable_console_logging
@@ -59,12 +60,11 @@ def main() -> None:
             print(line)
 
     # -- span-reconciled accounting: bit-exact vs the engine -----------------
-    spans = read_spans(outdir / "trace.jsonl")
-    total, count = reconcile_ops(spans)
+    trace = fold_spans(read_spans(outdir / "trace.jsonl"))
     snap = engine.metrics.snapshot()
-    assert count == snap.requests
-    assert total / count == snap.mean_ops  # ==, not approx
-    print(f"\n{count} spans reconcile to mean OPS {total / count:.1f} "
+    assert trace.requests == snap.requests
+    assert trace.mean_ops == snap.mean_ops  # ==, not approx
+    print(f"\n{trace.spans} spans fold to mean OPS {trace.mean_ops:.1f} "
           f"(engine reports {snap.mean_ops:.1f}; bit-exact)")
     print(f"tail latency: p99 {snap.latency_p99_s * 1e3:.3f} ms, "
           f"p99.9 {snap.latency_p999_s * 1e3:.3f} ms, "

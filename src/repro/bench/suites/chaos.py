@@ -17,8 +17,8 @@ twice:
 The failure accounting is gated exactly, three ways: the
 :class:`~repro.serving.slo.SLOReport` failed/degraded counts, the
 :class:`~repro.serving.metrics.MetricsSnapshot` per-cause counters, and
-the trace spans re-derived by :func:`repro.obs.reconcile_errors` must
-agree with ``==``, not approx.
+the trace spans folded by :func:`repro.obs.fold_spans` must agree with
+``==``, not approx.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro.bench.registry import BenchContext, BenchResult, Tolerance, benchmark
 from repro.experiments.common import Scale, get_datasets, get_trained
-from repro.obs import Observer, read_spans, reconcile_errors
+from repro.obs import Observer, fold_spans, read_spans
 from repro.serving import (
     ArrivalSchedule,
     FaultPlan,
@@ -151,14 +151,14 @@ def bench_chaos_resilience(ctx: BenchContext) -> BenchResult:
             spans = read_spans(Path(tmp) / "trace.jsonl")
 
     snap = engine.metrics.snapshot()
-    failed_by_cause, degraded_in_trace, span_count = reconcile_errors(spans)
-    # Three independent ledgers, one count -- `==`, not approx.
+    trace = fold_spans(spans)
+    # Three views of one fold, one count -- `==`, not approx.
     exact = (
-        span_count == report.answered + report.failed_count
-        and sum(failed_by_cause.values()) == report.failed_count
-        and dict(snap.failed_by_cause) == failed_by_cause
+        trace.spans == report.answered + report.failed_count
+        and trace.failed_requests == report.failed_count
+        and trace.failed_by_cause == snap.failed_by_cause
         and snap.degraded_requests == report.degraded_count
-        and degraded_in_trace == report.degraded_count
+        and trace.degraded_requests == report.degraded_count
     )
     # Zero stranded tickets: every scheduled arrival resolved.
     stranded = report.requests - report.answered - report.failed_count

@@ -15,7 +15,7 @@ machines and the regression gate can hold counts exactly.
   backpressure, never drop) brings p99 back inside the target at 100 %
   goodput, and ``SLOReport.shed_count`` reconciles *exactly* with both
   ``MetricsSnapshot.shed_requests`` and the per-request trace spans
-  (:func:`repro.obs.reconcile_shed`).
+  (:func:`repro.obs.fold_spans`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.bench.registry import BenchContext, BenchResult, Tolerance, benchmark
 from repro.experiments.common import Scale, get_datasets, get_trained
-from repro.obs import Observer, read_spans, reconcile_shed
+from repro.obs import Observer, fold_spans, read_spans
 from repro.serving import (
     ArrivalSchedule,
     InferenceEngine,
@@ -173,12 +173,12 @@ def bench_loadgen_shed(ctx: BenchContext) -> BenchResult:
             spans = read_spans(Path(tmp) / "trace.jsonl")
 
     snap = engine.metrics.snapshot()
-    shed_in_trace, span_count = reconcile_shed(spans)
+    trace = fold_spans(spans)
     stage0 = all(s["exit_stage"] == 0 for s in spans if s.get("shed"))
-    # Three independent ledgers, one count -- `==`, not approx.
+    # Three views of one fold, one count -- `==`, not approx.
     exact = (
-        span_count == shed.answered
-        and shed_in_trace == shed.shed_count
+        trace.spans == shed.answered
+        and trace.shed_requests == shed.shed_count
         and snap.shed_requests == shed.shed_count
         and stage0
     )

@@ -8,11 +8,12 @@
   under an alternating within-run A/B conservatively bounds what the
   hooks can possibly cost; the absolute req/s numbers are informational
   (runner-dependent).
-* **Spans reconcile exactly** -- summing per-span OPS over a traced
-  workload (grouped by batch, batch-ordered, numpy-summed -- the same
-  accumulation :class:`~repro.serving.metrics.ServingMetrics` performs)
-  reproduces ``MetricsSnapshot.mean_ops`` bit for bit, compared with
-  ``==`` and not ``approx``.
+* **Spans reconcile exactly** -- folding a traced workload's spans
+  (:func:`repro.obs.fold_spans`: per-span OPS grouped by batch,
+  batch-ordered, numpy-summed -- the same accumulation
+  :class:`~repro.serving.metrics.ServingMetrics` performs) reproduces
+  ``MetricsSnapshot.mean_ops`` bit for bit, compared with ``==`` and not
+  ``approx``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from time import perf_counter
 
 from repro.bench.registry import BenchContext, BenchResult, Tolerance, benchmark
 from repro.experiments.common import get_datasets, get_trained
-from repro.obs import Observer, read_spans, reconcile_ops
+from repro.obs import Observer, fold_spans, read_spans
 from repro.serving import InferenceEngine, MicroBatchPolicy, ServingConfig
 from repro.utils.tables import AsciiTable
 
@@ -152,14 +153,15 @@ def bench_obs_reconcile(ctx: BenchContext) -> BenchResult:
             obs.flush()
             spans = read_spans(Path(tmp) / "trace.jsonl")
     snap = engine.metrics.snapshot()
-    total, count = reconcile_ops(spans)
+    trace = fold_spans(spans)
+    count = trace.spans
     # Bit-for-bit, same division as the snapshot -- `==`, not approx.
-    exact = count == snap.requests and total / max(count, 1) == snap.mean_ops
+    exact = count == snap.requests and trace.mean_ops == snap.mean_ops
     table = AsciiTable(["quantity", "value"], title="Span/metrics reconciliation")
     table.add_row(["requests (metrics)", snap.requests])
     table.add_row(["spans (trace)", count])
     table.add_row(["mean OPS (metrics)", repr(snap.mean_ops)])
-    table.add_row(["mean OPS (spans)", repr(total / max(count, 1))])
+    table.add_row(["mean OPS (spans)", repr(trace.mean_ops)])
     table.add_row(["bit-exact", str(exact)])
     return BenchResult(
         metrics={

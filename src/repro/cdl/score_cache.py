@@ -44,8 +44,7 @@ def first_terminating_stage(
     The final row must be all-True (the cascade head always classifies).
     ``max_stage`` applies the hard depth cap by force-terminating every
     row at or past it -- the single definition of that semantic, shared by
-    :class:`StageScoreCache` and the serving controller's legacy
-    :func:`~repro.serving.controller.simulate_exit_stages`.  Mutates
+    :class:`StageScoreCache` and :func:`exit_stages_from_scores`.  Mutates
     ``terminate`` in place.
     """
     if max_stage is not None:

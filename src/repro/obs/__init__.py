@@ -3,7 +3,9 @@
 Three sinks behind one handle:
 
 * :class:`~repro.obs.trace.TraceRecorder` -- schema-versioned JSON-lines
-  span traces, one record per answered request.
+  span traces, one record per resolved answer
+  (:func:`~repro.obs.trace.span_of`), folded back into metrics-comparable
+  totals by :func:`~repro.obs.trace.fold_spans`.
 * :class:`~repro.obs.metrics.MetricsRegistry` -- labeled Counter / Gauge /
   Histogram families with Prometheus text-exposition and JSON exporters.
 * :class:`~repro.obs.events.EventLog` -- structured control-plane events
@@ -30,13 +32,13 @@ from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.trace import (
     SPAN_REQUIRED_KEYS,
     TRACE_SCHEMA,
+    SpanFold,
     TraceRecorder,
+    fold_spans,
     iter_records,
     read_header,
     read_spans,
-    reconcile_errors,
-    reconcile_ops,
-    reconcile_shed,
+    span_of,
     validate_span,
 )
 
@@ -52,14 +54,14 @@ __all__ = [
     "NULL_OBSERVER",
     "Observer",
     "SPAN_REQUIRED_KEYS",
+    "SpanFold",
     "TRACE_SCHEMA",
     "TraceRecorder",
+    "fold_spans",
     "iter_records",
     "parse_prometheus",
     "read_header",
     "read_spans",
-    "reconcile_errors",
-    "reconcile_ops",
-    "reconcile_shed",
+    "span_of",
     "validate_span",
 ]

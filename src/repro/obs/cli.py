@@ -7,8 +7,9 @@ writes: span traces (``repro.trace/v1``) and event logs
 * ``summary`` folds a span trace into the operator view: the exit-flow
   table (where requests left the cascade and what each exit cost), the
   per-stage latency breakdown (batch-level stage wall time, active-set
-  sizes), and the aggregate totals -- including the span-reconciled mean
-  OPS, which matches ``ServingMetrics.mean_ops`` bit for bit.
+  sizes), and the aggregate totals -- folded by :func:`~repro.obs.trace.
+  fold_spans`, so the mean OPS matches ``ServingMetrics.mean_ops`` bit
+  for bit.
 * ``tail`` prints the newest N records of either stream as JSON lines.
 * ``filter`` selects spans by exit stage, batch id, latency or OPS
   floors, printing matches as JSON lines for downstream tooling.
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.obs.events import EVENTS_SCHEMA
-from repro.obs.trace import TRACE_SCHEMA, iter_records, read_header, reconcile_ops
+from repro.obs.trace import TRACE_SCHEMA, fold_spans, iter_records, read_header
 from repro.utils.tables import AsciiTable
 
 
@@ -80,9 +81,9 @@ def _spans(path: Path) -> list[dict]:
 def summarize_trace(path: Path) -> dict:
     """The ``summary`` command's payload as a plain dict.
 
-    ``mean_ops`` is reconciled through :func:`~repro.obs.trace.
-    reconcile_ops` (per-batch numpy sums accumulated in batch order), so
-    it equals the engine's ``MetricsSnapshot.mean_ops`` exactly.
+    The totals come from :func:`~repro.obs.trace.fold_spans` (per-batch
+    numpy sums accumulated in batch order), so ``mean_ops`` equals the
+    engine's ``MetricsSnapshot.mean_ops`` exactly.
 
     Failure spans (``error`` set, ``exit_stage`` -1, zero cost) are
     excluded from the exit-flow/latency/OPS statistics -- they carry no
@@ -90,11 +91,11 @@ def summarize_trace(path: Path) -> dict:
     """
     header = read_header(path)
     all_spans = _spans(path)
+    fold = fold_spans(all_spans)
     spans = [s for s in all_spans if s.get("error") is None]
-    failed = len(all_spans) - len(spans)
     if not spans:
         return {"header": header, "requests": 0, "exit_flow": [],
-                "stage_breakdown": [], "totals": {"failed": failed}}
+                "stage_breakdown": [], "totals": {"failed": fold.failed_requests}}
     latencies = np.array([s["latency_s"] for s in spans], dtype=np.float64)
     waits = np.array([s["queue_wait_s"] for s in spans], dtype=np.float64)
     ops = np.array([s["ops"] for s in spans], dtype=np.float64)
@@ -149,22 +150,21 @@ def summarize_trace(path: Path) -> dict:
             "wall_share": float(walls.sum()) / total_wall if total_wall else 0.0,
         })
 
-    total_ops, requests = reconcile_ops(spans)
     totals = {
-        "requests": requests,
+        "requests": fold.requests,
         "batches": len(batch_ids),
-        "total_ops": total_ops,
-        "mean_ops": total_ops / max(requests, 1),
+        "total_ops": fold.total_ops,
+        "mean_ops": fold.mean_ops,
         "total_energy_pj": float(energies.sum()),
         "mean_latency_ms": float(latencies.mean()) * 1e3,
         "max_latency_ms": float(latencies.max()) * 1e3,
         "mean_queue_wait_ms": float(waits.mean()) * 1e3,
-        "failed": failed,
-        "degraded": sum(1 for s in spans if s.get("degraded")),
+        "failed": fold.failed_requests,
+        "degraded": fold.degraded_requests,
     }
     return {
         "header": header,
-        "requests": requests,
+        "requests": fold.requests,
         "exit_flow": exit_flow,
         "stage_breakdown": stage_breakdown,
         "totals": totals,

@@ -2,20 +2,21 @@
 
 A trace file starts with one header record (``kind: "header"`` carrying
 :data:`TRACE_SCHEMA` plus whatever metadata the producer attached) and
-then holds one record per line -- the serving engine writes a ``span``
-record per answered request: queue wait, batch id, the per-stage wall
-time / active-set / OPS timeline, exit stage, the δ and depth cap in
-force, and the request's exact OPS/energy cost.
+then holds one record per line -- the serving engine writes one ``span``
+record per resolved answer, built by :func:`span_of`: queue wait, batch
+id, the per-stage wall time / active-set / OPS timeline, exit stage, the
+δ and depth cap in force, and the request's exact OPS/energy cost, or
+the failure cause.
 
 :class:`TraceRecorder` is the write side -- one lock around an append to
 an open line-buffered file, safe to share between the synchronous engine,
 the async worker thread, and anything else.  The read side
 (:func:`iter_records` / :func:`read_spans`) validates the header and
-yields parsed dicts; :func:`reconcile_ops` re-derives the aggregate OPS
-accounting from spans alone, *bit-exactly* matching
-:class:`~repro.serving.metrics.ServingMetrics` (same per-batch numpy
-summation, same batch-ordered accumulation) -- the invariant the
-``obs_reconcile`` benchmark gates.
+yields parsed dicts; :func:`fold_spans` folds spans back into the
+countables of a :class:`~repro.serving.metrics.MetricsSnapshot`, with
+the OPS total *bit-exact* (same per-batch numpy summation, same
+batch-ordered accumulation) -- the invariant the ``obs_reconcile``
+benchmark gates.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,37 +45,42 @@ SPAN_REQUIRED_KEYS = frozenset({
 })
 
 
-def failure_span(
+def span_of(
+    answer,
     *,
-    request_id: int,
     batch_id: int,
     model_spec: str,
-    latency_s: float,
-    cause: str,
+    max_stage: int | None = None,
+    stages: Sequence[dict] = (),
 ) -> dict:
-    """The span of a request that resolved failed: every required key
-    (``exit_stage`` -1, zero cost, an empty stage timeline) plus ``error``,
-    which :func:`reconcile_errors` re-derives.  Its whole latency counts
-    as queue wait, since no stage ran."""
+    """The span record of one resolved answer.
+
+    ``answer`` is an :class:`~repro.serving.engine.InferenceResponse` or a
+    :class:`~repro.serving.engine.RequestFailed`; both expose every field
+    read here (a failure exits at stage -1, pays nothing and carries its
+    cause in ``error``).  ``stages`` is the batch's per-stage timeline,
+    shared by every span of the batch; ``max_stage`` the depth cap in
+    force.
+    """
     return {
         "kind": "span",
-        "request_id": request_id,
+        "request_id": answer.request_id,
         "batch_id": batch_id,
         "model_spec": model_spec,
-        "queue_wait_s": latency_s,
-        "latency_s": latency_s,
-        "exit_stage": -1,
-        "exit_stage_name": "",
-        "confidence": 0.0,
-        "delta": 0.0,
-        "max_stage": None,
-        "batch_size": 1,
-        "ops": 0.0,
-        "energy_pj": 0.0,
-        "shed": False,
-        "degraded": False,
-        "error": cause,
-        "stages": [],
+        "queue_wait_s": answer.queue_wait_s,
+        "latency_s": answer.latency_s,
+        "exit_stage": answer.exit_stage,
+        "exit_stage_name": answer.exit_stage_name,
+        "confidence": answer.confidence,
+        "delta": answer.delta,
+        "max_stage": max_stage,
+        "batch_size": answer.batch_size,
+        "ops": answer.ops,
+        "energy_pj": answer.energy_pj,
+        "shed": answer.shed,
+        "degraded": answer.degraded,
+        "error": answer.error,
+        "stages": list(stages),
     }
 
 
@@ -216,75 +223,66 @@ def validate_span(span: dict) -> dict:
     return span
 
 
-def reconcile_ops(spans: Iterable[dict]) -> tuple[float, int]:
-    """Re-derive ``(total OPS, requests)`` from spans, metrics-exactly.
+@dataclass(frozen=True)
+class SpanFold:
+    """What a trace's spans add up to.
+
+    Each field means what its :class:`~repro.serving.metrics.
+    MetricsSnapshot` namesake means, so the two compare with ``==``:
+    ``requests`` counts answered spans (failures excluded), and
+    ``mean_ops`` equals the snapshot's bit for bit.  Spans without the
+    ``shed``/``degraded``/``error`` fields (older traces) count zero.
+    """
+
+    requests: int
+    total_ops: float
+    shed_requests: int
+    degraded_requests: int
+    #: ``((cause, count), ...)``, sorted by cause.
+    failed_by_cause: tuple[tuple[str, int], ...]
+
+    @property
+    def failed_requests(self) -> int:
+        return sum(count for _, count in self.failed_by_cause)
+
+    @property
+    def spans(self) -> int:
+        """Every span folded: answered plus failed."""
+        return self.requests + self.failed_requests
+
+    @property
+    def mean_ops(self) -> float:
+        return self.total_ops / max(self.requests, 1)
+
+
+def fold_spans(spans: Iterable[dict]) -> SpanFold:
+    """Fold span records into a :class:`SpanFold`.
 
     :class:`~repro.serving.metrics.ServingMetrics` accumulates
     ``float(ops.sum())`` per dispatched micro-batch; JSON round-trips
-    doubles exactly (shortest-repr serialization), so grouping spans by
-    ``batch_id``, pairwise-summing each batch with numpy in span order,
-    and accumulating the per-batch sums in batch order reproduces the
-    aggregate *bit for bit* -- ``total / requests`` equals
-    ``MetricsSnapshot.mean_ops`` with ``==``, not ``approx``.
+    doubles exactly (shortest-repr serialization), so grouping answered
+    spans by ``batch_id``, pairwise-summing each batch with numpy in span
+    order, and accumulating the per-batch sums in batch order reproduces
+    the OPS total *bit for bit*.
     """
     batches: dict[int, list[float]] = {}
-    order: list[int] = []
-    count = 0
-    for span in spans:
-        batch_id = int(span["batch_id"])
-        if batch_id not in batches:
-            batches[batch_id] = []
-            order.append(batch_id)
-        batches[batch_id].append(float(span["ops"]))
-        count += 1
-    total = 0.0
-    for batch_id in order:
-        total += float(np.array(batches[batch_id], dtype=np.float64).sum())
-    return total, count
-
-
-def reconcile_shed(spans: Iterable[dict]) -> tuple[int, int]:
-    """Re-derive ``(shed requests, requests)`` from spans.
-
-    The serving engine stamps every span with a boolean ``shed`` field
-    (not part of the v1 required set -- older traces simply count zero).
-    The result must equal :attr:`MetricsSnapshot.shed_requests` /
-    ``requests`` exactly, and the ``loadgen_shed`` benchmark gates that
-    reconciliation against the :class:`~repro.serving.slo.SLOReport` from
-    the same run.
-    """
-    shed = 0
-    count = 0
-    for span in spans:
-        count += 1
-        if span.get("shed"):
-            shed += 1
-    return shed, count
-
-
-def reconcile_errors(
-    spans: Iterable[dict],
-) -> tuple[dict[str, int], int, int]:
-    """Re-derive ``(failed by cause, degraded requests, requests)`` from spans.
-
-    A failed request's span carries ``error`` (the cause label, e.g.
-    ``"injected_fault"``) and ``exit_stage`` -1; a request served during
-    a degraded episode carries ``degraded: true``.  Neither field is in
-    the v1 required set -- pre-resilience traces reconcile to zero.  The
-    chaos gate checks the result three ways: the per-cause dict must
-    equal :attr:`MetricsSnapshot.failed_by_cause`, the degraded count
-    :attr:`MetricsSnapshot.degraded_requests`, and both must match the
-    :class:`~repro.serving.slo.SLOReport` of the same run.  ``requests``
-    counts every span, failed included.
-    """
+    shed = degraded = 0
     failed: dict[str, int] = {}
-    degraded = 0
-    count = 0
     for span in spans:
-        count += 1
         cause = span.get("error")
         if cause is not None:
             failed[cause] = failed.get(cause, 0) + 1
-        elif span.get("degraded"):
-            degraded += 1
-    return failed, degraded, count
+            continue
+        batches.setdefault(int(span["batch_id"]), []).append(float(span["ops"]))
+        shed += bool(span.get("shed"))
+        degraded += bool(span.get("degraded"))
+    total = 0.0
+    for ops in batches.values():
+        total += float(np.array(ops, dtype=np.float64).sum())
+    return SpanFold(
+        requests=sum(len(ops) for ops in batches.values()),
+        total_ops=total,
+        shed_requests=shed,
+        degraded_requests=degraded,
+        failed_by_cause=tuple(sorted(failed.items())),
+    )

@@ -38,7 +38,6 @@ _EXPORTS = {
     "DeltaCalibration": "repro.serving.controller",
     "DeltaController": "repro.serving.controller",
     "ShedPolicy": "repro.serving.controller",
-    "simulate_exit_stages": "repro.serving.controller",
     "MetricsSnapshot": "repro.serving.metrics",
     "STAGE0_QUANTILE_GRID": "repro.serving.metrics",
     "ServingMetrics": "repro.serving.metrics",

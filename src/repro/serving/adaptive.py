@@ -11,9 +11,9 @@ regime you observe, not to a wall-clock schedule.
 
 Three pieces:
 
-* :class:`DriftDetector` -- maintains a rolling window of exit-stage
-  histograms and stage-0 confidence quantiles (the two live signals the
-  engine already produces per micro-batch), scores the window against a
+* :class:`DriftDetector` -- maintains a rolling :class:`SignatureWindow`
+  of exit-stage histograms and stage-0 confidences (the two live signals
+  the engine already produces per micro-batch), scores the window against a
   reference :class:`RegimeSignature` with a population-stability-index
   style statistic, and emits a :class:`DriftEvent` when the score clears
   a threshold -- with hysteresis, so a noisy boundary cannot flap.
@@ -295,6 +295,53 @@ class DriftEvent:
     trigger: str = "level"
 
 
+class SignatureWindow:
+    """The last ``size`` served batches, folded into one signature.
+
+    Keeps each batch's exit histogram and stage-0 confidences; the folded
+    :class:`RegimeSignature` carries its request count, so windows merge
+    across replicas (:meth:`RegimeSignature.merge`) without the
+    fraction-averaging bias.  :class:`DriftDetector` scores one; a fabric
+    replica installs one as its engine's adaptive hook and ships it
+    upstream.
+    """
+
+    def __init__(self, num_stages: int, size: int) -> None:
+        self.num_stages = num_stages
+        self.size = size
+        self._exit_counts: list[np.ndarray] = []
+        self._confidences: list[np.ndarray] = []
+
+    def add(self, exit_stages: np.ndarray, stage0_confidences: np.ndarray) -> None:
+        """Fold one batch in, dropping the oldest beyond ``size``."""
+        self._exit_counts.append(
+            np.bincount(np.asarray(exit_stages), minlength=self.num_stages)
+        )
+        self._confidences.append(
+            np.asarray(stage0_confidences, dtype=np.float64)
+        )
+        del self._exit_counts[: -self.size]
+        del self._confidences[: -self.size]
+
+    def after_batch(self, engine, exit_stages, stage0_confidences) -> None:
+        """The engine's adaptive hook: record the batch, never retarget."""
+        self.add(exit_stages, stage0_confidences)
+
+    def signature(self, *, recent: int | None = None) -> RegimeSignature | None:
+        """The window (or its freshest ``recent`` batches) as one
+        signature; ``None`` while empty."""
+        if not self._exit_counts:
+            return None
+        tail = slice(-recent if recent else None, None)
+        counts = np.sum(self._exit_counts[tail], axis=0)
+        confidences = np.concatenate(self._confidences[tail])
+        return RegimeSignature(
+            exit_fractions=counts / max(counts.sum(), 1),
+            stage0_quantiles=np.quantile(confidences, STAGE0_QUANTILE_GRID),
+            count=int(counts.sum()),
+        )
+
+
 class DriftDetector:
     """Scores live serving traffic against a reference regime signature.
 
@@ -405,8 +452,7 @@ class DriftDetector:
         self.observations = 0
         self.last_score: float | None = None
         self.last_rate: float | None = None
-        self._exit_counts: list[np.ndarray] = []
-        self._confidences: list[np.ndarray] = []
+        self._recent = SignatureWindow(reference.exit_fractions.shape[0], window)
         self._scores: list[float] = []
         self._armed = True
         self._breach_streak = 0
@@ -444,16 +490,10 @@ class DriftDetector:
         wants only post-shift traffic -- a full window straddling the
         shift is diluted with the old regime and matches nothing well.
         """
-        if not self._exit_counts:
+        signature = self._recent.signature(recent=recent)
+        if signature is None:
             raise ConfigurationError("detector has no observations yet")
-        tail = slice(-recent if recent else None, None)
-        counts = np.sum(self._exit_counts[tail], axis=0)
-        confidences = np.concatenate(self._confidences[tail])
-        return RegimeSignature(
-            exit_fractions=counts / max(counts.sum(), 1),
-            stage0_quantiles=np.quantile(confidences, STAGE0_QUANTILE_GRID),
-            count=int(counts.sum()),
-        )
+        return signature
 
     def observe(
         self, exit_stages: np.ndarray, stage0_confidences: np.ndarray
@@ -477,10 +517,7 @@ class DriftDetector:
                 f"exit stage {int(exit_stages.max())} out of range for a "
                 f"{num_stages}-stage reference"
             )
-        self._exit_counts.append(np.bincount(exit_stages, minlength=num_stages))
-        self._confidences.append(np.asarray(stage0_confidences, dtype=np.float64))
-        del self._exit_counts[: -self.window]
-        del self._confidences[: -self.window]
+        self._recent.add(exit_stages, stage0_confidences)
         self.observations += 1
         if self.observations < self.min_observations:
             return None
@@ -599,8 +636,9 @@ class DriftDetector:
         as a natural retarget cooldown.
         """
         self.reference = reference
-        self._exit_counts.clear()
-        self._confidences.clear()
+        self._recent = SignatureWindow(
+            reference.exit_fractions.shape[0], self.window
+        )
         self._scores.clear()
         self.observations = 0
         self.last_score = None

@@ -103,37 +103,6 @@ class ShedPolicy:
         )
 
 
-def simulate_exit_stages(
-    stage_scores: list[np.ndarray],
-    activation_module,
-    delta: float,
-    num_stages: int,
-    *,
-    max_stage: int | None = None,
-    num_inputs: int | None = None,
-) -> np.ndarray:
-    """Exit stage per input given precomputed per-stage confidence scores.
-
-    ``stage_scores[i]`` holds the ``(N, C)`` scores of linear stage ``i``
-    for the *full* sample.  Because every stage's verdict for an input
-    depends only on that input's scores, replaying the decide/terminate
-    thresholds over these arrays reproduces the real executor's exits
-    exactly.  Legacy entry point: delegates to the shared replay primitive
-    in :mod:`repro.cdl.score_cache` so the decision semantics live in
-    exactly one place.
-    """
-    from repro.cdl.score_cache import exit_stages_from_scores
-
-    return exit_stages_from_scores(
-        stage_scores,
-        activation_module,
-        delta,
-        num_stages,
-        max_stage=max_stage,
-        num_inputs=num_inputs,
-    )
-
-
 def nearest_delta_index(deltas, delta: float) -> int:
     """Index of the grid delta nearest to ``delta``.
 

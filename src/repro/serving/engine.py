@@ -49,12 +49,13 @@ import itertools
 import random
 import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, InputValidationError
 from repro.obs.observer import NULL_OBSERVER
-from repro.obs.trace import failure_span
+from repro.obs.trace import span_of
 from repro.serving.batching import (
     Batch,
     Dispatcher,
@@ -117,6 +118,8 @@ class InferenceResponse:
     #: Discriminator shared with :class:`RequestFailed`: check
     #: ``response.failed`` before touching result fields.
     failed = False
+    #: An answer carries no failure cause.
+    error = None
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,43 @@ class RequestFailed:
     latency_s: float = 0.0
 
     failed = True
+    # The cost fields every view reads off an answer: a failure exited no
+    # stage, paid nothing and was served by no batch of its own.
+    exit_stage = -1
+    exit_stage_name = ""
+    confidence = 0.0
+    delta = 0.0
+    ops = 0.0
+    energy_pj = 0.0
+    batch_size = 1
+    shed = False
+    degraded = False
+
+    @property
+    def queue_wait_s(self) -> float:
+        """No stage ran, so the whole latency counts as queue wait."""
+        return self.latency_s
+
+
+def resolve_failure(
+    pending: _Pending, cause: str, message: str, now: float, *, retries: int = 0
+) -> RequestFailed | None:
+    """Resolve ``pending``'s ticket as failed at ``now``; returns the
+    failure, or ``None`` when the ticket had already resolved (a
+    supervisor failing in-flight work must not double-count a served
+    request)."""
+    ticket = pending.ticket
+    if ticket.done:
+        return None
+    failure = RequestFailed(
+        request_id=ticket.request_id,
+        error=cause,
+        message=message,
+        retries=retries,
+        latency_s=now - pending.enqueued_at,
+    )
+    ticket._resolve(failure)
+    return failure
 
 
 class InferenceEngine:
@@ -526,48 +566,19 @@ class InferenceEngine:
         message: str,
         retries: int,
     ) -> None:
-        """Resolve one ticket as failed, accounted across all three ledgers.
-
-        The trace gets a :func:`~repro.obs.trace.failure_span`, which the
-        chaos gate reconciles against metrics and the SLO report.
-        """
-        ticket = pending.ticket
-        if ticket.done:
-            # Already answered (or cancelled): a supervisor failing
-            # in-flight work must not double-count a served request.
-            return
-        latency_s = self.dispatcher.clock.now() - pending.enqueued_at
-        ticket._resolve(
-            RequestFailed(
-                request_id=ticket.request_id,
-                error=cause,
-                message=message,
-                retries=retries,
-                latency_s=latency_s,
-            )
+        """Resolve one ticket as failed and fold the failure into every
+        view (see :meth:`_record`)."""
+        failure = resolve_failure(
+            pending, cause, message, self.dispatcher.clock.now(),
+            retries=retries,
         )
-        self.metrics.record_failure(cause)
-        observer = self.observer
-        if not observer.enabled:
-            return
-        observer.inc(
-            "requests_failed_total", 1.0,
-            "Requests that resolved with a RequestFailed answer, by cause.",
-            cause=cause,
-        )
-        if observer.trace is None:
+        if failure is None:
             return
         with self._lock:
-            entry = self._entry
-        observer.span(
-            failure_span(
-                request_id=ticket.request_id,
-                batch_id=next(self._batch_ids),
-                model_spec=entry.spec,
-                latency_s=latency_s,
-                cause=cause,
-            )
-        )
+            entry, metrics = self._entry, self.metrics
+        # A traced failure's span takes a batch id of its own.
+        batch_id = next(self._batch_ids) if self.observer.trace is not None else -1
+        self._record([failure], entry=entry, metrics=metrics, batch_id=batch_id)
 
     def health(self) -> HealthStatus:
         """Liveness/readiness of the synchronous engine.
@@ -646,158 +657,66 @@ class InferenceEngine:
             )
             if delay_s > 0.0:
                 clock.sleep(delay_s)
-        # The adaptive drift signal needs stage-0 confidences for *every*
-        # request; stage records hold views, so recording them is cheap.
-        record_stages = self.adaptive is not None
+        adaptive = self.adaptive
         result = execute_cascade(
             entry.cdln, images, delta, max_stage=max_stage,
-            record_stages=record_stages,
+            # The adaptive drift signal needs stage-0 confidences for
+            # *every* request; stage records hold views, so this is cheap.
+            record_stages=adaptive is not None,
             # Stage walls only matter when spans are being written.
-            record_timing=observer.enabled and observer.trace is not None,
-        )
-        # Stage 0 sees the full batch (nothing has exited yet), so its
-        # record covers every request in submission order.
-        stage0_confidences = (
-            result.stage_records[0].confidences if record_stages else None
+            record_timing=observer.trace is not None,
         )
         ops = entry.exit_ops[result.exit_stages]
         energies = entry.exit_energies_pj[result.exit_stages]
         stage_names = entry.cdln.stage_names
-        effective_delta = (
+        effective_delta = float(
             delta if delta is not None else entry.cdln.activation_module.delta
         )
         now = clock.now()
-        latencies = np.array(
-            [now - p.enqueued_at for p in batch], dtype=np.float64
-        )
+        answers = []
         for i, pending in enumerate(batch):
             stage = int(result.exit_stages[i])
-            pending.ticket._resolve(
-                InferenceResponse(
-                    request_id=pending.ticket.request_id,
-                    label=int(result.labels[i]),
-                    exit_stage=stage,
-                    exit_stage_name=stage_names[stage],
-                    confidence=float(result.confidences[i]),
-                    delta=float(effective_delta),
-                    ops=float(ops[i]),
-                    energy_pj=float(energies[i]),
-                    model_spec=entry.spec,
-                    batch_size=len(batch),
-                    latency_s=float(latencies[i]),
-                    queue_wait_s=dispatched_at - pending.enqueued_at,
-                    shed=shed,
-                    deadline_missed=(
-                        pending.deadline_s is not None
-                        and float(latencies[i]) > pending.deadline_s
-                    ),
-                    degraded=degraded,
-                )
-            )
-        metrics.record_batch(
-            latencies_s=latencies,
-            exit_stages=result.exit_stages,
-            ops=ops,
-            energies_pj=energies,
-            stage0_confidences=stage0_confidences,
-            queue_depth=queue_depth,
-            shed=shed,
-            degraded=degraded,
-        )
-        if observer.enabled:
-            self._emit_batch_telemetry(
-                entry=entry,
-                batch=batch,
-                batch_id=batch_id,
-                result=result,
-                ops=ops,
-                energies=energies,
-                latencies=latencies,
-                dispatched_at=dispatched_at,
-                effective_delta=float(effective_delta),
-                max_stage=max_stage,
-                queue_depth=queue_depth,
+            latency_s = now - pending.enqueued_at
+            answer = InferenceResponse(
+                request_id=pending.ticket.request_id,
+                label=int(result.labels[i]),
+                exit_stage=stage,
+                exit_stage_name=stage_names[stage],
+                confidence=float(result.confidences[i]),
+                delta=effective_delta,
+                ops=float(ops[i]),
+                energy_pj=float(energies[i]),
+                model_spec=entry.spec,
+                batch_size=len(batch),
+                latency_s=latency_s,
+                queue_wait_s=dispatched_at - pending.enqueued_at,
                 shed=shed,
+                deadline_missed=(
+                    pending.deadline_s is not None
+                    and latency_s > pending.deadline_s
+                ),
                 degraded=degraded,
             )
-        if controller is not None:
-            controller.observe(float(ops.mean()), len(batch))
-        if self.adaptive is not None:
-            self.adaptive.after_batch(
-                self, result.exit_stages, stage0_confidences
-            )
-
-    def _emit_batch_telemetry(
-        self,
-        *,
-        entry: ModelEntry,
-        batch: list[_Pending],
-        batch_id: int,
-        result,
-        ops: np.ndarray,
-        energies: np.ndarray,
-        latencies: np.ndarray,
-        dispatched_at: float,
-        effective_delta: float,
-        max_stage: int | None,
-        queue_depth: int | None,
-        shed: bool,
-        degraded: bool,
-    ) -> None:
-        """Fold one dispatched batch into the observer's three sinks.
-
-        Only called when ``observer.enabled`` -- the disabled path pays a
-        single branch per micro-batch and never reaches the payload
-        construction below.
-        """
-        observer = self.observer
-        stage_names = entry.cdln.stage_names
-        counts = np.bincount(result.exit_stages, minlength=len(stage_names))
-        for stage, count in enumerate(counts):
-            if count:
-                observer.inc(
-                    "requests_total",
-                    float(count),
-                    "Requests answered, by cascade exit stage.",
-                    exit_stage=stage_names[stage],
-                )
-        observer.observe_hist(
-            "request_latency_seconds",
-            latencies,
-            "Queue-to-answer latency per request (seconds).",
+            pending.ticket._resolve(answer)
+            answers.append(answer)
+        self._record(
+            answers,
+            entry=entry,
+            metrics=metrics,
+            batch_id=batch_id,
+            queue_depth=queue_depth,
+            max_stage=max_stage,
+            stages=[
+                {
+                    "stage": t.stage_index,
+                    "name": t.stage_name,
+                    "active": t.active,
+                    "wall_s": t.wall_s,
+                    "ops": float(entry.exit_ops[t.stage_index]),
+                }
+                for t in result.stage_timings or ()
+            ],
         )
-        observer.inc(
-            "ops_total", float(ops.sum()),
-            "Scalar OPS paid across answered requests.",
-        )
-        observer.inc(
-            "energy_pj_total", float(energies.sum()),
-            "Energy (pJ) paid across answered requests.",
-        )
-        if shed:
-            observer.inc(
-                "requests_shed_total", float(len(batch)),
-                "Requests served at a stage-0 early exit by backpressure.",
-            )
-        if degraded:
-            observer.inc(
-                "degraded_total", float(len(batch)),
-                "Requests served at a stage-0 early exit by a degraded "
-                "episode.",
-            )
-        observer.set_gauge(
-            "delta", effective_delta,
-            "Runtime confidence threshold currently in force.",
-        )
-        observer.set_gauge(
-            "batch_size", float(len(batch)),
-            "Size of the last dispatched micro-batch.",
-        )
-        if queue_depth is not None:
-            observer.set_gauge(
-                "queue_depth", float(queue_depth),
-                "Queue depth at dispatch (batch plus still-waiting).",
-            )
         # A shed/degraded batch force-exits by design; hard_cap_trip stays
         # the budget-cap signal and must not fire for those exits.
         if result.forced_exits and not shed and not degraded:
@@ -808,43 +727,110 @@ class InferenceEngine:
                 forced=int(result.forced_exits),
                 batch_size=len(batch),
             )
+        if controller is not None:
+            controller.observe(float(ops.mean()), len(batch))
+        if adaptive is not None:
+            # Stage 0 sees the full batch (nothing has exited yet), so its
+            # record covers every request in submission order.
+            adaptive.after_batch(
+                self, result.exit_stages, result.stage_records[0].confidences
+            )
+
+    def _record(
+        self,
+        answers: list,
+        *,
+        entry: ModelEntry,
+        metrics: ServingMetrics,
+        batch_id: int,
+        queue_depth: int | None = None,
+        max_stage: int | None = None,
+        stages: Sequence[dict] = (),
+    ) -> None:
+        """Fold resolved answers, served and failed alike, into every view.
+
+        The one write per answer: ``metrics`` (the snapshot), the
+        observer's counters and gauges, and one :func:`~repro.obs.trace.
+        span_of` span each.  The disabled observer costs one branch.
+        ``stages`` is the batch's stage timeline, ``max_stage`` its depth
+        cap.
+        """
+        metrics.record_batch(
+            answers, self.dispatcher.clock.now(), queue_depth=queue_depth
+        )
+        observer = self.observer
+        if not observer.enabled:
+            return
+        served = [a for a in answers if not a.failed]
+        for answer in answers:
+            if answer.failed:
+                observer.inc(
+                    "requests_failed_total", 1.0,
+                    "Requests that resolved with a RequestFailed answer, "
+                    "by cause.",
+                    cause=answer.error,
+                )
+        if served:
+            stage_names = entry.cdln.stage_names
+            counts = np.bincount(
+                [a.exit_stage for a in served], minlength=len(stage_names)
+            )
+            for stage, count in enumerate(counts):
+                if count:
+                    observer.inc(
+                        "requests_total", float(count),
+                        "Requests answered, by cascade exit stage.",
+                        exit_stage=stage_names[stage],
+                    )
+            observer.observe_hist(
+                "request_latency_seconds", [a.latency_s for a in served],
+                "Queue-to-answer latency per request (seconds).",
+            )
+            observer.inc(
+                "ops_total", float(np.sum([a.ops for a in served])),
+                "Scalar OPS paid across answered requests.",
+            )
+            observer.inc(
+                "energy_pj_total", float(np.sum([a.energy_pj for a in served])),
+                "Energy (pJ) paid across answered requests.",
+            )
+            shed = sum(a.shed for a in served)
+            if shed:
+                observer.inc(
+                    "requests_shed_total", float(shed),
+                    "Requests served at a stage-0 early exit by backpressure.",
+                )
+            degraded = sum(a.degraded for a in served)
+            if degraded:
+                observer.inc(
+                    "degraded_total", float(degraded),
+                    "Requests served at a stage-0 early exit by a degraded "
+                    "episode.",
+                )
+            observer.set_gauge(
+                "delta", served[-1].delta,
+                "Runtime confidence threshold currently in force.",
+            )
+            observer.set_gauge(
+                "batch_size", float(served[-1].batch_size),
+                "Size of the last dispatched micro-batch.",
+            )
+            if queue_depth is not None:
+                observer.set_gauge(
+                    "queue_depth", float(queue_depth),
+                    "Queue depth at dispatch (batch plus still-waiting).",
+                )
         if observer.trace is None:
             return
-        stages_payload = [
-            {
-                "stage": t.stage_index,
-                "name": t.stage_name,
-                "active": t.active,
-                "wall_s": t.wall_s,
-                "ops": float(entry.exit_ops[t.stage_index]),
-            }
-            for t in (result.stage_timings or ())
-        ]
-        for i, pending in enumerate(batch):
-            stage = int(result.exit_stages[i])
+        for answer in answers:
             observer.span(
-                {
-                    "kind": "span",
-                    "request_id": pending.ticket.request_id,
-                    "batch_id": batch_id,
-                    "model_spec": entry.spec,
-                    "queue_wait_s": dispatched_at - pending.enqueued_at,
-                    "latency_s": float(latencies[i]),
-                    "exit_stage": stage,
-                    "exit_stage_name": stage_names[stage],
-                    "confidence": float(result.confidences[i]),
-                    "delta": effective_delta,
-                    "max_stage": max_stage,
-                    "batch_size": len(batch),
-                    # Exact float64 the metrics accumulator summed -- the
-                    # span-level reconciliation invariant depends on it.
-                    "ops": float(ops[i]),
-                    "energy_pj": float(energies[i]),
-                    "shed": shed,
-                    "degraded": degraded,
-                    "error": None,
-                    "stages": stages_payload,
-                }
+                span_of(
+                    answer,
+                    batch_id=batch_id,
+                    model_spec=entry.spec,
+                    max_stage=max_stage,
+                    stages=stages,
+                )
             )
 
     def __repr__(self) -> str:

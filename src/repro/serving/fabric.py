@@ -51,12 +51,15 @@ plans drive it unchanged::
 
     report = LoadRunner(engine=fabric, ...).run(slo_p99_s=0.25, server=fabric)
 
-Exactness boundary: on a clean run every ledger is exact -- concatenated
-replica trace spans == fleet counters == SLO report.  Under a replica
-SIGKILL, replicas flush their trace *before* acking a batch, so an acked
-batch always has spans on disk; a killed in-flight batch has no worker
-spans but gets parent-side ``worker_crash`` failure spans.  Every request
-therefore carries at least one span, and parent failure spans are
+Every final answer the parent delivers -- a replica's answer or a
+failure the parent resolved itself -- folds once into
+:attr:`ServingFabric.metrics`, the fleet counters and, for the parent's
+own failures, a span.  On a clean run the views agree exactly --
+concatenated replica trace spans == fleet metrics == SLO report.  Under a
+replica SIGKILL, replicas flush their trace *before* acking a batch, so
+an acked batch always has spans on disk; a killed in-flight batch has no
+worker spans but gets parent-side ``worker_crash`` failure spans.  Every
+request therefore carries at least one span, and parent failure spans are
 authoritative when both exist (the client saw the failure).
 """
 
@@ -78,8 +81,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.trace import failure_span
-from repro.serving.adaptive import RegimeSignature
+from repro.obs.trace import span_of
+from repro.serving.adaptive import RegimeSignature, SignatureWindow
 from repro.serving.batching import (
     Batch,
     Dispatcher,
@@ -88,9 +91,9 @@ from repro.serving.batching import (
     collect_from_queue,
 )
 from repro.serving.config import ServingConfig
-from repro.serving.engine import InferenceEngine, RequestFailed
+from repro.serving.engine import InferenceEngine, resolve_failure
 from repro.serving.faults import FaultInjector
-from repro.serving.metrics import STAGE0_QUANTILE_GRID
+from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry
 from repro.serving.resilience import HealthStatus
 from repro.utils.logging import get_logger
@@ -275,46 +278,6 @@ class _ReplicaSpec:
     batch_id_base: int
 
 
-class _SignatureTap:
-    """Duck-typed stand-in for ``AdaptiveDeltaPolicy`` on replica engines.
-
-    Replicas never retarget locally (the fleet owns the control loop);
-    installing this as ``engine.adaptive`` only makes the dispatch path
-    record stage-0 confidences and hand them here, where they fold into
-    a rolling window.  :meth:`window_signature` is what the replica ships
-    upstream -- a count-carrying :class:`RegimeSignature`, mergeable
-    across replicas without the fraction-averaging bias.
-    """
-
-    def __init__(self, num_stages: int, window: int) -> None:
-        self.num_stages = num_stages
-        self.window = window
-        self._exit_counts: list[np.ndarray] = []
-        self._confidences: list[np.ndarray] = []
-
-    def after_batch(self, engine, exit_stages, stage0_confidences):
-        self._exit_counts.append(
-            np.bincount(np.asarray(exit_stages), minlength=self.num_stages)
-        )
-        self._confidences.append(
-            np.asarray(stage0_confidences, dtype=np.float64)
-        )
-        del self._exit_counts[: -self.window]
-        del self._confidences[: -self.window]
-        return None
-
-    def window_signature(self) -> RegimeSignature | None:
-        if not self._exit_counts:
-            return None
-        counts = np.sum(self._exit_counts, axis=0)
-        confidences = np.concatenate(self._confidences)
-        return RegimeSignature(
-            exit_fractions=counts / max(counts.sum(), 1),
-            stage0_quantiles=np.quantile(confidences, STAGE0_QUANTILE_GRID),
-            count=int(counts.sum()),
-        )
-
-
 def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
     """Replica process entry point (module-level for spawn picklability).
 
@@ -351,10 +314,10 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
         )
     )
     engine._batch_ids = itertools.count(spec.batch_id_base)
-    tap = _SignatureTap(
-        num_stages=len(engine.entry.cdln.stage_names), window=spec.window
-    )
-    engine.adaptive = tap
+    # Replicas never retarget locally (the fleet owns the control loop):
+    # installed as the engine's adaptive hook, the window only records.
+    window = SignatureWindow(len(engine.entry.cdln.stage_names), spec.window)
+    engine.adaptive = window
     result_q.put(("ready", spec.replica_id))
     batches = 0
     clean_stop = False
@@ -398,9 +361,7 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
                 sleep(ok_ops / spec.capacity_ops_per_s)
             batches += 1
             signature = (
-                tap.window_signature()
-                if batches % spec.report_every == 0
-                else None
+                window.signature() if batches % spec.report_every == 0 else None
             )
             observer.flush()
             result_q.put(
@@ -476,12 +437,13 @@ class FabricConfig:
 
 @dataclass(frozen=True)
 class FleetSnapshot:
-    """Fleet-level countables from the dispatcher's (client-truth) ledger.
+    """Fleet-level countables from the dispatcher's (client-truth) view.
 
-    ``requests`` counts answers the dispatcher actually delivered;
-    ``failed_by_cause`` folds replica-reported failures together with
-    parent-side ``worker_crash`` / ``restart_budget`` / ``invalid_input``
-    failures.
+    Read off :attr:`ServingFabric.metrics`: ``requests`` counts answers the
+    dispatcher actually delivered, ``shed_requests`` the shed ones among
+    them; ``failed_by_cause`` folds replica-reported failures together
+    with parent-side ``worker_crash`` / ``restart_budget`` /
+    ``invalid_input`` failures.
     """
 
     replicas: int
@@ -511,7 +473,7 @@ class _Replica:
         "id", "process", "task_q", "result_q", "collector", "epoch",
         "sessions", "restarts", "state", "restart_at", "inflight",
         "idle_since", "ready", "stopped", "last_signature", "jitter",
-        "answered", "failed", "shed",
+        "answered",
     )
 
     def __init__(self, replica_id: int, jitter_seed: int) -> None:
@@ -534,8 +496,6 @@ class _Replica:
         self.last_signature: RegimeSignature | None = None
         self.jitter = random.Random(jitter_seed * 1_000_003 + replica_id)
         self.answered = 0
-        self.failed: dict[str, int] = {}
-        self.shed = 0
 
 
 # -- the fabric -----------------------------------------------------------------
@@ -587,6 +547,9 @@ class ServingFabric:
         registry = ModelRegistry()
         self._entry = registry.register("fleet", cfg.model)
         self._cdln = self._entry.cdln
+        #: Every final answer the dispatcher delivered, folded as an
+        #: engine folds its own (see :meth:`fleet_snapshot`).
+        self.metrics = ServingMetrics(self._cdln.stage_names)
         self._view = _FleetEngineView(self.controller, self._entry)
         if self.adaptive is not None:
             self.adaptive.prime(self._view)
@@ -643,7 +606,6 @@ class ServingFabric:
         self._span_ids = itertools.count()
         self._rr = 0
         self._broadcast_delta: float | None = None
-        self._crash_failures: dict[str, int] = {}
         self._dispatch_thread: threading.Thread | None = None
         self._supervisor: threading.Thread | None = None
         self._started = False
@@ -739,11 +701,10 @@ class ServingFabric:
         for rep, batch in stuck:
             self._dispatcher.done(batch)
             for pending in batch.items:
-                self._fail_ticket(
-                    pending.ticket, pending.enqueued_at, rep.id,
-                    cause="worker_crash",
-                    message=f"replica {rep.id} never acked its batch before "
-                            "fabric stop",
+                self._fail(
+                    pending, rep.id, "worker_crash",
+                    f"replica {rep.id} never acked its batch before fabric "
+                    "stop",
                 )
         self._dispatcher.fail_waiting(
             "restart_budget",
@@ -823,10 +784,7 @@ class ServingFabric:
 
     def _fail_unserved(self, pending: _Pending, cause: str, message: str) -> None:
         """The dispatcher's failure hook: intake rejections and backlogs."""
-        self._fail_ticket(
-            pending.ticket, pending.enqueued_at, None,
-            cause=cause, message=message,
-        )
+        self._fail(pending, None, cause, message)
 
     def queue_depth(self) -> int:
         """Unified fleet depth: waiting plus in-flight across replicas."""
@@ -886,18 +844,15 @@ class ServingFabric:
             return sum(1 for r in self._replicas if r.state == "live")
 
     def fleet_snapshot(self) -> FleetSnapshot:
-        """The dispatcher's client-truth ledger (see :class:`FleetSnapshot`)."""
+        """The dispatcher's client-truth view (see :class:`FleetSnapshot`)."""
         with self._cond:
-            causes: dict[str, int] = dict(self._crash_failures)
-            for rep in self._replicas:
-                for cause, count in rep.failed.items():
-                    causes[cause] = causes.get(cause, 0) + count
+            snap = self.metrics.snapshot()
             return FleetSnapshot(
                 replicas=len(self._replicas),
-                requests=sum(r.answered for r in self._replicas),
-                failed_requests=sum(causes.values()),
-                failed_by_cause=tuple(sorted(causes.items())),
-                shed_requests=sum(r.shed for r in self._replicas),
+                requests=snap.requests,
+                failed_requests=snap.failed_requests,
+                failed_by_cause=snap.failed_by_cause,
+                shed_requests=snap.shed_requests,
                 restarts=sum(r.restarts for r in self._replicas),
                 requests_by_replica=tuple(
                     (r.id, r.answered) for r in self._replicas
@@ -1059,46 +1014,42 @@ class ServingFabric:
         now = perf_counter()
         with self._cond:
             inflight = rep.inflight
+            answered = 0
+            # A post-crash remnant answers nothing: its batch already
+            # failed as worker_crash.  Its signature still counts.
             if inflight is not None and inflight[0] == batch_id:
                 rep.inflight = None
                 rep.idle_since = now
                 batch = inflight[1]
                 self._dispatcher.done(batch, now - batch.dispatched_at)
                 lookup = {p.ticket.request_id: p for p in batch.items}
-            else:
-                # Post-crash remnant for an already-failed batch: tickets
-                # resolved as worker_crash; first-writer-wins drops these.
-                batch, lookup = None, {}
-            answered = 0
-            failed_causes: dict[str, int] = {}
-            for rid, response in results:
-                pending = lookup.get(rid)
-                if pending is None:
-                    continue
-                deadline_s = pending.deadline_s
-                latency_s = now - pending.enqueued_at
-                if response.failed:
-                    final = replace(response, latency_s=latency_s)
-                    failed_causes[response.error] = (
-                        failed_causes.get(response.error, 0) + 1
-                    )
-                else:
-                    final = replace(
-                        response,
-                        latency_s=latency_s,
-                        queue_wait_s=batch.dispatched_at - pending.enqueued_at,
-                        deadline_missed=(
-                            deadline_s is not None and latency_s > deadline_s
-                        ),
-                    )
-                    answered += 1
-                pending.ticket._resolve(final)
-            rep.answered += answered
-            for cause, count in failed_causes.items():
-                rep.failed[cause] = rep.failed.get(cause, 0) + count
-            was_shed = batch is not None and batch.shed
-            if was_shed:
-                rep.shed += len(results)
+                finals = []
+                for rid, response in results:
+                    pending = lookup.get(rid)
+                    if pending is None:
+                        continue
+                    latency_s = now - pending.enqueued_at
+                    if response.failed:
+                        final = replace(response, latency_s=latency_s)
+                    else:
+                        final = replace(
+                            response,
+                            latency_s=latency_s,
+                            queue_wait_s=(
+                                batch.dispatched_at - pending.enqueued_at
+                            ),
+                            deadline_missed=(
+                                pending.deadline_s is not None
+                                and latency_s > pending.deadline_s
+                            ),
+                        )
+                    pending.ticket._resolve(final)
+                    finals.append(final)
+                answered = sum(not a.failed for a in finals)
+                rep.answered += answered
+                # Under the condition, so a snapshot counts every answer
+                # a ticket already carries.
+                self._record(finals, rep.id, batch)
             if self.controller is not None and answered:
                 self.controller.observe(ok_ops / answered, answered)
                 self._broadcast_delta_locked()
@@ -1106,34 +1057,6 @@ class ServingFabric:
                 rep.last_signature = signature
                 self._feed_drift_locked()
             self._cond.notify_all()
-        observer = self.observer
-        if not observer.enabled:
-            return
-        if answered:
-            observer.inc(
-                "fleet_requests_total", float(answered),
-                "Requests answered by the fleet, by replica.",
-                replica=rep.id,
-            )
-        for cause, count in failed_causes.items():
-            observer.inc(
-                "requests_failed_total", float(count),
-                "Requests that resolved with a RequestFailed answer, "
-                "by cause.",
-                cause=cause,
-            )
-            observer.inc(
-                "fleet_failed_total", float(count),
-                "Fleet request failures, by replica and cause.",
-                replica=rep.id, cause=cause,
-            )
-        if was_shed:
-            observer.inc(
-                "fleet_shed_total", float(len(results)),
-                "Requests served at stage 0 by fleet backpressure, "
-                "by replica.",
-                replica=rep.id,
-            )
 
     # -- fleet control loop -----------------------------------------------------
     def _broadcast_delta_locked(self) -> None:
@@ -1239,13 +1162,10 @@ class ServingFabric:
             items = inflight[1].items
             self._dispatcher.done(inflight[1])
         for pending in items:
-            self._fail_ticket(
-                pending.ticket, pending.enqueued_at, rep.id,
-                cause="worker_crash",
-                message=(
-                    f"replica {rep.id} died (exit code {exitcode}) with "
-                    "the batch in flight"
-                ),
+            self._fail(
+                pending, rep.id, "worker_crash",
+                f"replica {rep.id} died (exit code {exitcode}) with the "
+                "batch in flight",
             )
         observer = self.observer
         observer.event(
@@ -1308,63 +1228,74 @@ class ServingFabric:
             "Replica processes currently serving.",
         )
 
-    # -- failure accounting -----------------------------------------------------
-    def _fail_ticket(
-        self,
-        ticket: Ticket,
-        enqueued_at: float,
-        replica_id: int | None,
-        *,
-        cause: str,
-        message: str,
-    ) -> bool:
-        """Parent-side mirror of ``InferenceEngine._fail_pending``: resolve
-        the ticket failed and account it across counters and the parent
-        trace (the same :func:`~repro.obs.trace.failure_span`, so fleet
-        reconciliation re-derives the same causes from concatenated
-        traces)."""
-        if ticket.done:
-            return False
-        latency_s = perf_counter() - enqueued_at
-        ticket._resolve(
-            RequestFailed(
-                request_id=ticket.request_id,
-                error=cause,
-                message=message,
-                retries=0,
-                latency_s=latency_s,
-            )
+    # -- the fleet's views -----------------------------------------------------
+    def _fail(
+        self, pending: _Pending, replica_id: int | None, cause: str, message: str
+    ) -> None:
+        """Resolve a ticket the parent fails itself and fold the failure."""
+        failure = resolve_failure(
+            pending, cause, message, self._dispatcher.clock.now()
         )
-        with self._cond:
-            self._crash_failures[cause] = (
-                self._crash_failures.get(cause, 0) + 1
-            )
+        if failure is not None:
+            self._record([failure], replica_id)
+
+    def _record(
+        self, answers: list, replica_id: int | None, batch: Batch | None = None
+    ) -> None:
+        """Fold final answers into :attr:`metrics` and the fleet counters.
+
+        ``batch`` is the replica batch they answer; without one they are
+        failures the parent resolved itself (``replica_id`` None: at
+        intake), which get a span each.  A replica's answers have theirs
+        in its own trace.
+        """
+        self.metrics.record_batch(
+            answers,
+            self._dispatcher.clock.now(),
+            queue_depth=batch.queue_depth if batch is not None else None,
+        )
         observer = self.observer
         if not observer.enabled:
-            return True
-        observer.inc(
-            "requests_failed_total", 1.0,
-            "Requests that resolved with a RequestFailed answer, by cause.",
-            cause=cause,
-        )
-        observer.inc(
-            "fleet_failed_total", 1.0,
-            "Fleet request failures, by replica and cause.",
-            replica=replica_id if replica_id is not None else -1,
-            cause=cause,
-        )
-        if observer.trace is None:
-            return True
-        observer.span(
-            failure_span(
-                request_id=ticket.request_id,
-                batch_id=next(self._span_ids),
-                model_spec=self._entry.spec,
-                latency_s=latency_s,
-                cause=cause,
+            return
+        replica = replica_id if replica_id is not None else -1
+        answered = sum(not a.failed for a in answers)
+        if answered:
+            observer.inc(
+                "fleet_requests_total", float(answered),
+                "Requests answered by the fleet, by replica.",
+                replica=replica,
             )
-        )
-        return True
+        for answer in answers:
+            if answer.failed:
+                observer.inc(
+                    "requests_failed_total", 1.0,
+                    "Requests that resolved with a RequestFailed answer, "
+                    "by cause.",
+                    cause=answer.error,
+                )
+                observer.inc(
+                    "fleet_failed_total", 1.0,
+                    "Fleet request failures, by replica and cause.",
+                    replica=replica, cause=answer.error,
+                )
+        if batch is not None:
+            if batch.shed:
+                observer.inc(
+                    "fleet_shed_total", float(len(answers)),
+                    "Requests served at stage 0 by fleet backpressure, "
+                    "by replica.",
+                    replica=replica,
+                )
+            return
+        if observer.trace is not None:
+            for answer in answers:
+                observer.span(
+                    span_of(
+                        answer,
+                        batch_id=next(self._span_ids),
+                        model_spec=self._entry.spec,
+                    )
+                )
 
     def __repr__(self) -> str:
         states = ",".join(r.state for r in self._replicas)

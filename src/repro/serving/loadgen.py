@@ -55,6 +55,37 @@ from repro.utils.logging import get_logger
 _log = get_logger("serving.loadgen")
 
 
+def _outcome(
+    arrival: Arrival, answer, *, queue_wait_s: float, latency_s: float
+) -> RequestOutcome:
+    """One resolved answer as the SLO accountant sees it.
+
+    ``answer`` is an :class:`~repro.serving.engine.InferenceResponse` or a
+    :class:`~repro.serving.engine.RequestFailed` (which exits at stage -1,
+    pays nothing and never meets its deadline); the times come from the
+    runner's clock.
+    """
+    deadline_s = arrival.deadline_s
+    return RequestOutcome(
+        request_id=answer.request_id,
+        arrival_s=arrival.t,
+        queue_wait_s=queue_wait_s,
+        latency_s=latency_s,
+        exit_stage=answer.exit_stage,
+        ops=answer.ops,
+        energy_pj=answer.energy_pj,
+        shed=answer.shed,
+        deadline_s=deadline_s,
+        deadline_met=not answer.failed
+        and (deadline_s is None or latency_s <= deadline_s),
+        scenario=arrival.scenario,
+        priority=arrival.priority,
+        failed=answer.failed,
+        error=answer.error,
+        degraded=answer.degraded,
+    )
+
+
 class LoadRunner:
     """Drives one engine with one schedule's arrivals.
 
@@ -113,28 +144,6 @@ class LoadRunner:
         if arrival.scenario is not None:
             pool = self.scenario_pools.get(arrival.scenario, self.images)
         return pool[index % len(pool)]
-
-    @staticmethod
-    def _failed_outcome(
-        failure, arrival: Arrival, *, queue_wait_s: float, latency_s: float
-    ) -> RequestOutcome:
-        """One ``RequestFailed`` answer folded into a failed outcome."""
-        return RequestOutcome(
-            request_id=failure.request_id,
-            arrival_s=arrival.t,
-            queue_wait_s=queue_wait_s,
-            latency_s=latency_s,
-            exit_stage=-1,
-            ops=0.0,
-            energy_pj=0.0,
-            shed=False,
-            deadline_s=arrival.deadline_s,
-            deadline_met=False,
-            scenario=arrival.scenario,
-            priority=arrival.priority,
-            failed=True,
-            error=failure.error,
-        )
 
     # -- virtual-time mode -----------------------------------------------------
     def simulate(
@@ -227,11 +236,9 @@ class LoadRunner:
                         raise
                     return False
                 else:
-                    responses = [
-                        p.ticket.result(timeout=0) for p in batch.items
-                    ]
+                    # A failed answer paid no OPS.
                     service_s = (
-                        sum(r.ops for r in responses if not r.failed)
+                        sum(p.ticket.result(timeout=0).ops for p in batch.items)
                         / ops_per_second
                         + clock.take_charged()
                     )
@@ -268,40 +275,15 @@ class LoadRunner:
         for arrival, ticket in zip(arrivals, tickets):
             if not ticket.done:
                 continue  # stranded by a wedge: dropped
-            response = ticket.result(timeout=0)
             dispatched, finished = served_at.get(
                 ticket.request_id, (arrival.t, arrival.t)
             )
-            queue_wait_s = dispatched - arrival.t
-            latency = finished - arrival.t
-            if response.failed:
-                outcomes.append(
-                    self._failed_outcome(
-                        response,
-                        arrival,
-                        queue_wait_s=queue_wait_s,
-                        latency_s=latency,
-                    )
-                )
-                continue
             outcomes.append(
-                RequestOutcome(
-                    request_id=response.request_id,
-                    arrival_s=arrival.t,
-                    queue_wait_s=queue_wait_s,
-                    latency_s=latency,
-                    exit_stage=response.exit_stage,
-                    ops=response.ops,
-                    energy_pj=response.energy_pj,
-                    shed=response.shed,
-                    deadline_s=arrival.deadline_s,
-                    deadline_met=(
-                        arrival.deadline_s is None
-                        or latency <= arrival.deadline_s
-                    ),
-                    scenario=arrival.scenario,
-                    priority=arrival.priority,
-                    degraded=response.degraded,
+                _outcome(
+                    arrival,
+                    ticket.result(timeout=0),
+                    queue_wait_s=dispatched - arrival.t,
+                    latency_s=finished - arrival.t,
                 )
             )
         self.last_outcomes = tuple(outcomes)
@@ -376,31 +358,12 @@ class LoadRunner:
                         ticket.request_id,
                     )
                     continue
-                if response.failed:
-                    outcomes.append(
-                        self._failed_outcome(
-                            response,
-                            arrival,
-                            queue_wait_s=response.latency_s,
-                            latency_s=response.latency_s,
-                        )
-                    )
-                    continue
                 outcomes.append(
-                    RequestOutcome(
-                        request_id=response.request_id,
-                        arrival_s=arrival.t,
+                    _outcome(
+                        arrival,
+                        response,
                         queue_wait_s=response.queue_wait_s,
                         latency_s=response.latency_s,
-                        exit_stage=response.exit_stage,
-                        ops=response.ops,
-                        energy_pj=response.energy_pj,
-                        shed=response.shed,
-                        deadline_s=arrival.deadline_s,
-                        deadline_met=not response.deadline_missed,
-                        scenario=arrival.scenario,
-                        priority=arrival.priority,
-                        degraded=response.degraded,
                     )
                 )
         finally:

@@ -1,13 +1,12 @@
 """Per-request serving telemetry.
 
-:class:`ServingMetrics` is the engine's flight recorder: every dispatched
-micro-batch reports its size, per-request queue-to-answer latencies
-(seconds), exit stages, and op/energy costs (scalar OPS and pJ).
-:meth:`ServingMetrics.snapshot` folds the window into the numbers an
-operator watches -- throughput, p50/p95 latency, the exit-stage histogram
-(the serving-side view of Fig. 8's "most inputs stop early"), cumulative
-energy, and the stage-0 confidence quantiles that the adaptive loop
-(:mod:`repro.serving.adaptive`) reads as its drift signal.
+:class:`ServingMetrics` is the engine's flight recorder: every resolved
+answer of a dispatched micro-batch -- served or failed -- folds in once,
+with its queue-to-answer latency (seconds), exit stage, and op/energy
+cost (scalar OPS and pJ).  :meth:`ServingMetrics.snapshot` folds the
+window into the numbers an operator watches -- throughput, p50/p95
+latency, the exit-stage histogram (the serving-side view of Fig. 8's
+"most inputs stop early"), cumulative energy, and failures by cause.
 
 All recording goes through one lock so the synchronous engine, the async
 worker thread, and any monitoring thread can share an instance.
@@ -18,18 +17,20 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.tables import AsciiTable
-from repro.utils.validation import check_positive_int
 
-#: Quantile levels tracked for the stage-0 confidence distribution.  The
-#: single source of truth shared with :mod:`repro.serving.adaptive` --
-#: regime signatures and live snapshots must bin identically to compare.
+#: Quantile levels of the stage-0 confidence distribution in a drift
+#: signature.  The single source of truth for :mod:`repro.serving.adaptive`
+#: -- reference signatures and live windows must bin identically to compare.
 STAGE0_QUANTILE_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+#: Latencies kept for the percentiles: the most recent answers.
+_LATENCY_WINDOW = 8192
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,8 @@ class MetricsSnapshot:
 
     Units: latencies in seconds, ``mean_ops`` in scalar OPS
     (multiply-accumulates) per request, energy in picojoules.
-    ``stage0_quantiles`` holds the recent-window stage-0 confidence
-    quantiles at :data:`STAGE0_QUANTILE_GRID` levels, or ``None`` when the
-    engine is not recording them (no adaptive loop installed).
+    ``elapsed_s`` runs from the first to the last served batch on the
+    dispatcher's clock: the wall clock, or virtual time in ``simulate()``.
     """
 
     requests: int
@@ -56,7 +56,6 @@ class MetricsSnapshot:
     mean_ops: float
     total_energy_pj: float
     mean_energy_pj: float
-    stage0_quantiles: np.ndarray | None = None
     #: Tail latencies use ``np.quantile(..., method="higher")``: an actual
     #: observed sample, never an interpolated value -- so with fewer than
     #: 100 samples in the window, p99 is simply the window maximum
@@ -121,31 +120,24 @@ class MetricsSnapshot:
         table.add_row(["mean OPS / request", round(self.mean_ops, 1)])
         table.add_row(["mean energy / request (pJ)", round(self.mean_energy_pj, 1)])
         table.add_row(["total energy (uJ)", round(self.total_energy_pj / 1e6, 3)])
-        if self.stage0_quantiles is not None:
-            levels = "/".join(f"p{int(q * 100)}" for q in STAGE0_QUANTILE_GRID)
-            values = "/".join(f"{v:.2f}" for v in self.stage0_quantiles)
-            table.add_row([f"stage-0 confidence ({levels})", values])
         return table.render()
 
 
 class ServingMetrics:
-    """Thread-safe accumulator of per-batch serving measurements.
+    """Thread-safe fold of resolved answers into the serving counters.
 
-    Latencies are kept in a bounded window (percentiles over the full
-    history of a long-lived service would be meaningless anyway); counts,
-    ops and energy accumulate over the service lifetime.
+    Latencies are kept in a bounded window of the most recent answers
+    (percentiles over the full history of a long-lived service would be
+    meaningless anyway); counts, ops and energy accumulate over the
+    service lifetime.
     """
 
-    def __init__(
-        self, stage_names: tuple[str, ...], *, latency_window: int = 8192
-    ) -> None:
+    def __init__(self, stage_names: tuple[str, ...]) -> None:
         if not stage_names:
             raise ConfigurationError("stage_names must not be empty")
-        check_positive_int(latency_window, "latency_window")
         self.stage_names = tuple(stage_names)
         self._lock = threading.Lock()
-        self._latencies: deque[float] = deque(maxlen=latency_window)
-        self._stage0_conf: deque[float] = deque(maxlen=latency_window)
+        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._reset_locked()
 
     def _reset_locked(self) -> None:
@@ -160,7 +152,6 @@ class ServingMetrics:
         self._failed_by_cause: dict[str, int] = {}
         self._retries = 0
         self._latencies.clear()
-        self._stage0_conf.clear()
         self._started_at: float | None = None
         self._last_at: float | None = None
 
@@ -170,51 +161,45 @@ class ServingMetrics:
 
     def record_batch(
         self,
+        answers: Sequence,
+        now: float,
         *,
-        latencies_s: np.ndarray,
-        exit_stages: np.ndarray,
-        ops: np.ndarray,
-        energies_pj: np.ndarray,
-        stage0_confidences: np.ndarray | None = None,
         queue_depth: int | None = None,
-        shed: bool = False,
-        degraded: bool = False,
     ) -> None:
-        """Fold one dispatched micro-batch into the counters.
+        """Fold one dispatched micro-batch's resolved answers into the counters.
 
         Parameters
         ----------
-        latencies_s:
-            Queue-to-answer latency per request, seconds, ``(B,)``.
-        exit_stages:
-            Exit stage index per request, ``(B,)``.
-        ops:
-            Scalar OPS each request paid (exit-path cost), ``(B,)``.
-        energies_pj:
-            Energy each request paid under the technology model, pJ,
-            ``(B,)``.
-        stage0_confidences:
-            Optional stage-0 confidence per request, ``(B,)`` -- recorded
-            into the rolling window behind
-            :attr:`MetricsSnapshot.stage0_quantiles` (the adaptive drift
-            signal); pass ``None`` when the engine is not collecting them.
+        answers:
+            The batch's :class:`~repro.serving.engine.InferenceResponse`
+            and :class:`~repro.serving.engine.RequestFailed` answers.  A
+            failure counts only by cause: it is not a request answered.
+        now:
+            When they resolved, on the dispatcher's clock.  Served
+            answers stretch :attr:`MetricsSnapshot.elapsed_s` to it;
+            failures do not.
         queue_depth:
             Optional queue depth at dispatch time, under the stack's one
             unified meaning: in-flight (this batch) plus everything
-            still waiting, transport queue included on the async
-            facade.  The lifetime maximum is exposed as
+            still waiting.  The lifetime maximum is exposed as
             :attr:`MetricsSnapshot.max_queue_depth`.
-        shed:
-            True when backpressure served this whole batch at a stage-0
-            early exit (shedding is a per-dispatch decision).
-        degraded:
-            True when a degraded episode served this whole batch at a
-            stage-0 early exit (same per-dispatch granularity as shed).
         """
-        now = perf_counter()
-        size = int(exit_stages.shape[0])
+        served = [a for a in answers if not a.failed]
+        size = len(served)
+        exit_stages = np.fromiter((a.exit_stage for a in served), np.int64, size)
+        ops = np.fromiter((a.ops for a in served), np.float64, size)
+        energies = np.fromiter((a.energy_pj for a in served), np.float64, size)
         counts = np.bincount(exit_stages, minlength=len(self.stage_names))
         with self._lock:
+            for answer in answers:
+                if answer.failed:
+                    self._failed_by_cause[answer.error] = (
+                        self._failed_by_cause.get(answer.error, 0) + 1
+                    )
+            if queue_depth is not None and queue_depth > self._max_queue_depth:
+                self._max_queue_depth = int(queue_depth)
+            if not size:
+                return
             if self._started_at is None:
                 self._started_at = now
             self._last_at = now
@@ -222,23 +207,10 @@ class ServingMetrics:
             self._batches += 1
             self._exit_counts += counts
             self._total_ops += float(ops.sum())
-            self._total_energy_pj += float(energies_pj.sum())
-            self._latencies.extend(float(v) for v in latencies_s)
-            if stage0_confidences is not None:
-                self._stage0_conf.extend(float(v) for v in stage0_confidences)
-            if queue_depth is not None and queue_depth > self._max_queue_depth:
-                self._max_queue_depth = int(queue_depth)
-            if shed:
-                self._shed_requests += size
-            if degraded:
-                self._degraded_requests += size
-
-    def record_failure(self, cause: str) -> None:
-        """Count one request that resolved as failed, by cause."""
-        with self._lock:
-            self._failed_by_cause[cause] = (
-                self._failed_by_cause.get(cause, 0) + 1
-            )
+            self._total_energy_pj += float(energies.sum())
+            self._latencies.extend(a.latency_s for a in served)
+            self._shed_requests += sum(a.shed for a in served)
+            self._degraded_requests += sum(a.degraded for a in served)
 
     def record_retry(self) -> None:
         """Count one re-dispatch attempt the resilience layer paid."""
@@ -249,7 +221,6 @@ class ServingMetrics:
         """Fold the counters into one consistent :class:`MetricsSnapshot`."""
         with self._lock:
             latencies = np.array(self._latencies, dtype=np.float64)
-            stage0 = np.array(self._stage0_conf, dtype=np.float64)
             elapsed = (
                 (self._last_at - self._started_at)
                 if self._started_at is not None and self._last_at is not None
@@ -280,11 +251,6 @@ class ServingMetrics:
             mean_ops=total_ops / max(requests, 1),
             total_energy_pj=total_energy,
             mean_energy_pj=total_energy / max(requests, 1),
-            stage0_quantiles=(
-                np.quantile(stage0, STAGE0_QUANTILE_GRID)
-                if stage0.size
-                else None
-            ),
             # method="higher" returns an observed sample, so small windows
             # degrade to the max instead of an optimistic interpolation.
             latency_p99_s=(

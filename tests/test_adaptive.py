@@ -28,6 +28,7 @@ from repro.serving.adaptive import (
     DriftDetector,
     OperatingTable,
     RegimeSignature,
+    SignatureWindow,
     fold_exit_fractions,
     population_stability_index,
     signature_distance,
@@ -216,6 +217,43 @@ class TestDriftDetector:
             detector.window_signature()
         with pytest.raises(ConfigurationError, match="out of range"):
             detector.observe(np.array([7]), np.array([0.5]))
+
+
+class TestSignatureWindow:
+    def test_window_trims_and_counts(self):
+        window = SignatureWindow(num_stages=3, size=2)
+        assert window.signature() is None
+        window.add(np.array([0, 0, 1]), np.array([0.9, 0.8, 0.4]))
+        window.add(np.array([2, 2]), np.array([0.1, 0.2]))
+        window.after_batch(None, np.array([1]), np.array([0.5]))
+        sig = window.signature()
+        # Window of 2: only the last two batches (3 observations) remain.
+        assert sig.count == 3
+        np.testing.assert_allclose(sig.exit_fractions, [0.0, 1 / 3, 2 / 3])
+        expected = np.quantile(
+            [0.1, 0.2, 0.5], [0.1, 0.25, 0.5, 0.75, 0.9]
+        )
+        np.testing.assert_allclose(sig.stage0_quantiles, expected)
+
+    def test_agrees_with_the_detector_window(self):
+        rng = np.random.default_rng(5)
+        reference = reference_for("clean")
+        detector = DriftDetector(reference, window=3, min_observations=99)
+        window = SignatureWindow(len(reference.exit_fractions), size=3)
+        for kind in ("clean", "shifted", "clean", "shifted", "shifted"):
+            exits, conf = synthetic_batch(rng, kind)
+            detector.observe(exits, conf)
+            window.add(exits, conf)
+            for recent in (None, 1, 2):
+                ours = window.signature(recent=recent)
+                theirs = detector.window_signature(recent=recent)
+                assert ours.count == theirs.count
+                np.testing.assert_array_equal(
+                    ours.exit_fractions, theirs.exit_fractions
+                )
+                np.testing.assert_array_equal(
+                    ours.stage0_quantiles, theirs.stage0_quantiles
+                )
 
 
 class TestSignatureMerge:
@@ -541,7 +579,9 @@ class TestEngineIntegration:
         # Served at the primed δ (observe() feedback may move it afterwards).
         assert response.delta == primed_delta
 
-    def test_stage0_quantiles_recorded_with_adaptive(self, table_setup):
+    def test_detector_window_records_stage0_quantiles(self, table_setup):
+        """The drift signal is the detector's own window of stage-0
+        confidences; the metrics snapshot keeps none."""
         cdln, base, table = table_setup
         target = 0.75 * float(cdln.path_cost_table().baseline_cost.total)
         engine = InferenceEngine.from_config(
@@ -552,17 +592,11 @@ class TestEngineIntegration:
             )
         )
         engine.classify_many(base.images[:32])
-        snap = engine.metrics.snapshot()
-        assert snap.stage0_quantiles is not None
-        assert snap.stage0_quantiles.shape == (len(STAGE0_QUANTILE_GRID),)
-        assert np.all(np.diff(snap.stage0_quantiles) >= 0)
-        assert "stage-0 confidence" in snap.render()
-        # Without the adaptive loop the engine does not collect them.
-        plain = InferenceEngine.from_config(
-            ServingConfig(model=cdln, delta=DELTA)
-        )
-        plain.classify_many(base.images[:8])
-        assert plain.metrics.snapshot().stage0_quantiles is None
+        window = engine.adaptive.detector.window_signature()
+        assert window.count == 32
+        assert window.stage0_quantiles.shape == (len(STAGE0_QUANTILE_GRID),)
+        assert np.all(np.diff(window.stage0_quantiles) >= 0)
+        assert "stage-0 confidence" not in engine.metrics.snapshot().render()
 
     def test_use_model_rebinds_adaptive_policy(self, table_setup):
         cdln, base, table = table_setup

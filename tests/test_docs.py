@@ -8,7 +8,9 @@ page actually contains runnable snippets for CI to execute.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -96,3 +98,42 @@ class TestRepositoryDocs:
     def test_links_only_cli(self, capsys):
         assert check_docs.main(["--links-only", "--root", str(REPO_ROOT)]) == 0
         assert "docs OK" in capsys.readouterr().out
+
+
+def written_metric_families() -> set[str]:
+    """Every literal family name the package passes to ``inc``,
+    ``set_gauge`` or ``observe_hist``, plus the observer's own
+    ``events_total``."""
+    families = {"events_total"}
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("inc", "set_gauge", "observe_hist")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                families.add(node.args[0].value)
+    return families
+
+
+class TestMetricTable:
+    """docs/observability.md lists every metric family the code writes."""
+
+    @staticmethod
+    def documented() -> set[str]:
+        text = (REPO_ROOT / "docs" / "observability.md").read_text()
+        section = text.split("## Metric names, labels, units", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        return set(re.findall(r"^\| `([a-z0-9_]+)` \|", section, re.MULTILINE))
+
+    def test_collector_sees_the_engine_families(self):
+        families = written_metric_families()
+        assert {"requests_total", "requests_failed_total", "drift_rate"} <= families
+        assert len(families) >= 22
+
+    def test_table_lists_every_written_family(self):
+        missing = written_metric_families() - self.documented()
+        assert not missing, f"docs/observability.md lacks {sorted(missing)}"

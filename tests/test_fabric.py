@@ -37,12 +37,9 @@ from repro.serving import (
     ServingConfig,
     InferenceEngine,
 )
-from repro.serving.fabric import (
-    FabricConfig,
-    ServingFabric,
-    SharedParams,
-    _SignatureTap,
-)
+from repro.serving.batching import Batch
+from repro.serving.engine import InferenceResponse, RequestFailed
+from repro.serving.fabric import FabricConfig, ServingFabric, SharedParams
 
 DELTA = 0.6
 FAST = MicroBatchPolicy(max_batch_size=4, max_wait_s=0.005)
@@ -188,23 +185,6 @@ class TestSharedParams:
         params = SharedParams({"w": np.zeros(4)})
         params.dispose()
         params.dispose()
-
-
-class TestSignatureTap:
-    def test_window_trims_and_counts(self):
-        tap = _SignatureTap(num_stages=3, window=2)
-        assert tap.window_signature() is None
-        tap.after_batch(None, np.array([0, 0, 1]), np.array([0.9, 0.8, 0.4]))
-        tap.after_batch(None, np.array([2, 2]), np.array([0.1, 0.2]))
-        tap.after_batch(None, np.array([1]), np.array([0.5]))
-        sig = tap.window_signature()
-        # Window of 2: only the last two batches (3 observations) remain.
-        assert sig.count == 3
-        np.testing.assert_allclose(sig.exit_fractions, [0.0, 1 / 3, 2 / 3])
-        expected = np.quantile(
-            [0.1, 0.2, 0.5], [0.1, 0.25, 0.5, 0.75, 0.9]
-        )
-        np.testing.assert_allclose(sig.stage0_quantiles, expected)
 
 
 class TestFabricConfigValidation:
@@ -750,7 +730,7 @@ class TestFailureSpan:
         self, trained_3c, tmp_path
     ):
         """Both front ends record a rejected request through one
-        ``failure_span``: the records differ only in ids, timing and the
+        ``span_of``: the records differ only in ids, timing and the
         model's registry name."""
         shape = trained_3c.cdln.baseline.input_shape
         bad = np.full(shape, np.nan)
@@ -782,3 +762,46 @@ class TestFailureSpan:
         assert spans["engine"] == spans["fabric"]
         assert spans["fabric"]["error"] == "invalid_input"
         assert spans["fabric"]["exit_stage"] == -1
+
+
+class TestFleetMetrics:
+    def test_snapshot_folds_the_answers_the_parent_delivers(
+        self, trained_3c, images
+    ):
+        """A replica's answers fold into ``fabric.metrics``: a failure in
+        a shed batch counts as failed, not shed; the ``fleet_shed_total``
+        counter still counts every result of the shed batch."""
+        observer = Observer()
+        fabric = ServingFabric(
+            _fabric_config(trained_3c, replicas=1, observer=observer)
+        )
+        tickets = [fabric._dispatcher.submit(images[i]) for i in range(2)]
+        items = fabric._dispatcher.pop().items
+        rep = fabric._replicas[0]
+        rep.inflight = (0, Batch(items, 2, True, items[0].enqueued_at))
+        served = InferenceResponse(
+            request_id=tickets[0].request_id, label=3, exit_stage=0,
+            exit_stage_name="O1", confidence=0.9, delta=DELTA, ops=10.0,
+            energy_pj=1.0, model_spec="fleet", batch_size=2, latency_s=0.0,
+            shed=True,
+        )
+        failed = RequestFailed(
+            request_id=tickets[1].request_id, error="injected_fault",
+            message="poison",
+        )
+        fabric._handle_result(
+            rep,
+            ("result", 0, 0, [(served.request_id, served),
+                              (failed.request_id, failed)], 10.0, None),
+        )
+        assert tickets[0].result(timeout=0).shed
+        assert tickets[1].result(timeout=0).failed
+        snap = fabric.fleet_snapshot()
+        assert snap.requests == 1 and snap.requests_by_replica == ((0, 1),)
+        assert snap.shed_requests == 1
+        assert snap.failed_by_cause == (("injected_fault", 1),)
+        assert fabric.metrics.snapshot().mean_ops == 10.0
+        shed_total = observer.metrics.counter(
+            "fleet_shed_total", labels=("replica",)
+        )
+        assert shed_total.value(replica=0) == 2.0

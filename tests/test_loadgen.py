@@ -22,7 +22,7 @@ from repro.errors import (
     InputValidationError,
     SerializationError,
 )
-from repro.obs import Observer, read_spans, reconcile_shed
+from repro.obs import Observer, fold_spans, read_spans
 from repro.serving import (
     ArrivalSchedule,
     FaultPlan,
@@ -254,6 +254,23 @@ class TestLoadRunnerSimulate:
         assert 0 < first.shed_count < first.requests
         assert first == second
 
+    def test_metrics_time_the_run_on_the_virtual_clock(
+        self, trained_3c, tiny_test_set
+    ):
+        # The engine's metrics read the dispatcher's clock, so after a
+        # simulated run they time its dispatches in virtual seconds.
+        schedule = ArrivalSchedule.poisson(
+            rate_rps=200.0, duration_s=1.0, seed=11, deadline_s=0.02
+        )
+        engine = make_engine(trained_3c, delta=0.6)
+        runner = LoadRunner(engine, schedule, tiny_test_set.images)
+        report = runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
+        snap = engine.metrics.snapshot()
+        timeline = report.queue_depth_timeline
+        assert snap.requests == report.answered
+        assert snap.elapsed_s == timeline[-1][0] - timeline[0][0] > 0.9
+        assert snap.throughput_rps == snap.requests / snap.elapsed_s
+
     def test_shed_requests_exit_stage0_none_dropped(
         self, trained_3c, tiny_test_set, burst_schedule, tmp_path
     ):
@@ -273,9 +290,9 @@ class TestLoadRunnerSimulate:
         assert snap.requests == report.answered
         # Exact reconciliation against the trace.
         spans = read_spans(tmp_path / "trace.jsonl")
-        shed_in_trace, span_count = reconcile_shed(spans)
-        assert span_count == report.answered
-        assert shed_in_trace == report.shed_count
+        trace = fold_spans(spans)
+        assert trace.spans == report.answered
+        assert trace.shed_requests == report.shed_count
         assert all(
             s["exit_stage"] == 0 for s in spans if s.get("shed")
         )
@@ -521,7 +538,7 @@ class TestPublicSurface:
             "SharedParams", "ShedPolicy", "Ticket",
             "execute_cascade", "fold_exit_fractions",
             "population_stability_index", "robust_slope",
-            "signature_distance", "simulate_exit_stages",
+            "signature_distance",
         }
         assert set(serving.__all__) == expected
         assert set(serving.__all__) <= set(dir(serving))
@@ -541,7 +558,7 @@ class TestPublicSurface:
 
         for name in (
             "MicroBatcher", "AsyncInferenceEngine", "LearningDeltaPolicy",
-            "MiniCalibrator", "MiniCalibration",
+            "MiniCalibrator", "MiniCalibration", "simulate_exit_stages",
         ):
             assert name not in dir(serving)
             with pytest.raises(AttributeError):

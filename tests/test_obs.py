@@ -34,17 +34,16 @@ from repro.obs import (
     TraceRecorder,
     iter_records,
     parse_prometheus,
+    fold_spans,
     read_header,
     read_spans,
-    reconcile_errors,
-    reconcile_ops,
+    span_of,
     validate_span,
 )
 from repro.obs import cli
-from repro.obs.trace import failure_span
 from repro.serving.config import ServingConfig
 from repro.serving.controller import DeltaController
-from repro.serving.engine import InferenceEngine
+from repro.serving.engine import InferenceEngine, RequestFailed
 from repro.serving.batching import MicroBatchPolicy
 from repro.serving.resilience import ResiliencePolicy
 
@@ -294,30 +293,27 @@ class TestTraceRecorder:
         with pytest.raises(ConfigurationError, match="batch_id"):
             validate_span(span)
 
-    def test_reconcile_ops_batch_grouping(self):
+    def test_fold_spans_batch_grouping(self):
         spans = [
             _example_span(request_id=i, batch_id=i // 2, ops=float(i + 1))
             for i in range(5)
         ]
-        total, count = reconcile_ops(spans)
-        assert count == 5
-        assert total == 15.0
+        fold = fold_spans(spans)
+        assert fold.requests == fold.spans == 5
+        assert fold.total_ops == 15.0
+        assert fold.mean_ops == 3.0
 
 
 class TestFailureSpan:
-    """``failure_span``: the one record a failed request writes."""
+    """``span_of`` a ``RequestFailed``: the one record a failed request
+    writes."""
 
     @staticmethod
-    def _failed(**overrides) -> dict:
-        fields = dict(
-            request_id=7,
-            batch_id=3,
-            model_spec="default:1",
-            latency_s=0.25,
-            cause="injected_fault",
+    def _failed(request_id=7, batch_id=3, cause="injected_fault") -> dict:
+        failure = RequestFailed(
+            request_id=request_id, error=cause, message="", latency_s=0.25
         )
-        fields.update(overrides)
-        return failure_span(**fields)
+        return span_of(failure, batch_id=batch_id, model_spec="default:1")
 
     def test_carries_every_required_key(self):
         span = self._failed()
@@ -342,10 +338,13 @@ class TestFailureSpan:
             for i, cause in enumerate(causes)
         ]
         spans.append(_example_span(request_id=3, batch_id=3, ops=10.0))
-        failed, degraded, count = reconcile_errors(spans)
-        assert failed == {"injected_fault": 2, "invalid_input": 1}
-        assert degraded == 0 and count == 4
-        assert reconcile_ops(spans) == (10.0, 4)
+        fold = fold_spans(spans)
+        assert fold.failed_by_cause == (
+            ("injected_fault", 2), ("invalid_input", 1),
+        )
+        assert fold.failed_requests == 3
+        assert fold.degraded_requests == 0 and fold.spans == 4
+        assert (fold.total_ops, fold.requests) == (10.0, 1)
 
     def test_round_trips_through_a_trace_file(self, tmp_path):
         span = self._failed()
@@ -494,10 +493,10 @@ class TestEngineIntegration:
 
     def test_reconciliation_is_bit_exact(self, traced):
         engine, _obs, _responses, tmp = traced
-        total, count = reconcile_ops(read_spans(tmp / "trace.jsonl"))
+        fold = fold_spans(read_spans(tmp / "trace.jsonl"))
         snap = engine.metrics.snapshot()
-        assert count == snap.requests
-        assert total / count == snap.mean_ops  # ==, not approx
+        assert fold.spans == fold.requests == snap.requests
+        assert fold.mean_ops == snap.mean_ops  # ==, not approx
 
     def test_lifecycle_events_recorded(self, traced):
         _engine, obs, _responses, _tmp = traced
@@ -548,12 +547,11 @@ class TestEngineIntegration:
             ticket = engine.submit(np.full(shape, np.nan))
             assert ticket.result(timeout=1.0).error == "invalid_input"
         (span,) = read_spans(tmp_path / "trace.jsonl")
-        assert span == failure_span(
-            request_id=ticket.request_id,
+        assert span["exit_stage"] == -1 and span["error"] == "invalid_input"
+        assert span == span_of(
+            ticket.result(timeout=0),
             batch_id=span["batch_id"],
             model_spec=engine.entry.spec,
-            latency_s=span["latency_s"],
-            cause="invalid_input",
         )
 
     def test_default_engine_has_null_observer(self, trained_3c):

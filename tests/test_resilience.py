@@ -11,8 +11,8 @@ Covers the chaos PR end to end:
   (pinned pre-fix), supervised restarts, restart-budget exhaustion,
   ``stop(drain=True)`` timeout, start/stop idempotence;
 * the accounting -- SLO report failed/degraded/availability fields,
-  metrics counters, and :func:`repro.obs.reconcile_errors` agreeing
-  exactly on a simulated chaos run.
+  metrics counters, and :func:`repro.obs.fold_spans` agreeing exactly
+  on a simulated chaos run.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.errors import (
     RequestCancelled,
     SerializationError,
 )
-from repro.obs import Observer, read_spans, reconcile_errors
+from repro.obs import Observer, fold_spans, read_spans
 from repro.serving import (
     ArrivalSchedule,
     AsyncEngine,
@@ -544,8 +544,8 @@ class TestSLOReportFailures:
         assert loaded.availability == 1.0
 
 
-class TestReconcileErrors:
-    def test_reconcile_errors_from_spans(self):
+class TestFoldSpans:
+    def test_failures_and_degraded_from_spans(self):
         spans = [
             {"error": None, "degraded": False},
             {"error": None, "degraded": True},
@@ -554,10 +554,14 @@ class TestReconcileErrors:
             {"error": "invalid_input"},
             {},  # pre-resilience span: neither key
         ]
-        failed, degraded, count = reconcile_errors(spans)
-        assert failed == {"injected_fault": 2, "invalid_input": 1}
-        assert degraded == 1
-        assert count == 6
+        for batch_id, span in enumerate(spans):
+            span.update(batch_id=batch_id, ops=0.0)
+        fold = fold_spans(spans)
+        assert dict(fold.failed_by_cause) == {
+            "injected_fault": 2, "invalid_input": 1,
+        }
+        assert fold.degraded_requests == 1
+        assert fold.spans == 6
 
 
 class TestChaosSimulation:
@@ -607,13 +611,18 @@ class TestChaosSimulation:
             obs.flush()
             spans = read_spans(tmp_path / "trace.jsonl")
         snap = engine.metrics.snapshot()
-        failed_by_cause, degraded, count = reconcile_errors(spans)
+        trace = fold_spans(spans)
+        failed_by_cause = dict(trace.failed_by_cause)
         assert report.dropped == 0
         assert report.failed_count > 0 and report.degraded_count > 0
-        assert count == report.answered + report.failed_count
-        assert sum(failed_by_cause.values()) == report.failed_count
-        assert dict(snap.failed_by_cause) == failed_by_cause
-        assert snap.degraded_requests == report.degraded_count == degraded
+        assert trace.spans == report.answered + report.failed_count
+        assert trace.failed_requests == report.failed_count
+        assert snap.failed_by_cause == trace.failed_by_cause
+        assert (
+            snap.degraded_requests
+            == report.degraded_count
+            == trace.degraded_requests
+        )
         assert snap.failed_requests == report.failed_count
         # The targeted faults landed as planned.
         assert failed_by_cause.get("invalid_input") == 1

@@ -20,6 +20,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from repro.cdl.score_cache import exit_stages_from_scores
 from repro.errors import ConfigurationError, NotFittedError, ShapeError
 from repro.serving.batching import (
     Dispatcher,
@@ -30,13 +31,9 @@ from repro.serving.batching import (
 )
 from repro.serving.cascade import execute_cascade
 from repro.serving.config import ServingConfig
-from repro.serving.controller import (
-    DeltaController,
-    ShedPolicy,
-    simulate_exit_stages,
-)
+from repro.serving.controller import DeltaController, ShedPolicy
 import repro.serving.engine as serving_engine
-from repro.serving.engine import AsyncEngine, InferenceEngine
+from repro.serving.engine import AsyncEngine, InferenceEngine, InferenceResponse
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry
 
@@ -439,7 +436,7 @@ class TestDeltaController:
             for stage in cdln.linear_stages
         ]
         for delta in (0.3, 0.6, 0.9):
-            simulated = simulate_exit_stages(
+            simulated = exit_stages_from_scores(
                 stage_scores,
                 cdln.activation_module,
                 delta,
@@ -718,6 +715,28 @@ class TestDispatcherWindow:
 # -- metrics -------------------------------------------------------------------
 
 
+def _answers(latencies_s, exit_stages, ops, energies_pj):
+    """One served batch's answers with the given per-request measurements."""
+    return [
+        InferenceResponse(
+            request_id=i,
+            label=0,
+            exit_stage=int(stage),
+            exit_stage_name="",
+            confidence=1.0,
+            delta=0.5,
+            ops=float(cost),
+            energy_pj=float(energy),
+            model_spec="m",
+            batch_size=len(latencies_s),
+            latency_s=float(latency),
+        )
+        for i, (latency, stage, cost, energy) in enumerate(
+            zip(latencies_s, exit_stages, ops, energies_pj)
+        )
+    ]
+
+
 class TestServingMetrics:
     def test_empty_snapshot(self):
         metrics = ServingMetrics(("O1", "FC"))
@@ -729,10 +748,13 @@ class TestServingMetrics:
     def test_record_and_reset(self):
         metrics = ServingMetrics(("O1", "FC"))
         metrics.record_batch(
-            latencies_s=np.array([0.001, 0.002, 0.003]),
-            exit_stages=np.array([0, 0, 1]),
-            ops=np.array([10.0, 10.0, 30.0]),
-            energies_pj=np.array([1.0, 1.0, 3.0]),
+            _answers(
+                latencies_s=np.array([0.001, 0.002, 0.003]),
+                exit_stages=np.array([0, 0, 1]),
+                ops=np.array([10.0, 10.0, 30.0]),
+                energies_pj=np.array([1.0, 1.0, 3.0]),
+            ),
+            0.0,
         )
         snap = metrics.snapshot()
         assert snap.requests == 3
@@ -754,10 +776,13 @@ class TestServingMetrics:
         metrics = ServingMetrics(("O1", "FC"))
         latencies = np.linspace(0.001, 0.05, 37)
         metrics.record_batch(
-            latencies_s=latencies,
-            exit_stages=np.zeros(37, dtype=np.int64),
-            ops=np.full(37, 10.0),
-            energies_pj=np.full(37, 1.0),
+            _answers(
+                latencies_s=latencies,
+                exit_stages=np.zeros(37, dtype=np.int64),
+                ops=np.full(37, 10.0),
+                energies_pj=np.full(37, 1.0),
+            ),
+            0.0,
         )
         snap = metrics.snapshot()
         assert snap.latency_p99_s == snap.latency_p999_s == latencies.max()
@@ -767,10 +792,13 @@ class TestServingMetrics:
         metrics = ServingMetrics(("O1", "FC"))
         latencies = np.arange(1, 1001, dtype=np.float64) / 1e3
         metrics.record_batch(
-            latencies_s=latencies,
-            exit_stages=np.zeros(1000, dtype=np.int64),
-            ops=np.full(1000, 10.0),
-            energies_pj=np.full(1000, 1.0),
+            _answers(
+                latencies_s=latencies,
+                exit_stages=np.zeros(1000, dtype=np.int64),
+                ops=np.full(1000, 10.0),
+                energies_pj=np.full(1000, 1.0),
+            ),
+            0.0,
         )
         snap = metrics.snapshot()
         assert snap.latency_p99_s in latencies
@@ -786,10 +814,13 @@ class TestServingMetrics:
         metrics = ServingMetrics(("O1", "FC"))
         for depth in (3, 9, 4, None):
             metrics.record_batch(
-                latencies_s=np.array([0.001]),
-                exit_stages=np.array([0]),
-                ops=np.array([10.0]),
-                energies_pj=np.array([1.0]),
+                _answers(
+                    latencies_s=np.array([0.001]),
+                    exit_stages=np.array([0]),
+                    ops=np.array([10.0]),
+                    energies_pj=np.array([1.0]),
+                ),
+                0.0,
                 queue_depth=depth,
             )
         snap = metrics.snapshot()
