@@ -152,7 +152,7 @@ def bench_chaos_resilience(ctx: BenchContext) -> BenchResult:
 
     snap = engine.metrics.snapshot()
     trace = fold_spans(spans)
-    # Three views of one fold, one count -- `==`, not approx.
+    # Three views of the same answers, one count -- `==`, not approx.
     exact = (
         trace.spans == report.answered + report.failed_count
         and trace.failed_requests == report.failed_count

@@ -175,7 +175,7 @@ def bench_loadgen_shed(ctx: BenchContext) -> BenchResult:
     snap = engine.metrics.snapshot()
     trace = fold_spans(spans)
     stage0 = all(s["exit_stage"] == 0 for s in spans if s.get("shed"))
-    # Three views of one fold, one count -- `==`, not approx.
+    # Three views of the same answers, one count -- `==`, not approx.
     exact = (
         trace.spans == shed.answered
         and trace.shed_requests == shed.shed_count

@@ -26,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def span_of(
     batch_id: int,
     model_spec: str,
     max_stage: int | None = None,
-    stages: Sequence[dict] = (),
+    stages: list[dict] | None = None,
 ) -> dict:
     """The span record of one resolved answer.
 
@@ -80,7 +80,7 @@ def span_of(
         "shed": answer.shed,
         "degraded": answer.degraded,
         "error": answer.error,
-        "stages": list(stages),
+        "stages": stages or [],
     }
 
 

@@ -49,7 +49,6 @@ import itertools
 import random
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -745,7 +744,7 @@ class InferenceEngine:
         batch_id: int,
         queue_depth: int | None = None,
         max_stage: int | None = None,
-        stages: Sequence[dict] = (),
+        stages: list[dict] | None = None,
     ) -> None:
         """Fold resolved answers, served and failed alike, into every view.
 
