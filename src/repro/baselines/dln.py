@@ -40,10 +40,9 @@ def evaluate_dln(
     dataset: DigitDataset,
     *,
     technology: TechnologyModel = TECHNOLOGY_45NM,
-    batch_size: int = 512,
 ) -> BaselineEvaluation:
     """Evaluate the always-run-everything baseline on ``dataset``."""
-    predicted = network.predict_labels(dataset.images, batch_size=batch_size)
+    predicted = network.predict_labels(dataset.images)
     return BaselineEvaluation(
         accuracy=accuracy(predicted, dataset.labels),
         per_digit_accuracy=per_class_accuracy(

@@ -35,10 +35,10 @@ def _cast_copy(network, dtype):
 
 
 def _time_predict(net, images, reps: int) -> float:
-    net.predict(images, batch_size=images.shape[0])
+    net.predict(images)
     start = perf_counter()
     for _ in range(reps):
-        net.predict(images, batch_size=images.shape[0])
+        net.predict(images)
     return (perf_counter() - start) / reps
 
 

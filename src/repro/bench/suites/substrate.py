@@ -31,7 +31,7 @@ def _inference_bench(net_factory):
         batch = int(ctx.params.get("batch", 256))
         net, _ = net_factory(rng=ctx.seed)
         images = np.random.default_rng(ctx.seed).random((batch, 1, 28, 28))
-        out = net.predict(images, batch_size=batch)
+        out = net.predict(images)
         return BenchResult(
             metrics={"mean_max_prob": float(out.max(axis=1).mean())},
             units=float(batch),

@@ -12,7 +12,10 @@ hardware behaviour where deeper layers are simply not enabled.  The
 shrinking-active-set loop itself lives in
 :func:`repro.serving.cascade.execute_cascade`, shared with the
 single-instance tracer and the serving engine so every path makes
-identical decisions.
+identical decisions.  Every backbone pass here, the cascade's segments
+and :meth:`CDLN.backbone_outputs` alike, runs through the backbone's one
+inference loop, which bounds its temporaries by running fixed blocks of
+images (:data:`repro.nn.network.BLOCK_ROWS`).
 """
 
 from __future__ import annotations
@@ -135,22 +138,21 @@ class CDLN:
         return isinstance(head, Dense) and isinstance(head.activation, Softmax)
 
     # -- feature extraction ------------------------------------------------------
-    def extract_features(
-        self, images: np.ndarray, batch_size: int = 256
-    ) -> dict[int, np.ndarray]:
+    def extract_features(self, images: np.ndarray) -> dict[int, np.ndarray]:
         """Flattened baseline activations at every attach point.
 
-        Returns ``{attach_index: (N, D_i) features}`` computed in chunks so
-        memory stays bounded on large datasets.
+        Returns ``{attach_index: (N, D_i) features}`` from one inference
+        pass, which :class:`~repro.nn.network.Network` runs in fixed blocks,
+        so its temporaries stay bounded on large datasets.
         """
         if not self.linear_stages:
             return {}
-        return self.backbone_outputs(images, batch_size)[0]
+        return self.backbone_outputs(images)[0]
 
     def backbone_outputs(
-        self, images: np.ndarray, batch_size: int = 256
+        self, images: np.ndarray
     ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-        """One chunked inference pass: ``(features, final_outputs)``.
+        """One inference pass: ``(features, final_outputs)``.
 
         ``features`` is :meth:`extract_features`' mapping; ``final_outputs``
         is the baseline head's ``(N, num_classes)`` output, everything a
@@ -158,16 +160,9 @@ class CDLN:
         classifiers.
         """
         taps = [s.attach_index for s in self.linear_stages]
-        collected: dict[int, list[np.ndarray]] = {t: [] for t in taps}
-        final: list[np.ndarray] = []
-        for start in range(0, images.shape[0], batch_size):
-            chunk = images[start : start + batch_size]
-            out, acts = self.baseline.forward_collect(chunk, taps)
-            for t in taps:
-                collected[t].append(acts[t].reshape(chunk.shape[0], -1))
-            final.append(out)
-        features = {t: np.concatenate(parts, axis=0) for t, parts in collected.items()}
-        return features, np.concatenate(final, axis=0)
+        out, acts = self.baseline.forward_collect(images, taps)
+        features = {t: acts[t].reshape(images.shape[0], -1) for t in taps}
+        return features, out
 
     # -- training (Algorithm 1, steps 4-7) ----------------------------------------
     def fit_linear_classifiers(
@@ -177,7 +172,6 @@ class CDLN:
         *,
         train_on: str = "all",
         delta: float | None = None,
-        batch_size: int = 256,
         features: dict[int, np.ndarray] | None = None,
     ) -> "CDLN":
         """Train every stage's linear classifier on the baseline's features.
@@ -198,7 +192,7 @@ class CDLN:
             raise ConfigurationError(f"train_on must be 'all' or 'passed', got {train_on!r}")
         labels = np.asarray(labels, dtype=np.int64).ravel()
         if features is None:
-            features = self.extract_features(images, batch_size=batch_size)
+            features = self.extract_features(images)
         remaining = np.arange(images.shape[0])
         for stage in self.linear_stages:
             feats = features[stage.attach_index]

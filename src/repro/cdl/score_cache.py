@@ -32,7 +32,10 @@ from repro.errors import ConfigurationError
 
 #: Rows per chunk of :meth:`StageScoreCache.build`'s backbone-and-score pass
 #: and of :meth:`StageScoreCache.from_features`' scoring.  A classifier GEMM's
-#: bits depend on its row count, so the two share this one chunk size.
+#: bits depend on its row count, so the two share this one chunk size.  It is
+#: a multiple of :data:`repro.nn.network.BLOCK_ROWS`, so ``build``'s backbone
+#: runs the same blocks as one :meth:`~repro.cdl.network.CDLN.backbone_outputs`
+#: pass, whose head outputs ``from_features`` takes as they are.
 _SCORE_CHUNK = 256
 
 

@@ -158,5 +158,5 @@ def evaluate_cached(
 
 def evaluate_baseline_accuracy(cdln: CDLN, dataset: DigitDataset) -> float:
     """Accuracy of the unconditional baseline on the same dataset."""
-    predicted = cdln.baseline.predict_labels(dataset.images, batch_size=512)
+    predicted = cdln.baseline.predict_labels(dataset.images)
     return accuracy(predicted, dataset.labels)

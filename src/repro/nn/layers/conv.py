@@ -9,7 +9,10 @@ pre-activation GEMM result, and the fused activation writes the layer's
 output into a fresh, contiguous NCHW array.  Nothing outlives the call
 except what a training forward caches for its backward, so an inference
 forward interleaved between the two (a mid-step validation pass, say)
-cannot clobber the cached columns.
+cannot clobber the cached columns.  :class:`~repro.nn.network.Network`
+runs inference :data:`~repro.nn.network.BLOCK_ROWS` images per call, so
+those temporaries are sized by the block; a training forward gets the
+whole batch, whose columns its backward reads.
 
 The GEMM operands' layouts are part of the numerical contract, since they
 decide the order in which BLAS and numpy sum: C-contiguous im2col rows

@@ -9,11 +9,20 @@ operations the CDL cascade needs:
 * :meth:`run_segment` -- run only layers ``[start, stop)`` on an activation
   that was produced earlier, so a conditionally forwarded input resumes from
   the layer it stopped at instead of recomputing the prefix.
+
+Every inference pass (``forward``, ``run_segment`` and ``forward_collect``
+with ``training=False``, and ``predict``) goes through one loop that runs
+the batch :data:`BLOCK_ROWS` images at a time and writes each block's output
+and tap activations into arrays allocated once per batch.  A layer's
+temporaries -- a convolution's im2col columns above all -- are then sized
+by the block, not by the batch.  A batch of at most one block runs as it
+is, with no extra copy.  A training pass runs the whole batch as one
+block, because each layer's backward reads whole-batch caches.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from typing import Any
 
 import numpy as np
@@ -24,6 +33,10 @@ from repro.nn.layers.base import Layer
 from repro.nn.layers.dense import Dense
 from repro.nn.losses import Loss
 from repro.utils.rng import ensure_rng
+
+#: Rows per block of an inference pass.  MNIST_3C's C1 im2col columns take
+#: 0.8 MB for 32 float32 images, against 12.5 MB for a 512-image batch.
+BLOCK_ROWS = 32
 
 
 class Network:
@@ -58,9 +71,7 @@ class Network:
     # -- inference ---------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Run the full stack."""
-        for layer in self.layers:
-            x = layer.forward(x, training=training)
-        return x
+        return self._run(x, 0, len(self.layers), (), training)[0]
 
     def run_segment(
         self, x: np.ndarray, start: int, stop: int | None = None, training: bool = False
@@ -75,9 +86,7 @@ class Network:
             raise ConfigurationError(
                 f"invalid segment [{start}, {stop}) for a {len(self.layers)}-layer network"
             )
-        for layer in self.layers[start:stop]:
-            x = layer.forward(x, training=training)
-        return x
+        return self._run(x, start, stop, (), training)[0]
 
     def forward_collect(
         self, x: np.ndarray, taps: Sequence[int], training: bool = False
@@ -93,26 +102,54 @@ class Network:
             raise ConfigurationError(
                 f"tap indices {sorted(bad)} out of range for {len(self.layers)} layers"
             )
-        collected: dict[int, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            x = layer.forward(x, training=training)
-            if i in taps_set:
-                collected[i] = x
-        return x, collected
+        return self._run(x, 0, len(self.layers), taps_set, training)
 
-    def predict(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
-        """Forward pass in inference mode, optionally chunked to bound memory."""
-        if batch_size is None or x.shape[0] <= batch_size:
-            return self.forward(x, training=False)
-        chunks = [
-            self.forward(x[i : i + batch_size], training=False)
-            for i in range(0, x.shape[0], batch_size)
-        ]
-        return np.concatenate(chunks, axis=0)
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Forward pass in inference mode."""
+        return self.forward(x, training=False)
 
-    def predict_labels(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+    def predict_labels(self, x: np.ndarray) -> np.ndarray:
         """Class predictions (argmax over the output layer)."""
-        return self.predict(x, batch_size=batch_size).argmax(axis=1)
+        return self.predict(x).argmax(axis=1)
+
+    def _run(
+        self,
+        x: np.ndarray,
+        start: int,
+        stop: int,
+        taps: Collection[int],
+        training: bool,
+    ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Layers ``[start, stop)`` on ``x``: ``(output, {tap: activation})``.
+
+        The one loop behind every pass.  Inference runs in blocks of
+        :data:`BLOCK_ROWS` rows; training, and a batch of at most one
+        block, run whole.  Each block calls every layer's ``forward`` on the
+        layer object itself, so a wrapper patched onto a layer sees every
+        block.
+        """
+        n = x.shape[0]
+        if training or n <= BLOCK_ROWS:
+            collected: dict[int, np.ndarray] = {}
+            for i in range(start, stop):
+                x = self.layers[i].forward(x, training=training)
+                if i in taps:
+                    collected[i] = x
+            return x, collected
+        out = collected = None
+        for first in range(0, n, BLOCK_ROWS):
+            rows = slice(first, first + BLOCK_ROWS)
+            y, acts = self._run(x[rows], start, stop, taps, False)
+            if out is None:
+                out = np.empty((n, *y.shape[1:]), dtype=y.dtype)
+                collected = {
+                    t: np.empty((n, *a.shape[1:]), dtype=a.dtype)
+                    for t, a in acts.items()
+                }
+            out[rows] = y
+            for t, a in acts.items():
+                collected[t][rows] = a
+        return out, collected
 
     # -- training ----------------------------------------------------------
     def backward(self, loss: Loss, outputs: np.ndarray, targets: np.ndarray) -> None:

@@ -150,7 +150,7 @@ class Trainer:
             )
             if validation is not None:
                 val_x, val_y = validation
-                val_out = self.network.predict(val_x, batch_size=max(self.batch_size, 256))
+                val_out = self.network.predict(val_x)
                 stats = EpochStats(
                     epoch=epoch,
                     train_loss=stats.train_loss,
@@ -184,5 +184,5 @@ class Trainer:
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
         """Return ``(loss, accuracy)`` on a held-out set."""
-        out = self.network.predict(images, batch_size=max(self.batch_size, 256))
+        out = self.network.predict(images)
         return self.loss.value(out, labels), accuracy(out.argmax(axis=1), labels)

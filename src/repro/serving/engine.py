@@ -250,6 +250,11 @@ class InferenceEngine:
             observer=self.observer,
         )
         self._batch_ids = itertools.count()
+        #: Span ids for requests failed outside a dispatch count down from
+        #: -1.  A counter apart from ``_batch_ids``, which fault plans key
+        #: on, keeps tracing from changing a run; a negative id never
+        #: collides with a batch's.
+        self._failure_span_ids = itertools.count(-1, -1)
         self._lock = threading.Lock()
         self._warned_uncalibrated = False
         #: Exhausted-retry request failures since the last full-service
@@ -444,7 +449,9 @@ class InferenceEngine:
             self._degraded_remaining -= 1
             if self._degraded_remaining == 0:
                 # Episode over: probe full service on the next dispatch.
-                self._consecutive_failures = 0
+                # The failure count stands until a full-service success,
+                # so a failed probe into a continuing outage re-engages
+                # at once, not after degraded_after more failures.
                 self.observer.event("degraded_released")
                 self.observer.set_gauge(
                     "degraded", 0.0,
@@ -575,9 +582,12 @@ class InferenceEngine:
             return
         with self._lock:
             entry, metrics = self._entry, self.metrics
-        # A traced failure's span takes a batch id of its own.
-        batch_id = next(self._batch_ids) if self.observer.trace is not None else -1
-        self._record([failure], entry=entry, metrics=metrics, batch_id=batch_id)
+        self._record(
+            [failure],
+            entry=entry,
+            metrics=metrics,
+            batch_id=next(self._failure_span_ids),
+        )
 
     def health(self) -> HealthStatus:
         """Liveness/readiness of the synchronous engine.

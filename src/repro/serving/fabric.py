@@ -106,8 +106,9 @@ _log = get_logger("serving.fabric")
 _ALIGN = 64
 
 #: Worker batch-id namespacing: replica ``i`` session ``s`` counts from
-#: ``(i + 1) * 1e9 + s * 1e6``, the parent counts from 0 -- concatenated
-#: trace files never collide on ``batch_id``.
+#: ``(i + 1) * 1e9 + s * 1e6``, and its failure spans down from minus that,
+#: minus 1; the parent counts from 0 -- concatenated trace files never
+#: collide on ``batch_id``.
 _REPLICA_BATCH_STRIDE = 1_000_000_000
 _SESSION_BATCH_STRIDE = 1_000_000
 
@@ -314,6 +315,7 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
         )
     )
     engine._batch_ids = itertools.count(spec.batch_id_base)
+    engine._failure_span_ids = itertools.count(-spec.batch_id_base - 1, -1)
     # Replicas never retarget locally (the fleet owns the control loop):
     # installed as the engine's adaptive hook, the window only records.
     window = SignatureWindow(len(engine.entry.cdln.stage_names), spec.window)
@@ -1279,9 +1281,10 @@ class ServingFabric:
                     replica=replica, cause=answer.error,
                 )
         if batch is not None:
-            if batch.shed:
+            shed = sum(a.shed for a in answers)
+            if shed:
                 observer.inc(
-                    "fleet_shed_total", float(len(answers)),
+                    "fleet_shed_total", float(shed),
                     "Requests served at stage 0 by fleet backpressure, "
                     "by replica.",
                     replica=replica,

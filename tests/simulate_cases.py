@@ -7,7 +7,9 @@ plan, replays it in virtual time and records:
   ``request_id``, keyed by arrival index;
 * the full :class:`~repro.serving.slo.SLOReport`.
 
-The traced cases (:data:`TRACED`) also record the engine's telemetry in a
+Any case runs with or without an observer (``run_case(..., traced=)``),
+and tracing must not change its outcomes.  The traced cases
+(:data:`TRACED`) also record the engine's telemetry in a
 ``<name>.telemetry.json`` beside the outcomes:
 
 * the span count and a sha256 of the spans' canonical JSON (sorted keys,
@@ -163,65 +165,64 @@ def telemetry(spans: list[dict], observer, snapshot) -> dict:
     )
 
 
-def _chaos(trained, images, *, resilient: bool) -> Run:
+def _chaos(*, resilient: bool) -> tuple[ArrivalSchedule, dict]:
     # The chaos_resilience bench's engine and plan, on a shorter schedule.
-    policy = MicroBatchPolicy(max_batch_size=8, max_wait_s=0.05)
     schedule = ArrivalSchedule.poisson(
         rate_rps=150.0, duration_s=4.0, seed=3, deadline_s=SLO_P99_S
     )
-    if not resilient:
-        engine = _engine(trained, policy=policy, faults=_chaos_plan())
-        return _run(engine, schedule, images)
-    return _traced(
-        trained,
-        schedule,
-        images,
-        policy=policy,
-        faults=_chaos_plan(),
-        resilience=ResiliencePolicy(
+    overrides = {
+        "policy": MicroBatchPolicy(max_batch_size=8, max_wait_s=0.05),
+        "faults": _chaos_plan(),
+    }
+    if resilient:
+        overrides["resilience"] = ResiliencePolicy(
             max_retries=1, degraded_after=2, degraded_window=8
-        ),
-    )
+        )
+    return schedule, overrides
 
 
-def run_case(name: str, trained, images) -> Run:
-    """The :class:`Run` of one named case."""
+def _case(name: str) -> tuple[ArrivalSchedule, dict]:
+    """The schedule and engine overrides of one named case."""
     if name == "poisson_default":
         schedule = ArrivalSchedule.poisson(
             rate_rps=200.0, duration_s=1.0, seed=11, deadline_s=0.02
         )
-        return _run(_engine(trained), schedule, images)
+        return schedule, {}
     if name == "bursty_shed_depth":
-        return _traced(
-            trained,
-            _bursty(),
-            images,
-            policy=MicroBatchPolicy(max_batch_size=8, max_wait_s=0.005),
-            shed=ShedPolicy(max_queue_depth=12),
-        )
+        return _bursty(), {
+            "policy": MicroBatchPolicy(max_batch_size=8, max_wait_s=0.005),
+            "shed": ShedPolicy(max_queue_depth=12),
+        }
     if name == "bursty_shed_wait":
-        engine = _engine(
-            trained,
-            policy=MicroBatchPolicy(max_batch_size=8, max_wait_s=0.005),
-            shed=ShedPolicy(max_predicted_wait_s=0.02),
-        )
-        return _run(engine, _bursty(), images)
+        return _bursty(), {
+            "policy": MicroBatchPolicy(max_batch_size=8, max_wait_s=0.005),
+            "shed": ShedPolicy(max_predicted_wait_s=0.02),
+        }
     if name == "priority_deadlines":
         schedule = _bursty(priority_mix={0: 0.6, 1: 0.25, 9: 0.15})
-        engine = _engine(
-            trained, policy=MicroBatchPolicy(max_batch_size=6, max_wait_s=0.004)
-        )
-        return _run(engine, schedule, images)
+        return schedule, {
+            "policy": MicroBatchPolicy(max_batch_size=6, max_wait_s=0.004)
+        }
     if name == "replay_ties":
-        engine = _engine(
-            trained, policy=MicroBatchPolicy(max_batch_size=8, max_wait_s=0.002)
-        )
-        return _run(engine, _ties(), images)
+        return _ties(), {
+            "policy": MicroBatchPolicy(max_batch_size=8, max_wait_s=0.002)
+        }
     if name == "chaos_resilient":
-        return _chaos(trained, images, resilient=True)
+        return _chaos(resilient=True)
     if name == "chaos_unprotected":
-        return _chaos(trained, images, resilient=False)
+        return _chaos(resilient=False)
     raise KeyError(name)
+
+
+def run_case(name: str, trained, images, *, traced: bool | None = None) -> Run:
+    """The :class:`Run` of one named case, traced as :data:`TRACED` says
+    unless ``traced`` is given."""
+    schedule, overrides = _case(name)
+    if traced is None:
+        traced = name in TRACED
+    if traced:
+        return _traced(trained, schedule, images, **overrides)
+    return _run(_engine(trained, **overrides), schedule, images)
 
 
 CASES = (

@@ -78,11 +78,13 @@ class TestFeatureExtraction:
 
     def test_extract_features_chunking_consistent(self, trained_3c, tiny_test_set):
         cdln = trained_3c.cdln
-        images = tiny_test_set.images[:32]
-        small = cdln.extract_features(images, batch_size=7)
-        big = cdln.extract_features(images, batch_size=512)
-        for key in small:
-            np.testing.assert_allclose(small[key], big[key])
+        images = tiny_test_set.images[:70]
+        chunks = [cdln.extract_features(images[i : i + 7]) for i in range(0, 70, 7)]
+        whole = cdln.extract_features(images)
+        for key, value in whole.items():
+            np.testing.assert_allclose(
+                np.concatenate([chunk[key] for chunk in chunks]), value
+            )
 
 
 class TestCostTable:

@@ -23,6 +23,7 @@ from repro.nn import (
 )
 from repro.nn.compute import resolve_dtype
 from repro.nn.layers import AvgPool2D, Flatten, MaxPool2D
+from repro.nn.network import BLOCK_ROWS
 from repro.nn.tensor_ops import col2im, one_hot
 
 RNG = np.random.default_rng(0)
@@ -176,6 +177,17 @@ class TestZeroCopySubstrate:
         np.testing.assert_allclose(dx, naive, rtol=1e-12)
 
 
+def float32_3c(rows: int) -> tuple[Network, CDLN, np.ndarray]:
+    """An untrained float32 MNIST_3C, a CDLN over it and ``rows`` images."""
+    with compute_policy(dtype="float32"):
+        net, spec = mnist_3c(rng=0)
+    x = RNG.random((rows, *net.input_shape)).astype(np.float32)
+    cdln = CDLN(net, spec.attach_indices).fit_linear_classifiers(
+        x[:32], np.arange(32) % 10
+    )
+    return net, cdln, x
+
+
 class TestNoPersistentScratch:
     """Inference allocates per call: a predict leaves nothing resident."""
 
@@ -195,21 +207,68 @@ class TestNoPersistentScratch:
             tracemalloc.stop()
 
     def test_network_predict_keeps_no_scratch(self):
-        with compute_policy(dtype="float32"):
-            net, _ = mnist_3c(rng=0)
-        x = RNG.random((self.ROWS, *net.input_shape)).astype(np.float32)
-        grown = self.traced_growth(lambda: net.predict(x, batch_size=self.ROWS))
+        net, _, x = float32_3c(self.ROWS)
+        grown = self.traced_growth(lambda: net.predict(x))
         assert grown < 2**20, f"predict left {grown / 2**20:.1f} MB resident"
 
     def test_cdln_predict_keeps_no_scratch(self):
-        with compute_policy(dtype="float32"):
-            net, spec = mnist_3c(rng=0)
-        x = RNG.random((self.ROWS, *net.input_shape)).astype(np.float32)
-        cdln = CDLN(net, spec.attach_indices).fit_linear_classifiers(
-            x[:32], np.arange(32) % 10
-        )
+        _, cdln, x = float32_3c(self.ROWS)
         grown = self.traced_growth(lambda: cdln.predict(x, delta=0.6))
         assert grown < 2**20, f"predict left {grown / 2**20:.1f} MB resident"
+
+
+class TestBlockedInference:
+    """Inference runs ``BLOCK_ROWS`` images at a time into per-batch arrays."""
+
+    ROWS = 512
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        """Peak bytes traced while ``call()`` runs."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_network_predict_peak_is_bounded_by_the_block(self):
+        # Whole-batch temporaries peaked at 19.9 MB: C1's im2col columns
+        # alone take 12.5 MB for 512 float32 images.
+        net, _, x = float32_3c(self.ROWS)
+        peak = self.traced_peak(lambda: net.predict(x))
+        assert peak < 4 * 2**20, f"predict peaked at {peak / 2**20:.1f} MB"
+
+    def test_cdln_predict_peak_is_bounded_by_the_block(self):
+        _, cdln, x = float32_3c(self.ROWS)
+        peak = self.traced_peak(lambda: cdln.predict(x, delta=0.6))
+        assert peak < 4 * 2**20, f"predict peaked at {peak / 2**20:.1f} MB"
+
+    def test_ragged_batch_matches_each_block_alone(self, trained_3c, tiny_test_set):
+        net = trained_3c.baseline
+        x = tiny_test_set.images[:70]
+        blocks = [x[i : i + BLOCK_ROWS] for i in range(0, x.shape[0], BLOCK_ROWS)]
+        assert [b.shape[0] for b in blocks] == [32, 32, 6]
+
+        def assert_same_bits(whole, parts):
+            joined = np.concatenate(parts)
+            assert whole.dtype == joined.dtype and whole.shape == joined.shape
+            assert whole.tobytes() == joined.tobytes()
+
+        assert_same_bits(net.predict(x), [net.predict(b) for b in blocks])
+        mid = net.run_segment(x, 0, 3)
+        assert_same_bits(mid, [net.run_segment(b, 0, 3) for b in blocks])
+        assert_same_bits(
+            net.run_segment(mid, 3),
+            [net.run_segment(b, 3) for b in np.split(mid, [32, 64])],
+        )
+        taps = (1, 3)
+        out, acts = net.forward_collect(x, taps)
+        parts = [net.forward_collect(b, taps) for b in blocks]
+        assert_same_bits(out, [part[0] for part in parts])
+        for tap in taps:
+            assert_same_bits(acts[tap], [part[1][tap] for part in parts])
 
 
 class TestDtypeParity:

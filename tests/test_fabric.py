@@ -763,14 +763,38 @@ class TestFailureSpan:
         assert spans["fabric"]["error"] == "invalid_input"
         assert spans["fabric"]["exit_stage"] == -1
 
+    def test_replica_failure_spans_take_ids_of_their_own(
+        self, trained_3c, images, tmp_path
+    ):
+        """A replica's failure spans count down from minus its batch-id
+        base: they take no batch id, which fault plans key on, and share
+        no id with a batch or with each other."""
+        config = _fabric_config(
+            trained_3c,
+            replicas=1,
+            obs_dir=tmp_path,
+            resilience=ResiliencePolicy(max_retries=0, degraded_after=0),
+            faults=FaultPlan(specs=(FaultSpec(kind="request_error", rate=0.5),)),
+        )
+        with ServingFabric(config) as fabric:
+            tickets = [fabric.submit(images[i % 16]) for i in range(24)]
+            answers = [t.result(timeout=60.0) for t in tickets]
+        spans = read_spans(tmp_path / "replica-0" / "session-0" / "trace.jsonl")
+        failed = [s["batch_id"] for s in spans if s.get("error") is not None]
+        served = {s["batch_id"] for s in spans if s.get("error") is None}
+        assert len(failed) == sum(a.failed for a in answers) > 0
+        assert served and min(served) >= 10**9
+        assert len(set(failed)) == len(failed)
+        assert max(failed) == -(10**9) - 1
+
 
 class TestFleetMetrics:
     def test_snapshot_folds_the_answers_the_parent_delivers(
         self, trained_3c, images
     ):
         """A replica's answers fold into ``fabric.metrics``: a failure in
-        a shed batch counts as failed, not shed; the ``fleet_shed_total``
-        counter still counts every result of the shed batch."""
+        a shed batch counts as failed, not shed, in the snapshot and in
+        the ``fleet_shed_total`` counter alike."""
         observer = Observer()
         fabric = ServingFabric(
             _fabric_config(trained_3c, replicas=1, observer=observer)
@@ -804,4 +828,4 @@ class TestFleetMetrics:
         shed_total = observer.metrics.counter(
             "fleet_shed_total", labels=("replica",)
         )
-        assert shed_total.value(replica=0) == 2.0
+        assert shed_total.value(replica=0) == 1.0

@@ -293,7 +293,7 @@ def test_algorithm_1_is_bit_identical_to_reference(architecture, dtype):
 def test_extract_features_is_the_backbone_pass(trained_3c, tiny_test_set):
     cdln: CDLN = trained_3c.cdln
     images = tiny_test_set.images[:70]
-    features, final = cdln.backbone_outputs(images, batch_size=32)
-    for tap, value in cdln.extract_features(images, batch_size=32).items():
+    features, final = cdln.backbone_outputs(images)
+    for tap, value in cdln.extract_features(images).items():
         assert_same_bits(features[tap], value)
-    assert_same_bits(final, cdln.baseline.predict(images, batch_size=32))
+    assert_same_bits(final, cdln.baseline.predict(images))

@@ -13,6 +13,7 @@ from repro.nn import (
     Network,
     SoftmaxCrossEntropy,
 )
+from repro.nn.network import BLOCK_ROWS
 
 RNG = np.random.default_rng(0)
 
@@ -92,9 +93,11 @@ class TestForwardModes:
             net.forward_collect(RNG.random((1, 1, 8, 8)), [99])
 
     def test_predict_chunking_matches_single_pass(self):
+        # Wider than two inference blocks, called in chunks of 5 rows.
         net = small_net()
-        x = RNG.random((17, 1, 8, 8))
-        np.testing.assert_allclose(net.predict(x, batch_size=5), net.predict(x))
+        x = RNG.random((2 * BLOCK_ROWS + 5, 1, 8, 8))
+        chunked = [net.predict(x[i : i + 5]) for i in range(0, x.shape[0], 5)]
+        np.testing.assert_allclose(np.concatenate(chunked), net.predict(x))
 
     def test_predict_labels(self):
         net = small_net()

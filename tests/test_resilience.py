@@ -277,6 +277,23 @@ class TestIsolationAndRetries:
         snap = engine.metrics.snapshot()
         assert snap.degraded_requests == 2
 
+    def test_failed_probe_re_engages_at_once(self, trained_3c, images):
+        # Every full-service dispatch raises.  The first episode takes
+        # degraded_after failures to engage; after it, the probe's one
+        # failure re-engages, with no success in between to reset it.
+        plan = FaultPlan(specs=(FaultSpec(kind="raise_in_batch", rate=1.0),))
+        engine = _engine(
+            trained_3c,
+            policy=MicroBatchPolicy(max_batch_size=1),
+            resilience=ResiliencePolicy(
+                max_retries=0, degraded_after=2, degraded_window=2
+            ),
+            faults=plan,
+        )
+        answers = [engine.classify(images[i]) for i in range(6)]
+        assert [a.failed for a in answers] == [True, True, False, True, False, True]
+        assert all(a.degraded for a in answers if not a.failed)
+
     def test_unprotected_engine_still_propagates(self, trained_3c, images):
         plan = FaultPlan(specs=(FaultSpec(kind="raise_in_batch", rate=1.0),))
         engine = _engine(trained_3c, faults=plan)

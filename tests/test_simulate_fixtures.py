@@ -14,7 +14,8 @@ order (relative 1e-12).
 
 The two traced cases also freeze the engine's telemetry (the span count
 and digest, the Prometheus exposition and the metrics snapshot), which
-must match exactly too.
+must match exactly too.  Every case must give the same outcomes and
+report with tracing on as with it off.
 """
 
 from __future__ import annotations
@@ -56,6 +57,19 @@ def test_traced_telemetry_matches_frozen_fixture(
     assert fresh["span_sha256"] == frozen["span_sha256"]
     assert fresh["metrics"] == frozen["metrics"]
     assert fresh["prometheus"] == frozen["prometheus"]
+
+
+@pytest.mark.parametrize("name", cases.CASES)
+def test_tracing_leaves_the_run_unchanged(name, trained_3c, tiny_test_set):
+    """An observer records a run without changing it: the same outcomes and
+    SLO report with tracing on and off."""
+    plain, traced = (
+        cases.snapshot(
+            cases.run_case(name, trained_3c, tiny_test_set.images, traced=on)
+        )
+        for on in (False, True)
+    )
+    assert traced == plain
 
 
 def test_rejected_payload_fails_at_arrival(trained_3c, tiny_test_set):
