@@ -335,7 +335,8 @@ class Dispatcher:
         #: Set by a front end that is shutting down: batches leave without
         #: waiting for their window.
         self.draining = False
-        self._fail = fail
+        #: The front end's failure accounting (see ``fail`` above).
+        self.fail = fail
         self._raise_invalid = raise_invalid
         self._validate_inputs = validate_inputs
         self._batcher = MicroBatcher(policy)
@@ -429,7 +430,7 @@ class Dispatcher:
         rejected = _Pending(
             image=None, ticket=Ticket(next(self._ids)), enqueued_at=self.clock.now()
         )
-        self._fail(rejected, cause, message)
+        self.fail(rejected, cause, message)
         return rejected.ticket
 
     # -- the window -----------------------------------------------------------
@@ -524,7 +525,7 @@ class Dispatcher:
         failed = 0
         for pending in self.clear():
             if not pending.ticket.done:
-                self._fail(pending, cause, message)
+                self.fail(pending, cause, message)
                 failed += 1
         return failed
 

@@ -46,7 +46,6 @@ from merely answered.
 from __future__ import annotations
 
 import itertools
-import random
 import threading
 from dataclasses import dataclass
 
@@ -67,7 +66,7 @@ from repro.serving.config import ServingConfig
 from repro.serving.faults import FaultInjector, InjectedFault
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelEntry, ModelRegistry
-from repro.serving.resilience import HealthStatus
+from repro.serving.resilience import HealthStatus, Supervisor
 from repro.utils.logging import get_logger
 
 _log = get_logger("serving.engine")
@@ -243,7 +242,7 @@ class InferenceEngine:
         self.dispatcher = Dispatcher(
             self.policy,
             input_shape=self._entry.cdln.baseline.input_shape,
-            fail=self._fail_unserved,
+            fail=self._fail_pending,
             raise_invalid=cfg.resilience is None,
             validate_inputs=cfg.validate_inputs,
             shed=cfg.shed,
@@ -352,12 +351,6 @@ class InferenceEngine:
         return self.dispatcher.submit(
             image, deadline_s=deadline_s, priority=priority
         )
-
-    def _fail_unserved(self, pending: _Pending, cause: str, message: str) -> None:
-        """The dispatcher's failure hook for a request that never reached a
-        batch (rejected at intake, or a failed backlog), counted like any
-        other request failure."""
-        self._fail_pending(pending, cause=cause, message=message, retries=0)
 
     def pending_count(self) -> int:
         """Requests waiting in the dispatcher (excludes in-flight)."""
@@ -565,15 +558,10 @@ class InferenceEngine:
         return "compute_error"
 
     def _fail_pending(
-        self,
-        pending: _Pending,
-        *,
-        cause: str,
-        message: str,
-        retries: int,
+        self, pending: _Pending, cause: str, message: str, retries: int = 0
     ) -> None:
         """Resolve one ticket as failed and fold the failure into every
-        view (see :meth:`_record`)."""
+        view (see :meth:`_record`); also the dispatcher's failure hook."""
         failure = resolve_failure(
             pending, cause, message, self.dispatcher.clock.now(),
             retries=retries,
@@ -602,6 +590,35 @@ class InferenceEngine:
             queue_depth=self.queue_depth(),
             consecutive_failures=self._consecutive_failures,
         )
+
+    # -- supervision of the one worker ------------------------------------------
+    def _worker_crashed(
+        self, supervisor: Supervisor, exc: Exception, inflight: list[_Pending]
+    ) -> float | None:
+        """Hand a crash of the one worker to ``supervisor``: when its
+        restart is due, or ``None`` once the budget is spent."""
+        restart_at = supervisor.crashed(
+            0, inflight, f"worker crashed mid-batch: {exc}"
+        )
+        restarts = supervisor.restarts[0]
+        if restart_at is None:
+            self.observer.event(
+                "worker_gave_up",
+                restarts=restarts,
+                backlog_failed=supervisor.backlog_failed,
+            )
+            return None
+        self.observer.inc(
+            "worker_restarts_total", 1.0,
+            "Supervised serving-worker restarts after a crash.",
+        )
+        self.observer.event(
+            "worker_restart",
+            restarts=restarts,
+            error=self._failure_cause(exc),
+            message=str(exc)[:200],
+        )
+        return restart_at
 
     def _dispatch_batch(
         self,
@@ -871,8 +888,8 @@ class AsyncEngine:
     def __init__(self, engine: InferenceEngine) -> None:
         self.engine = engine
         self._thread: threading.Thread | None = None
-        self._restarts = 0
-        self._gave_up = False
+        #: The worker's restart ladder, fresh on every ``start()``.
+        self._supervisor = Supervisor(engine.resilience, engine.dispatcher)
         #: Batch currently being served (supervised mode fails these
         #: tickets on a worker crash instead of stranding them).
         self._inflight: list[_Pending] | None = None
@@ -884,7 +901,7 @@ class AsyncEngine:
     @property
     def worker_restarts(self) -> int:
         """Supervised restarts since the last ``start()``."""
-        return self._restarts
+        return self._supervisor.restarts[0]
 
     def health(self) -> HealthStatus:
         """Liveness/readiness of the async facade.
@@ -895,19 +912,12 @@ class AsyncEngine:
         is not in a degraded episode.
         """
         engine_health = self.engine.health()
-        policy = self.engine.resilience
-        budget = None
-        if policy is not None:
-            budget = max(policy.max_restarts - self._restarts, 0)
-        live = self.running
-        return HealthStatus(
-            live=live,
-            ready=live and not self._gave_up and engine_health.ready,
+        return self._supervisor.health(
+            serving=int(self.running),
+            ready=engine_health.ready,
             degraded=engine_health.degraded,
             queue_depth=self.queue_depth(),
             consecutive_failures=engine_health.consecutive_failures,
-            worker_restarts=self._restarts,
-            restart_budget_remaining=budget,
         )
 
     def queue_depth(self) -> int:
@@ -920,8 +930,7 @@ class AsyncEngine:
             raise ConfigurationError("async engine is already running")
         # A restarted facade gets a fresh restart budget: the budget
         # bounds one worker session's crash loop, not the process.
-        self._restarts = 0
-        self._gave_up = False
+        self._supervisor = Supervisor(self.engine.resilience, self.engine.dispatcher)
         self._inflight = None
         self.engine.dispatcher.draining = False
         self._thread = threading.Thread(
@@ -974,69 +983,30 @@ class AsyncEngine:
         )
 
     def _run(self) -> None:
-        """Worker entry point: plain loop, or supervised under a policy.
+        """Worker entry point, supervised under a resilience policy.
 
-        The supervisor is the contract change this repo's stranded-ticket
-        bug motivated: a batch failure fails the *in-flight* tickets
-        (cause ``worker_crash``), restarts the loop under jittered
-        exponential backoff, and -- once ``max_restarts`` is spent --
-        fails the queued backlog (cause ``restart_budget``) and exits
-        instead of crash-looping.  Without a resilience policy the old
-        behavior stands: the exception kills the thread and the
-        pre-resilience tests pin that wedge.
+        A crash goes to the :class:`~repro.serving.resilience.Supervisor`;
+        the loop restarts once the backoff has passed on the dispatcher's
+        condition (``stop()`` cuts it short, and the loop then drains), or
+        exits once the budget is spent.  Without a policy the exception
+        kills the thread: the pre-resilience tests pin that wedge.
         """
         engine = self.engine
-        policy = engine.resilience
-        if policy is None:
-            self._run_loop()
-            return
-        observer = engine.observer
-        jitter_rng = random.Random(policy.seed)
+        supervisor = self._supervisor
         while True:
             try:
                 self._run_loop()
                 return  # drained: clean shutdown
             except Exception as exc:  # noqa: BLE001 -- supervision boundary
-                self._restarts += 1
+                if engine.resilience is None:
+                    raise
                 inflight, self._inflight = self._inflight, None
-                cause = engine._failure_cause(exc)
-                for pending in inflight or ():
-                    engine._fail_pending(
-                        pending,
-                        cause="worker_crash",
-                        message=f"worker crashed mid-batch: {exc}",
-                        retries=0,
-                    )
-                observer.inc(
-                    "worker_restarts_total", 1.0,
-                    "Supervised serving-worker restarts after a crash.",
+                restart_at = engine._worker_crashed(
+                    supervisor, exc, inflight or []
                 )
-                observer.event(
-                    "worker_restart",
-                    restarts=self._restarts,
-                    error=cause,
-                    message=str(exc)[:200],
-                )
-                _log.warning(
-                    "serving worker crashed (%s); restart %d/%d",
-                    exc, self._restarts, policy.max_restarts,
-                )
-                if self._restarts > policy.max_restarts:
-                    self._gave_up = True
-                    failed = engine.dispatcher.fail_waiting(
-                        "restart_budget",
-                        f"restart budget ({policy.max_restarts}) exhausted: "
-                        f"{exc}",
-                    )
-                    observer.event(
-                        "worker_gave_up",
-                        restarts=self._restarts,
-                        backlog_failed=failed,
-                    )
+                if restart_at is None:
                     return
-                engine.dispatcher.clock.sleep(
-                    policy.backoff_s(self._restarts, jitter_rng.random())
-                )
+                supervisor.wait(restart_at)
 
     def _run_loop(self) -> None:
         engine = self.engine

@@ -33,13 +33,12 @@ bill or forking the control plane:
   :meth:`~repro.serving.adaptive.AdaptiveDeltaPolicy.after_window`, the
   same match, retarget and rebase step the policy runs in-process; the
   fabric only broadcasts the δ it lands on.
-* **Resilience at the process boundary** -- the same
-  :class:`~repro.serving.resilience.ResiliencePolicy` ladder extends to
-  replica *death*: in-flight tickets fail with cause ``worker_crash``
-  (never stranded), the replica restarts under the policy's jittered
-  exponential backoff until ``max_restarts`` is spent, and a fully dead
-  fleet fails its backlog with ``restart_budget`` -- byte-for-byte the
-  async facade's supervision contract, one level up.
+* **Resilience at the process boundary** -- the async facade's
+  :class:`~repro.serving.resilience.Supervisor`, one executor per
+  replica: a replica's *death* fails its in-flight tickets with cause
+  ``worker_crash`` (never stranded), the replica restarts under the
+  policy's backoff until ``max_restarts`` is spent, and a fully dead
+  fleet fails its backlog with ``restart_budget``.
   :class:`~repro.serving.controller.ShedPolicy` acts on the *fleet*
   queue depth (waiting + in-flight across replicas, the unified depth
   meaning) and the replica serving a shed batch serves it at stage 0.
@@ -69,7 +68,6 @@ import io
 import itertools
 import pickle
 import queue
-import random
 import struct
 import threading
 from dataclasses import dataclass, replace
@@ -95,7 +93,7 @@ from repro.serving.engine import InferenceEngine, resolve_failure
 from repro.serving.faults import FaultInjector
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry
-from repro.serving.resilience import HealthStatus
+from repro.serving.resilience import HealthStatus, Supervisor
 from repro.utils.logging import get_logger
 
 _log = get_logger("serving.fabric")
@@ -291,8 +289,8 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
     batch always has its spans on disk, which is the invariant fleet
     reconciliation stands on when a later SIGKILL loses the process.
     A compute error outside the resilience ladder propagates and kills
-    the process -- replica death IS the failure signal; the dispatcher's
-    supervisor fails the in-flight batch and restarts the replica.
+    the process -- replica death IS the failure signal; the parent's
+    collector for the session then runs the death path.
     """
     model = SharedParams.rehydrate(spec.shm_name)
     observer = (
@@ -457,47 +455,25 @@ class FleetSnapshot:
     requests_by_replica: tuple[tuple[int, int], ...]
 
 
-class _FleetEngineView:
-    """The two attributes ``AdaptiveDeltaPolicy.prime`` and
-    ``.after_window`` read off an engine, backed by fleet-level objects --
-    so priming and retargeting the fleet are the same code paths as for
-    one engine."""
-
-    def __init__(self, controller, entry) -> None:
-        self.controller = controller
-        self.entry = entry
-
-
+@dataclass(eq=False, slots=True)
 class _Replica:
-    """Parent-side bookkeeping for one replica process."""
+    """Parent-side bookkeeping for one replica process and its session."""
 
-    __slots__ = (
-        "id", "process", "task_q", "result_q", "collector", "epoch",
-        "sessions", "restarts", "state", "restart_at", "inflight",
-        "idle_since", "ready", "stopped", "last_signature", "jitter",
-        "answered",
-    )
-
-    def __init__(self, replica_id: int, jitter_seed: int) -> None:
-        self.id = replica_id
-        self.process = None
-        self.task_q = None
-        self.result_q = None
-        self.collector = None
-        self.epoch = 0
-        self.sessions = 0
-        self.restarts = 0
-        self.state = "new"  # new -> live -> (backoff -> live)* -> dead
-        self.restart_at = 0.0
-        #: ``(batch_id, batch)`` while a batch is out, else None.
-        self.inflight: tuple[int, Batch] | None = None
-        #: When this replica last became free to take a batch.
-        self.idle_since = float("-inf")
-        self.ready = threading.Event()
-        self.stopped = threading.Event()
-        self.last_signature: RegimeSignature | None = None
-        self.jitter = random.Random(jitter_seed * 1_000_003 + replica_id)
-        self.answered = 0
+    id: int
+    process: object = None
+    task_q: object = None
+    result_q: object = None
+    collector: threading.Thread | None = None
+    ready: threading.Event | None = None
+    stopped: threading.Event | None = None
+    sessions: int = 0
+    state: str = "new"  # new -> live -> (backoff -> live)* -> dead
+    #: ``(batch_id, batch)`` while a batch is out, else None.
+    inflight: tuple[int, Batch] | None = None
+    #: When this replica last became free to take a batch.
+    idle_since: float = float("-inf")
+    last_signature: RegimeSignature | None = None
+    answered: int = 0
 
 
 # -- the fabric -----------------------------------------------------------------
@@ -513,10 +489,9 @@ class ServingFabric:
 
     Thread layout (all in the dispatcher process): one dispatcher thread
     forms batches and assigns them to idle replicas; one collector thread
-    per replica session stamps results back onto tickets and feeds the
-    fleet control loop; one supervisor thread watches for replica death,
-    fails in-flight work (``worker_crash``) and restarts under the
-    resilience backoff budget.
+    per replica session, the only reader of its result queue, stamps
+    results back onto tickets, feeds the fleet control loop and, once its
+    process has exited, runs the death path (:meth:`_replica_died`).
     """
 
     def __init__(self, fabric_config: FabricConfig) -> None:
@@ -547,14 +522,15 @@ class ServingFabric:
         # One warm entry in the parent: cost tables for controller depth
         # caps and operating-table priming, plus the span model_spec.
         registry = ModelRegistry()
-        self._entry = registry.register("fleet", cfg.model)
-        self._cdln = self._entry.cdln
+        #: The fleet's model entry; with :attr:`controller`, all that
+        #: ``AdaptiveDeltaPolicy.prime``/``after_window`` read off an engine.
+        self.entry = registry.register("fleet", cfg.model)
+        self._cdln = self.entry.cdln
         #: Every final answer the dispatcher delivered, folded as an
         #: engine folds its own (see :meth:`fleet_snapshot`).
         self.metrics = ServingMetrics(self._cdln.stage_names)
-        self._view = _FleetEngineView(self.controller, self._entry)
         if self.adaptive is not None:
-            self.adaptive.prime(self._view)
+            self.adaptive.prime(self)
             detector = self.adaptive.detector
             if self.observer is not NULL_OBSERVER:
                 if self.adaptive.observer is NULL_OBSERVER:
@@ -568,7 +544,7 @@ class ServingFabric:
                     "dispatcher never sees pixels); calibrate() it or "
                     "install an adaptive policy with an operating table"
                 )
-            cap = self.controller.max_stage(self._entry.cost_table)
+            cap = self.controller.max_stage(self.entry.cost_table)
             if cap is not None:
                 raise ConfigurationError(
                     "fleet control enforces the soft OPS target by "
@@ -586,33 +562,31 @@ class ServingFabric:
             else cfg.delta
         )
         self._ctx = get_context(fc.start_method)
-        jitter_seed = (
-            self.resilience.seed if self.resilience is not None else 0
-        )
-        self._replicas = [
-            _Replica(i, jitter_seed) for i in range(fc.replicas)
-        ]
+        self._replicas = [_Replica(i) for i in range(fc.replicas)]
         #: Intake, the fleet queue, window, depth and shed decision; its
         #: condition also guards the fleet's own state.
         self._dispatcher = Dispatcher(
             self.policy,
             input_shape=self._cdln.baseline.input_shape,
-            fail=self._fail_unserved,
+            fail=self._fail,
             raise_invalid=self.resilience is None,
             validate_inputs=cfg.validate_inputs,
             shed=cfg.shed,
             observer=self.observer,
         )
         self._cond = self._dispatcher.cond
+        #: One executor per replica; a budget of 0 without a policy.
+        self._supervisor = Supervisor(
+            self.resilience, self._dispatcher, self._fail,
+            executors=fc.replicas,
+        )
         self._batch_seq = itertools.count()
         self._span_ids = itertools.count()
         self._rr = 0
         self._broadcast_delta: float | None = None
         self._dispatch_thread: threading.Thread | None = None
-        self._supervisor: threading.Thread | None = None
         self._started = False
         self._stopped = False
-        self._shutdown = False
         self._running = False
 
     # -- lifecycle --------------------------------------------------------------
@@ -624,32 +598,32 @@ class ServingFabric:
         self._params = SharedParams(self._cdln)
         _log.info(
             "fabric sharing %s (%d bytes, %d arrays) across %d replicas",
-            self._entry.spec, self._params.size, self._params.num_arrays,
+            self.entry.spec, self._params.size, self._params.num_arrays,
             self.replicas,
         )
         for rep in self._replicas:
             rep.state = "live"
             self._spawn_replica(rep)
-        deadline = perf_counter() + self.fabric_config.ready_timeout_s
-        for rep in self._replicas:
-            while not rep.ready.wait(timeout=0.05):
-                if not rep.process.is_alive():
-                    why = (
-                        f"replica {rep.id} died during startup "
-                        f"(exit code {rep.process.exitcode})"
-                    )
-                    break
-                if perf_counter() >= deadline:
-                    why = (
-                        f"replica {rep.id} not ready within "
-                        f"{self.fabric_config.ready_timeout_s}s"
-                    )
-                    break
-            else:
-                continue
-            self._shutdown = True
+        timeout = self.fabric_config.ready_timeout_s
+        with self._cond:
+            # Each collector notifies on its ``ready`` ack or its death.
+            self._cond.wait_for(
+                lambda: all(
+                    r.ready.is_set() or r.state == "dead" for r in self._replicas
+                ),
+                timeout=timeout,
+            )
+            late = [r for r in self._replicas if not r.ready.is_set()]
+        if late:
+            rep = late[0]
+            why = (
+                f"replica {rep.id} died during startup "
+                f"(exit code {rep.process.exitcode})"
+                if rep.state == "dead"
+                else f"replica {rep.id} not ready within {timeout}s"
+            )
             for other in self._replicas:
-                if other.process is not None and other.process.is_alive():
+                if other.process.is_alive():
                     other.process.terminate()
             self._params.dispose()
             raise ConfigurationError(why)
@@ -658,18 +632,11 @@ class ServingFabric:
             target=self._dispatch_loop, name="fabric-dispatch", daemon=True
         )
         self._dispatch_thread.start()
-        self._supervisor = threading.Thread(
-            target=self._supervise_loop, name="fabric-supervise", daemon=True
-        )
-        self._supervisor.start()
         self.observer.event(
             "fabric_started", replicas=self.replicas,
             shared_bytes=self._params.size,
         )
-        self.observer.set_gauge(
-            "fleet_live_replicas", float(self.replicas),
-            "Replica processes currently serving.",
-        )
+        self._live_gauge()
         return self
 
     def stop(self) -> None:
@@ -684,43 +651,36 @@ class ServingFabric:
             self._dispatch_thread.join(
                 timeout=self.fabric_config.drain_timeout_s
             )
-        deadline = perf_counter() + self.fabric_config.drain_timeout_s
-        while perf_counter() < deadline:
-            with self._cond:
-                if not any(r.inflight for r in self._replicas):
-                    break
-            sleep(0.02)
-        self._shutdown = True
-        if self._supervisor is not None:
-            self._supervisor.join(timeout=5.0)
-        # Anything still stuck after the drain window: fail it, never strand.
         with self._cond:
-            stuck = []
+            # A replica that dies now fails its batch on its collector,
+            # which notifies: the wait ends early.
+            self._cond.wait_for(
+                lambda: not any(r.inflight for r in self._replicas),
+                timeout=self.fabric_config.drain_timeout_s,
+            )
+            # Anything still stuck after the drain window: fail it, never
+            # strand.
             for rep in self._replicas:
                 if rep.inflight is not None:
-                    stuck.append((rep, rep.inflight[1]))
-                    rep.inflight = None
-        for rep, batch in stuck:
-            self._dispatcher.done(batch)
-            for pending in batch.items:
-                self._fail(
-                    pending, rep.id, "worker_crash",
-                    f"replica {rep.id} never acked its batch before fabric "
-                    "stop",
-                )
+                    batch, rep.inflight = rep.inflight[1], None
+                    self._dispatcher.done(batch)
+                    self._supervisor.crashed(
+                        rep.id, batch.items,
+                        f"replica {rep.id} never acked its batch before "
+                        "fabric stop",
+                        restart=False,
+                    )
         self._dispatcher.fail_waiting(
             "restart_budget",
             "fabric stopped with no replica able to serve the backlog",
         )
         for rep in self._replicas:
-            if rep.process is not None and rep.process.is_alive():
+            if rep.process.is_alive():
                 try:
                     rep.task_q.put(("stop",))
                 except (OSError, ValueError):  # pragma: no cover
                     pass
         for rep in self._replicas:
-            if rep.process is None:
-                continue
             # The collector returns on the ``stopped`` ack, or as soon as a
             # replica that died without one has exited: no ack is awaited
             # from a process that is gone.
@@ -732,8 +692,7 @@ class ServingFabric:
                 rep.collector.join(timeout=2.0)
         self._running = False
         self.observer.event(
-            "fabric_stopped",
-            restarts=sum(r.restarts for r in self._replicas),
+            "fabric_stopped", restarts=sum(self._supervisor.restarts)
         )
         self._params.dispose()
         if self._own_observer:
@@ -771,22 +730,13 @@ class ServingFabric:
             raise ConfigurationError(
                 "fabric is not running (call start(), or it was stopped)"
             )
-        with self._cond:
-            all_dead = all(r.state == "dead" for r in self._replicas)
-        if all_dead:
+        if self._supervisor.exhausted:
             if self.resilience is None:
                 raise RuntimeError("every replica is dead")
-            return self._dispatcher.reject(
-                "restart_budget",
-                "every replica is dead; restart budget exhausted",
-            )
+            return self._supervisor.reject()
         return self._dispatcher.submit(
             image, deadline_s=deadline_s, priority=priority
         )
-
-    def _fail_unserved(self, pending: _Pending, cause: str, message: str) -> None:
-        """The dispatcher's failure hook: intake rejections and backlogs."""
-        self._fail(pending, None, cause, message)
 
     def queue_depth(self) -> int:
         """Unified fleet depth: waiting plus in-flight across replicas."""
@@ -796,33 +746,19 @@ class ServingFabric:
         """Fleet liveness: live while any replica serves; ``degraded``
         flags a fleet serving with dead replicas (reduced capacity)."""
         with self._cond:
-            live = sum(1 for r in self._replicas if r.state == "live")
-            dead = sum(1 for r in self._replicas if r.state == "dead")
-            restarts = sum(r.restarts for r in self._replicas)
-            budget = None
-            if self.resilience is not None:
-                budget = sum(
-                    max(self.resilience.max_restarts - r.restarts, 0)
-                    for r in self._replicas
-                )
-        return HealthStatus(
-            live=self._running and live > 0,
-            ready=(
-                self._running and not self._dispatcher.draining and live > 0
-            ),
-            degraded=dead > 0,
-            queue_depth=self.queue_depth(),
-            worker_restarts=restarts,
-            restart_budget_remaining=budget,
-        )
+            return self._supervisor.health(
+                serving=self.live_replicas if self._running else 0,
+                ready=not self._dispatcher.draining,
+                degraded=any(r.state == "dead" for r in self._replicas),
+                queue_depth=self.queue_depth(),
+            )
 
     # -- chaos / introspection --------------------------------------------------
     def kill_replica(self, replica_id: int) -> bool:
         """Chaos hook: SIGKILL one replica process mid-service.
 
-        Returns True when a live process was killed.  The supervisor
-        notices within its poll interval, fails the in-flight batch with
-        ``worker_crash`` and restarts under the resilience backoff.
+        Returns True when a live process was killed; the session's
+        collector then runs the death path (:meth:`_replica_died`).
         """
         if not 0 <= replica_id < len(self._replicas):
             raise ConfigurationError(
@@ -838,7 +774,7 @@ class ServingFabric:
     @property
     def worker_restarts(self) -> int:
         """Replica restarts since :meth:`start` (all replicas)."""
-        return sum(r.restarts for r in self._replicas)
+        return sum(self._supervisor.restarts)
 
     @property
     def live_replicas(self) -> int:
@@ -855,7 +791,7 @@ class ServingFabric:
                 failed_requests=snap.failed_requests,
                 failed_by_cause=snap.failed_by_cause,
                 shed_requests=snap.shed_requests,
-                restarts=sum(r.restarts for r in self._replicas),
+                restarts=sum(self._supervisor.restarts),
                 requests_by_replica=tuple(
                     (r.id, r.answered) for r in self._replicas
                 ),
@@ -909,7 +845,6 @@ class ServingFabric:
         )
 
     def _spawn_replica(self, rep: _Replica) -> None:
-        rep.epoch += 1
         rep.ready = threading.Event()
         rep.stopped = threading.Event()
         rep.task_q = self._ctx.Queue()
@@ -923,7 +858,7 @@ class ServingFabric:
         rep.process.start()
         rep.collector = threading.Thread(
             target=self._collect_loop,
-            args=(rep, rep.epoch, rep.process, rep.result_q),
+            args=(rep, rep.process, rep.result_q),
             name=f"fabric-collect-{rep.id}",
             daemon=True,
         )
@@ -983,26 +918,26 @@ class ServingFabric:
             )
 
     # -- result collection ------------------------------------------------------
-    def _collect_loop(self, rep: _Replica, epoch: int, process, result_q) -> None:
-        # Leaves on the session's ``stopped`` ack, on a newer epoch, or once
-        # its process has exited and the queue is drained -- never on
-        # fabric shutdown alone, or an unread ack could hold up ``stop()``.
+    def _collect_loop(self, rep: _Replica, process, result_q) -> None:
+        """One session's only reader: answers every message in order, and
+        once the process has exited and the queue is drained, runs the
+        death path.  Leaves at once on the session's ``stopped`` ack."""
         while True:
-            # Sampled before the poll: a process already dead has flushed
-            # everything it will ever send, so an empty poll after it is final.
+            # Sampled before the read: a process already dead has sent all
+            # it ever will, so a read that then finds nothing is final.
             exited = not process.is_alive()
             try:
-                msg = result_q.get(timeout=0.1)
+                msg = result_q.get(block=not exited, timeout=0.1)
             except queue.Empty:
-                if rep.epoch != epoch or exited:
-                    return
+                if exited:
+                    break
                 continue
             except (OSError, EOFError, ValueError):  # pragma: no cover
-                return
+                break
             kind = msg[0]
             if kind == "ready":
                 with self._cond:
-                    rep.idle_since = perf_counter()
+                    rep.idle_since = self._dispatcher.clock.now()
                     rep.ready.set()
                     self._cond.notify_all()
             elif kind == "result":
@@ -1010,10 +945,11 @@ class ServingFabric:
             elif kind == "stopped":
                 rep.stopped.set()
                 return
+        self._replica_died(rep, process.exitcode)
 
     def _handle_result(self, rep: _Replica, msg: tuple) -> None:
         _, _, batch_id, results, ok_ops, signature = msg
-        now = perf_counter()
+        now = self._dispatcher.clock.now()
         with self._cond:
             inflight = rep.inflight
             answered = 0
@@ -1099,7 +1035,7 @@ class ServingFabric:
         if not signatures:
             return
         retarget = self.adaptive.after_window(
-            self._view, RegimeSignature.merge(signatures)
+            self, RegimeSignature.merge(signatures)
         )
         if retarget is None:
             return
@@ -1110,131 +1046,81 @@ class ServingFabric:
         )
         self._broadcast_delta_locked()
 
-    # -- supervision ------------------------------------------------------------
-    def _supervise_loop(self) -> None:
-        while not self._shutdown:
-            sleep(0.05)
-            now = perf_counter()
-            for rep in self._replicas:
-                if self._dispatcher.draining or self._shutdown:
-                    return
-                if (
-                    rep.state == "live"
-                    and rep.process is not None
-                    and not rep.process.is_alive()
-                    and not rep.stopped.is_set()
-                ):
-                    self._handle_replica_death(rep)
-                elif rep.state == "backoff" and now >= rep.restart_at:
-                    self._restart_replica(rep)
-
-    def _handle_replica_death(self, rep: _Replica) -> None:
-        # Drain anything the dying worker managed to ship: those batches
-        # completed and their spans are flushed -- they are answers, not
-        # casualties.
-        while True:
-            try:
-                msg = rep.result_q.get_nowait()
-            except (queue.Empty, OSError, EOFError, ValueError):
-                break
-            if msg[0] == "result":
-                self._handle_result(rep, msg)
-            elif msg[0] == "stopped":  # pragma: no cover -- raced a stop
-                rep.stopped.set()
-        exitcode = rep.process.exitcode if rep.process is not None else None
-        policy = self.resilience
+    # -- replica death ----------------------------------------------------------
+    def _replica_died(self, rep: _Replica, exitcode: int | None) -> None:
+        """The death path, run by the dead session's collector once it has
+        read everything the process sent: the supervisor fails the
+        in-flight batch and grants a restart, waited out on the
+        dispatcher's condition (``stop()`` interrupts it), or gives the
+        replica up.  A death during ``start()`` or draining never restarts.
+        """
+        supervisor, observer = self._supervisor, self.observer
         with self._cond:
             inflight, rep.inflight = rep.inflight, None
-            rep.restarts += 1
-            can_restart = (
-                policy is not None and rep.restarts <= policy.max_restarts
+            items = inflight[1].items if inflight is not None else []
+            if inflight is not None:
+                self._dispatcher.done(inflight[1])
+            serving = self._running and not self._dispatcher.draining
+            restart_at = supervisor.crashed(
+                rep.id, items,
+                f"replica {rep.id} died (exit code {exitcode}) with the batch "
+                "in flight",
+                restart=serving,
             )
-            if can_restart:
-                rep.state = "backoff"
-                rep.restart_at = perf_counter() + policy.backoff_s(
-                    rep.restarts, rep.jitter.random()
-                )
-            else:
-                rep.state = "dead"
-            all_dead = all(r.state == "dead" for r in self._replicas)
-            live = sum(1 for r in self._replicas if r.state == "live")
+            rep.state = "dead" if restart_at is None else "backoff"
+            fleet_gave_up = serving and supervisor.exhausted
             self._cond.notify_all()
-        items = []
-        if inflight is not None:
-            items = inflight[1].items
-            self._dispatcher.done(inflight[1])
-        for pending in items:
-            self._fail(
-                pending, rep.id, "worker_crash",
-                f"replica {rep.id} died (exit code {exitcode}) with the "
-                "batch in flight",
-            )
-        observer = self.observer
         observer.event(
             "replica_crash", replica=rep.id, exitcode=exitcode,
-            inflight_failed=len(items), restarts=rep.restarts,
+            inflight_failed=len(items), restarts=supervisor.restarts[rep.id],
         )
-        observer.set_gauge(
-            "fleet_live_replicas", float(live),
-            "Replica processes currently serving.",
-        )
-        _log.warning(
-            "replica %d died (exit code %s); restart %d/%s",
-            rep.id, exitcode, rep.restarts,
-            policy.max_restarts if policy is not None else 0,
-        )
-        if rep.state == "backoff":
-            observer.inc(
-                "replica_restarts_total", 1.0,
-                "Supervised replica-process restarts after a crash.",
-            )
-        else:
-            observer.event(
-                "replica_gave_up", replica=rep.id, restarts=rep.restarts
-            )
-            if all_dead:
-                budget = policy.max_restarts if policy is not None else 0
-                failed = self._dispatcher.fail_waiting(
-                    "restart_budget",
-                    f"every replica is dead; restart budget ({budget}) "
-                    "exhausted",
+        self._live_gauge()
+        if restart_at is None:
+            if serving:
+                observer.event(
+                    "replica_gave_up", replica=rep.id,
+                    restarts=supervisor.restarts[rep.id],
                 )
-                observer.event("fleet_gave_up", backlog_failed=failed)
-
-    def _restart_replica(self, rep: _Replica) -> None:
-        with self._cond:
-            if rep.state != "backoff" or self._dispatcher.draining:
-                return
-            rep.sessions += 1
-        # Spawned while still in backoff: the dispatcher must not see the
-        # replica live (and idle) before its new session's queue exists.
-        self._spawn_replica(rep)
-        with self._cond:
-            rep.state = "live"
-            live = sum(1 for r in self._replicas if r.state == "live")
-            # A replica spawned mid-run must follow the current fleet
-            # delta, not the start-of-run value baked into its spec.
-            if (
-                self._broadcast_delta is not None
-                and self._initial_delta is not None
-                and abs(self._broadcast_delta - self._initial_delta) > 1e-12
-            ):
-                rep.task_q.put(("delta", self._broadcast_delta))
-            self._cond.notify_all()
-        self.observer.event(
-            "replica_restart", replica=rep.id, restarts=rep.restarts,
-            session=rep.sessions,
+            if fleet_gave_up:
+                observer.event(
+                    "fleet_gave_up", backlog_failed=supervisor.backlog_failed
+                )
+            return
+        observer.inc(
+            "replica_restarts_total", 1.0,
+            "Supervised replica-process restarts after a crash.",
         )
+        supervisor.wait(restart_at)
+        with self._cond:
+            if self._dispatcher.draining:
+                rep.state = "dead"
+                self._cond.notify_all()
+                return
+            # Spawned under the condition: stop() sees either no new
+            # session or a whole one.  Its spec carries the fleet delta.
+            rep.sessions += 1
+            self._spawn_replica(rep)
+            rep.state = "live"
+            self._cond.notify_all()
+        observer.event(
+            "replica_restart", replica=rep.id,
+            restarts=supervisor.restarts[rep.id], session=rep.sessions,
+        )
+        self._live_gauge()
+
+    def _live_gauge(self) -> None:
         self.observer.set_gauge(
-            "fleet_live_replicas", float(live),
+            "fleet_live_replicas", float(self.live_replicas),
             "Replica processes currently serving.",
         )
 
     # -- the fleet's views -----------------------------------------------------
     def _fail(
-        self, pending: _Pending, replica_id: int | None, cause: str, message: str
+        self, pending: _Pending, cause: str, message: str,
+        replica_id: int | None = None,
     ) -> None:
-        """Resolve a ticket the parent fails itself and fold the failure."""
+        """Resolve a ticket the parent fails itself and fold the failure;
+        the dispatcher's failure hook, and the supervisor's."""
         failure = resolve_failure(
             pending, cause, message, self._dispatcher.clock.now()
         )
@@ -1296,7 +1182,7 @@ class ServingFabric:
                     span_of(
                         answer,
                         batch_id=next(self._span_ids),
-                        model_spec=self._entry.spec,
+                        model_spec=self.entry.spec,
                     )
                 )
 

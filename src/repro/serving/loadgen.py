@@ -48,6 +48,7 @@ from repro.errors import ConfigurationError
 from repro.serving.batching import WALL_CLOCK, VirtualClock
 from repro.serving.engine import AsyncEngine, InferenceEngine
 from repro.serving.faults import FaultInjector, FaultPlan
+from repro.serving.resilience import Supervisor
 from repro.serving.schedule import Arrival, ArrivalSchedule
 from repro.serving.slo import RequestOutcome, SLOReport
 from repro.utils.logging import get_logger
@@ -170,10 +171,13 @@ class LoadRunner:
         start, injected latency is charged to the batch's virtual
         service time, a payload rejected at intake fails at its arrival
         (latency 0, as in :meth:`run`), and failed requests become failed
-        outcomes.  An *unprotected* engine (no resilience policy) wedges
-        on the first injected batch fault -- the exception kills the
-        virtual worker, every not-yet-answered arrival counts as dropped,
-        and the report shows the outage instead of hiding it.
+        outcomes.  Under a supervision-only policy (``isolate=False``) a
+        batch fault crashes the virtual server as it would the
+        :class:`~repro.serving.engine.AsyncEngine` worker, which is down
+        until its restart is due.  An *unprotected* engine (no resilience
+        policy) wedges on the first injected batch fault -- the exception
+        kills the virtual worker, every not-yet-answered arrival counts as
+        dropped, and the report shows the outage instead of hiding it.
         """
         if not ops_per_second > 0:
             raise ConfigurationError(
@@ -198,6 +202,7 @@ class LoadRunner:
             injector.reset()
         clock = VirtualClock()
         dispatcher.set_clock(clock)
+        supervisor = Supervisor(engine.resilience, dispatcher)
         tickets = []
         timeline: list[tuple[float, int]] = []
         #: request id -> (dispatch time, completion time), virtual seconds.
@@ -214,7 +219,7 @@ class LoadRunner:
                     return True
                 clock.t = leave
                 batch = dispatcher.pop()
-                service_s = None
+                service_s = restart_at = None
                 try:
                     engine._process_batch(
                         batch.items,
@@ -222,19 +227,25 @@ class LoadRunner:
                         shed=batch.shed,
                     )
                 except Exception as exc:  # noqa: BLE001 -- wedge accounting
-                    # No resilience layer: the fault killed the (virtual)
-                    # worker.  Everything still queued or unscheduled is
-                    # stranded -- exactly the outage the report must show.
-                    stranded = len(arrivals) - sum(
-                        ticket.done for ticket in tickets
+                    clock.take_charged()
+                    if engine.resilience is None:
+                        # No resilience layer: the fault killed the
+                        # (virtual) worker.  Everything still queued or
+                        # unscheduled is stranded -- exactly the outage the
+                        # report must show.
+                        stranded = len(arrivals) - sum(
+                            ticket.done for ticket in tickets
+                        )
+                        _log.warning(
+                            "engine wedged at t=%.3fs: %s -- %d requests "
+                            "stranded", leave, exc, stranded,
+                        )
+                        if stranded == len(arrivals):
+                            raise
+                        return False
+                    restart_at = engine._worker_crashed(
+                        supervisor, exc, batch.items
                     )
-                    _log.warning(
-                        "engine wedged at t=%.3fs: %s -- %d requests "
-                        "stranded", leave, exc, stranded,
-                    )
-                    if stranded == len(arrivals):
-                        raise
-                    return False
                 else:
                     # A failed answer paid no OPS.
                     service_s = (
@@ -244,8 +255,13 @@ class LoadRunner:
                     )
                 finally:
                     dispatcher.done(batch, service_s)
-                server_free = leave + service_s
                 timeline.append((leave, batch.queue_depth))
+                if service_s is None:  # crashed: down until the restart
+                    if restart_at is None:
+                        return True  # for good: the backlog failed
+                    server_free = restart_at
+                    continue
+                server_free = leave + service_s
                 for pending in batch.items:
                     served_at[pending.ticket.request_id] = (leave, server_free)
 
@@ -257,6 +273,9 @@ class LoadRunner:
                 payload = self._payload(index, arrival)
                 if injector is not None:
                     payload = injector.corrupt_image(index, payload)
+                if supervisor.exhausted:
+                    tickets.append(supervisor.reject())
+                    continue
                 tickets.append(
                     engine.submit(
                         payload,
@@ -275,16 +294,14 @@ class LoadRunner:
         for arrival, ticket in zip(arrivals, tickets):
             if not ticket.done:
                 continue  # stranded by a wedge: dropped
-            dispatched, finished = served_at.get(
-                ticket.request_id, (arrival.t, arrival.t)
-            )
+            answer = ticket.result(timeout=0)
+            if ticket.request_id in served_at:
+                dispatched, finished = served_at[ticket.request_id]
+                wait_s, latency_s = dispatched - arrival.t, finished - arrival.t
+            else:  # failed unserved: at intake, by a crash, by the budget
+                wait_s = latency_s = answer.latency_s
             outcomes.append(
-                _outcome(
-                    arrival,
-                    ticket.result(timeout=0),
-                    queue_wait_s=dispatched - arrival.t,
-                    latency_s=finished - arrival.t,
-                )
+                _outcome(arrival, answer, queue_wait_s=wait_s, latency_s=latency_s)
             )
         self.last_outcomes = tuple(outcomes)
         return SLOReport.from_outcomes(

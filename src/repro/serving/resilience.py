@@ -6,11 +6,10 @@ kills the worker thread).  :class:`ResiliencePolicy` is one frozen
 knob-bundle carried on :class:`~repro.serving.config.ServingConfig` that
 turns on, per concern:
 
-* **supervision** -- the async worker catches batch failures, fails the
-  in-flight tickets with a ``worker_crash`` cause, and restarts itself
-  under jittered exponential backoff until ``max_restarts`` is spent
-  (then the backlog is failed with ``restart_budget`` and the worker
-  exits for good -- a crash loop must not spin forever);
+* **supervision** -- one :class:`Supervisor` fails a crashed executor's
+  in-flight tickets with a ``worker_crash`` cause and restarts it under
+  jittered exponential backoff until ``max_restarts`` is spent (then the
+  backlog fails with ``restart_budget``: a crash loop must not spin);
 * **isolation** -- a failing batch is bisected until the poison request
   is alone, so one bad input fails *one* ticket instead of the batch;
 * **retries** -- a lone failing request is re-dispatched up to
@@ -29,9 +28,17 @@ facades expose via ``health()`` -- the dict form is what an HTTP
 
 from __future__ import annotations
 
+import random
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import ConfigurationError
+from repro.utils.logging import get_logger
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serving.batching import Dispatcher, Ticket, _Pending
+
+_log = get_logger("serving.resilience")
 
 #: Failure causes a :class:`~repro.serving.engine.RequestFailed` can carry.
 FAILURE_CAUSES = (
@@ -53,8 +60,8 @@ class ResiliencePolicy:
         Re-dispatch attempts for a lone failing request before its
         ticket fails (0 = fail on first error).
     max_restarts:
-        Worker restarts the supervisor will pay before giving up and
-        failing the backlog.
+        Restarts the supervisor will pay per executor (the async worker,
+        or each fabric replica) before giving it up.
     backoff_base_s / backoff_max_s / backoff_jitter:
         Restart ``n`` waits ``min(base * 2**(n-1), max) * (1 + jitter*u)``
         seconds, ``u`` uniform from the policy's seeded RNG -- bounded,
@@ -153,3 +160,115 @@ class HealthStatus:
     def as_dict(self) -> dict:
         """JSON-ready form (what a ``/healthz`` endpoint would return)."""
         return asdict(self)
+
+
+class Supervisor:
+    """The one restart ladder for a front end's executors (the async
+    worker, ``simulate()``'s virtual server, or fabric replicas).
+
+    Executor ``i``'s restart ``n`` is due ``policy.backoff_s(n, u)`` after
+    its crash on the dispatcher's clock as it reads then, ``u`` drawn from
+    ``Random(seed * 1_000_003 + i)``; the budget is ``max_restarts`` (0
+    without a policy).  ``fail(pending, cause, message, executor)`` is the
+    front end's failure accounting; the dispatcher's own by default.
+    """
+
+    def __init__(
+        self,
+        policy: ResiliencePolicy | None,
+        dispatcher: "Dispatcher",
+        fail: Callable[["_Pending", str, str, int], None] | None = None,
+        *,
+        executors: int = 1,
+    ) -> None:
+        self.policy = policy
+        self.budget = policy.max_restarts if policy is not None else 0
+        self._dispatcher = dispatcher
+        self._fail = fail or (lambda p, cause, msg, _: dispatcher.fail(p, cause, msg))
+        seed = policy.seed if policy is not None else 0
+        self._jitter = [
+            random.Random(seed * 1_000_003 + i) for i in range(executors)
+        ]
+        #: Restarts granted per executor: never more than the budget.
+        self.restarts = [0] * executors
+        self._given_up = [False] * executors
+        #: Requests the backlog failure failed, once every executor gave up.
+        self.backlog_failed = 0
+
+    @property
+    def exhausted(self) -> bool:
+        """Every executor has given up."""
+        return all(self._given_up)
+
+    def crashed(
+        self,
+        executor: int,
+        inflight: Iterable["_Pending"],
+        message: str,
+        *,
+        restart: bool = True,
+    ) -> float | None:
+        """Executor ``executor`` died: fail ``inflight`` as ``worker_crash``.
+
+        Returns when the granted restart is due, or ``None`` with
+        ``restart=False`` (nothing counted) or once the executor's budget
+        is spent: it gives up, and the death that leaves every executor
+        given up fails the waiting backlog, once, as ``restart_budget``.
+        """
+        dispatcher = self._dispatcher
+        restart_at, exhausted = None, False
+        with dispatcher.cond:
+            n = self.restarts[executor] + 1
+            if restart and n <= self.budget:
+                self.restarts[executor] = n
+                restart_at = dispatcher.clock.now() + self.policy.backoff_s(
+                    n, self._jitter[executor].random()
+                )
+            elif restart and not self._given_up[executor]:
+                self._given_up[executor] = True
+                exhausted = self.exhausted
+        for pending in inflight:
+            self._fail(pending, "worker_crash", message, executor)
+        if restart:
+            _log.warning(
+                "%s; %s", message,
+                f"restart {n}/{self.budget}" if restart_at is not None
+                else f"restart budget ({self.budget}) spent",
+            )
+        if exhausted:
+            self.backlog_failed = dispatcher.fail_waiting(
+                "restart_budget",
+                f"restart budget ({self.budget}) exhausted: {message}",
+            )
+        return restart_at
+
+    def wait(self, deadline: float) -> None:
+        """Block on the dispatcher's condition until its clock reads
+        ``deadline``, or until the dispatcher starts draining."""
+        dispatcher = self._dispatcher
+        with dispatcher.cond:
+            while not dispatcher.draining:
+                left = deadline - dispatcher.clock.now()
+                if left <= 0:
+                    return
+                dispatcher.cond.wait(left)
+
+    def reject(self) -> "Ticket":
+        """A new request's ticket, failed at once: no executor is left."""
+        return self._dispatcher.reject(
+            "restart_budget", f"restart budget ({self.budget}) exhausted"
+        )
+
+    def health(self, *, serving: int, ready: bool, **fields) -> HealthStatus:
+        """Live while any of ``serving`` executors runs; ready when also
+        ``ready`` by the facade's own rule and not every executor has
+        given up.  ``fields`` are the facade's other health fields."""
+        live, granted = serving > 0, sum(self.restarts)
+        return HealthStatus(
+            live=live,
+            ready=live and ready and not self.exhausted,
+            worker_restarts=granted,
+            restart_budget_remaining=None if self.policy is None
+            else self.budget * len(self.restarts) - granted,
+            **fields,
+        )

@@ -17,19 +17,23 @@ and tracing must not change its outcomes.  The traced cases
   clock move from machine to machine);
 * the observer's Prometheus exposition text, one line per entry;
 * every :class:`~repro.serving.metrics.MetricsSnapshot` field except the
-  wall-clock ``elapsed_s`` and ``throughput_rps`` and the stage-0 window.
+  wall-clock ``elapsed_s`` and ``throughput_rps``.
 
 ``tests/test_simulate_fixtures.py`` compares fresh runs against the files
-under ``tests/fixtures/simulate/<dtype>/``.  Regenerate them with::
+under ``tests/fixtures/simulate/<dtype>/`` with :func:`differences`.
+Regenerate them with::
 
     PYTHONPATH=src python tests/simulate_cases.py
     REPRO_COMPUTE_DTYPE=float32 PYTHONPATH=src python tests/simulate_cases.py
+
+which rewrites only the files a fresh run no longer matches.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -58,9 +62,12 @@ SLO_P99_S = 0.25
 CAPACITY = 3e7
 #: Span keys left out of the span digest: BLAS moves the confidence bits.
 UNSTABLE_SPAN_KEYS = ("confidence",)
-#: Snapshot fields left out of the frozen metrics: wall-clock timing and
-#: the stage-0 window.
-UNFROZEN_SNAPSHOT_FIELDS = ("elapsed_s", "throughput_rps", "stage0_quantiles")
+#: Snapshot fields left out of the frozen metrics: wall-clock timing.
+UNFROZEN_SNAPSHOT_FIELDS = ("elapsed_s", "throughput_rps")
+#: Report fields that are sums over outcomes in request-id order.  Request
+#: ids follow arrival order, not boarding order, so a priority mix may
+#: move them by summation order only (relative 1e-12).
+SUMMED = ("latency_mean_s", "mean_ops", "mean_energy_pj")
 
 
 class Run(NamedTuple):
@@ -278,6 +285,46 @@ def snapshot(run: Run) -> dict:
     )
 
 
+def differences(fresh: dict, frozen: dict) -> list[str]:
+    """The keys of a case's record, or of its telemetry, where a fresh run
+    differs from the frozen one; empty when it matches.
+
+    Every value must be equal, except the report's :data:`SUMMED` means,
+    which may differ by a relative 1e-12.
+    """
+    keys = sorted(set(fresh) | set(frozen))
+    differ = [
+        key for key in keys
+        if key != "report" and fresh.get(key) != frozen.get(key)
+    ]
+    if "report" in keys:
+        new, old = dict(fresh.get("report", {})), dict(frozen.get("report", {}))
+        for field in SUMMED:
+            a, b = new.pop(field, None), old.pop(field, None)
+            if a != b and (
+                a is None
+                or b is None
+                or not math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+            ):
+                differ.append(f"report.{field}")
+        differ += [
+            f"report.{field}"
+            for field in sorted(set(new) | set(old))
+            if new.get(field) != old.get(field)
+        ]
+    return differ
+
+
+def _write_if_changed(path: Path, fresh: dict, text: str) -> None:
+    """Rewrite ``path`` only when ``fresh`` fails the fixture test's
+    comparison against it."""
+    if path.exists() and not differences(fresh, json.loads(path.read_text())):
+        print(f"kept {path}")
+        return
+    path.write_text(text)
+    print(f"wrote {path}")
+
+
 def dumps(frozen: dict) -> str:
     """One line per outcome and per depth sample: small, line-diffable."""
     report = dict(frozen["report"])
@@ -305,14 +352,14 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     for name in CASES:
         run = run_case(name, trained, images)
-        frozen = snapshot(run)
-        path = out / f"{name}.json"
-        path.write_text(dumps(frozen))
-        print(f"wrote {path} ({len(frozen['outcomes'])} outcomes)")
+        fresh = snapshot(run)
+        _write_if_changed(out / f"{name}.json", fresh, dumps(fresh))
         if run.telemetry is not None:
-            path = out / f"{name}.telemetry.json"
-            path.write_text(json.dumps(run.telemetry, indent=1) + "\n")
-            print(f"wrote {path} ({run.telemetry['span_count']} spans)")
+            _write_if_changed(
+                out / f"{name}.telemetry.json",
+                run.telemetry,
+                json.dumps(run.telemetry, indent=1) + "\n",
+            )
 
 
 if __name__ == "__main__":

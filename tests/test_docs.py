@@ -100,23 +100,39 @@ class TestRepositoryDocs:
         assert "docs OK" in capsys.readouterr().out
 
 
-def written_metric_families() -> set[str]:
-    """Every literal family name the package passes to ``inc``,
-    ``set_gauge`` or ``observe_hist``, plus the observer's own
-    ``events_total``."""
-    families = {"events_total"}
+def literal_first_args(*methods: str) -> set[str]:
+    """Every literal string the package passes as the first argument of a
+    call to one of ``methods``, both arms of a conditional included."""
+    found = set()
     for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("inc", "set_gauge", "observe_hist")
+                and node.func.attr in methods
                 and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
             ):
-                families.add(node.args[0].value)
-    return families
+                first = node.args[0]
+                if isinstance(first, ast.IfExp):
+                    options = (first.body, first.orelse)
+                else:
+                    options = (first,)
+                found.update(
+                    option.value
+                    for option in options
+                    if isinstance(option, ast.Constant)
+                    and isinstance(option.value, str)
+                )
+    return found
+
+
+def written_metric_families() -> set[str]:
+    """Every literal family name the package passes to ``inc``,
+    ``set_gauge`` or ``observe_hist``, plus the observer's own
+    ``events_total``."""
+    return {"events_total"} | literal_first_args(
+        "inc", "set_gauge", "observe_hist"
+    )
 
 
 class TestMetricTable:
@@ -136,4 +152,31 @@ class TestMetricTable:
 
     def test_table_lists_every_written_family(self):
         missing = written_metric_families() - self.documented()
+        assert not missing, f"docs/observability.md lacks {sorted(missing)}"
+
+
+class TestEventTable:
+    """docs/observability.md lists every lifecycle event kind the code
+    emits."""
+
+    @staticmethod
+    def documented() -> set[str]:
+        text = (REPO_ROOT / "docs" / "observability.md").read_text()
+        section = text.split("## Lifecycle events", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        kinds = set()
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                kinds.update(re.findall(r"`([a-z0-9_]+)`", line.split("|")[1]))
+        return kinds
+
+    def test_collector_sees_conditional_kinds(self):
+        kinds = literal_first_args("event")
+        # batching.py emits these two from one conditional expression.
+        assert {"shed_engaged", "shed_released"} <= kinds
+        assert {"worker_restart", "replica_crash", "fleet_gave_up"} <= kinds
+        assert len(kinds) >= 24
+
+    def test_table_lists_every_emitted_kind(self):
+        missing = literal_first_args("event") - self.documented()
         assert not missing, f"docs/observability.md lacks {sorted(missing)}"

@@ -12,7 +12,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,10 @@ def _fabric_config(trained, *, replicas=2, resilience=..., **kw) -> FabricConfig
         resilience = ResiliencePolicy(max_retries=1)
     fabric_kw = {
         k: kw.pop(k)
-        for k in ("capacity_ops_per_s", "obs_dir", "report_every", "start_method")
+        for k in (
+            "capacity_ops_per_s", "obs_dir", "report_every", "start_method",
+            "drain_timeout_s",
+        )
         if k in kw
     }
     kw.setdefault("policy", FAST)
@@ -444,6 +449,100 @@ class TestReplicaCrash:
         assert elapsed < 5.0, f"stop() took {elapsed:.1f}s"
         assert all(r.stopped.is_set() for r in alive)
         assert not any(r.collector.is_alive() for r in fabric._replicas)
+
+    def test_acked_answer_is_not_a_casualty(self, trained_3c, images):
+        """A replica that dies right after acking: the ack is an answer,
+        because the session's collector reads it before it runs the death
+        path."""
+        config = _fabric_config(
+            trained_3c,
+            replicas=1,
+            resilience=ResiliencePolicy(max_retries=1, max_restarts=5),
+        )
+        with ServingFabric(config) as fabric:
+            handle = fabric._handle_result
+
+            def die_then_handle(rep, msg):
+                fabric._handle_result = handle
+                assert fabric.kill_replica(rep.id)
+                time.sleep(0.3)
+                handle(rep, msg)
+
+            fabric._handle_result = die_then_handle
+            answer = fabric.submit(images[0]).result(timeout=30.0)
+            assert not answer.failed
+            snap = fabric.fleet_snapshot()
+            assert (snap.requests, snap.failed_requests) == (1, 0)
+
+    def test_death_mid_drain_fails_its_batch_at_once(self, trained_3c, images):
+        """stop() does not sit out the drain timeout for a replica that dies
+        while draining: its batch fails as a crash, with the death."""
+        stall = FaultPlan(
+            specs=(FaultSpec(kind="worker_stall", rate=1.0, magnitude_s=1.0),)
+        )
+        config = _fabric_config(
+            trained_3c, replicas=1, faults=stall, drain_timeout_s=6.0
+        )
+        fabric = ServingFabric(config).start()
+        ticket = fabric.submit(images[0])
+        deadline = time.time() + 30.0
+        while (
+            fabric._dispatcher.queue_depth() != 1 or len(fabric._dispatcher)
+        ) and time.time() < deadline:
+            time.sleep(0.01)  # until the batch is in flight
+        killer = threading.Timer(0.2, fabric.kill_replica, args=(0,))
+        killer.start()
+        started = time.perf_counter()
+        fabric.stop()
+        elapsed = time.perf_counter() - started
+        killer.join(timeout=5.0)
+        assert elapsed < 3.0, f"stop() took {elapsed:.1f}s"
+        answer = ticket.result(timeout=0)
+        assert answer.failed and answer.error == "worker_crash"
+        assert "replica 0 died" in answer.message
+
+    def test_restart_count_at_budget_exhaustion(self, trained_3c, images):
+        """The death that spends the budget is not a restart: every count
+        reads ``max_restarts``."""
+        observer = Observer()
+        config = _fabric_config(
+            trained_3c,
+            replicas=1,
+            observer=observer,
+            resilience=ResiliencePolicy(max_retries=1, max_restarts=1),
+        )
+        with ServingFabric(config) as fabric:
+            assert fabric.kill_replica(0)
+            deadline = time.time() + 10.0
+            while fabric.worker_restarts < 1 and time.time() < deadline:
+                time.sleep(0.02)
+            # The restarted replica answers: the restart was performed.
+            assert not fabric.submit(images[0]).result(timeout=60.0).failed
+            assert fabric.kill_replica(0)
+            deadline = time.time() + 10.0
+            while fabric.health().live and time.time() < deadline:
+                time.sleep(0.02)
+            health = fabric.health()
+            assert not health.live and health.restart_budget_remaining == 0
+            assert fabric.worker_restarts == 1
+            assert health.worker_restarts == 1
+            assert fabric.fleet_snapshot().restarts == 1
+            counter = observer.metrics.counter("replica_restarts_total")
+            assert counter.value() == 1.0
+
+    def test_death_during_start_fails_start_and_never_restarts(
+        self, trained_3c, monkeypatch
+    ):
+        fabric = ServingFabric(_fabric_config(trained_3c, replicas=1))
+        make_spec = fabric._make_spec
+        monkeypatch.setattr(
+            fabric, "_make_spec",
+            lambda rep: replace(make_spec(rep), shm_name="repro-no-segment"),
+        )
+        with pytest.raises(ConfigurationError, match="died during startup"):
+            fabric.start()
+        assert fabric.worker_restarts == 0
+        assert fabric._replicas[0].state == "dead"
 
     def test_unsupervised_fleet_raises_on_submit_when_dead(
         self, trained_3c, images

@@ -18,6 +18,9 @@ Covers the chaos PR end to end:
 from __future__ import annotations
 
 import json
+import random
+import sys
+import threading
 import time
 
 import numpy as np
@@ -41,6 +44,7 @@ from repro.serving import (
     ServingConfig,
     SLOReport,
 )
+from repro.serving.batching import Dispatcher, VirtualClock
 from repro.serving.engine import Ticket
 from repro.serving.faults import (
     FaultInjector,
@@ -49,6 +53,7 @@ from repro.serving.faults import (
     InjectedFault,
     merge_plans,
 )
+from repro.serving.resilience import Supervisor
 from repro.serving.slo import RequestOutcome
 
 DELTA = 0.6
@@ -454,6 +459,39 @@ class TestAsyncSupervision:
         finally:
             server.stop(drain=False)
 
+    def test_restart_count_at_budget_exhaustion(self, trained_3c, images):
+        """The crash that spends the budget is not a restart: the count,
+        the health field, the counter and the restart events all read
+        ``max_restarts``."""
+        observer = Observer()
+        engine = _engine(
+            trained_3c,
+            policy=MicroBatchPolicy(max_batch_size=1, max_wait_s=0.0),
+            resilience=ResiliencePolicy(
+                isolate=False, degraded_after=0, max_restarts=1,
+                backoff_base_s=0.001, backoff_max_s=0.002,
+            ),
+            faults=_crashy_plan(),
+            observer=observer,
+        )
+        server = AsyncEngine(engine).start()
+        try:
+            # Two requests, two crashes: the worker cannot give up before
+            # the second is submitted.
+            tickets = [server.submit(images[i]) for i in range(2)]
+            assert all(t.result(timeout=10.0).failed for t in tickets)
+            server._thread.join(timeout=5.0)
+            assert not server.running
+            assert server.worker_restarts == 1
+            assert server.health().worker_restarts == 1
+            counter = observer.metrics.counter("worker_restarts_total")
+            assert counter.value() == 1.0
+            kinds = [e["kind"] for e in observer.events.tail()]
+            assert kinds.count("worker_restart") == 1
+            assert kinds.count("worker_gave_up") == 1
+        finally:
+            server.stop(drain=False)
+
     def test_stop_drain_timeout_then_clean_stop(self, trained_3c, images):
         plan = FaultPlan(
             specs=(
@@ -671,6 +709,61 @@ class TestChaosSimulation:
         assert report.dropped > 0
         assert report.availability < 0.5
 
+    @staticmethod
+    def _supervised(trained, images, plan, max_restarts):
+        """The supervision-only engine: batch faults reach the supervisor."""
+        policy = ResiliencePolicy(
+            isolate=False, degraded_after=0, max_restarts=max_restarts
+        )
+        engine = _engine(trained, resilience=policy, faults=plan)
+        schedule = ArrivalSchedule.poisson(
+            rate_rps=200.0, duration_s=1.0, seed=11
+        )
+        runner = LoadRunner(engine, schedule, images)
+        report = runner.simulate(ops_per_second=3e7, slo_p99_s=0.25)
+        return policy, runner, report
+
+    def test_supervision_only_crash_restarts_the_virtual_server(
+        self, trained_3c, tiny_test_set
+    ):
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="raise_in_batch", rate=1.0, first=3, last=3),)
+        )
+        policy, runner, report = self._supervised(
+            trained_3c, tiny_test_set.images, plan, max_restarts=3
+        )
+        assert report.dropped == 0
+        failed = [o for o in runner.last_outcomes if o.failed]
+        assert failed and {o.error for o in failed} == {"worker_crash"}
+        (crash_t, crash_depth), (next_t, _) = report.queue_depth_timeline[3:5]
+        # The crashed batch held the failures, and the server stayed down
+        # until its restart was due on the virtual clock.
+        assert len(failed) <= crash_depth
+        assert all(o.latency_s == crash_t - o.arrival_s for o in failed)
+        jitter = random.Random(policy.seed * 1_000_003).random()
+        assert next_t >= crash_t + policy.backoff_s(1, jitter)
+
+    def test_supervision_only_spent_budget_fails_backlog_and_arrivals(
+        self, trained_3c, tiny_test_set
+    ):
+        plan = FaultPlan(specs=(FaultSpec(kind="raise_in_batch", rate=1.0, first=3),))
+        _, runner, report = self._supervised(
+            trained_3c, tiny_test_set.images, plan, max_restarts=1
+        )
+        assert report.dropped == 0
+        outcomes = runner.last_outcomes
+        causes = {o.error for o in outcomes if o.failed}
+        assert causes == {"worker_crash", "restart_budget"}
+        # Batches 0-2 answered; batches 3 and 4 crashed; then the budget
+        # was spent: everything after failed without being served.
+        gave_up_at = report.queue_depth_timeline[4][0]
+        assert len(report.queue_depth_timeline) == 5
+        later = [o for o in outcomes if o.arrival_s > gave_up_at]
+        assert later and all(
+            o.error == "restart_budget" and o.latency_s == 0.0 for o in later
+        )
+        assert report.answered + report.failed_count == report.requests
+
     def test_fault_plan_via_runner_param(self, trained_3c, tiny_test_set):
         """LoadRunner(fault_plan=...) installs the injector on the engine."""
         plan = FaultPlan(
@@ -693,6 +786,150 @@ class TestChaosSimulation:
         assert engine.faults is not None
         report = runner.simulate(ops_per_second=3e8, slo_p99_s=0.25)
         assert report.failed_count == 1
+
+
+class TestSupervisor:
+    """The one restart ladder, driven by hand on a virtual clock."""
+
+    @staticmethod
+    def _dispatcher(t: float = 10.0):
+        backlog = []
+        dispatcher = Dispatcher(
+            MicroBatchPolicy(max_batch_size=1),
+            input_shape=(2,),
+            fail=lambda pending, cause, message: backlog.append(
+                (pending.ticket.request_id, cause)
+            ),
+        )
+        dispatcher.set_clock(VirtualClock(t))
+        return dispatcher, backlog
+
+    def test_deadlines_budget_and_one_backlog_failure(self):
+        policy = ResiliencePolicy(
+            max_restarts=2, backoff_base_s=0.1, backoff_max_s=0.15,
+            backoff_jitter=0.5, seed=4,
+        )
+        dispatcher, backlog = self._dispatcher()
+        crashed = []
+        supervisor = Supervisor(
+            policy, dispatcher,
+            lambda pending, cause, message, i: crashed.append(
+                (i, pending.ticket.request_id, cause, message)
+            ),
+            executors=2,
+        )
+        jitter = [random.Random(4 * 1_000_003 + i) for i in range(2)]
+        tickets = [dispatcher.submit(np.zeros(2)) for _ in range(3)]
+        inflight = dispatcher.pop().items
+
+        def crash(i, t, items=()):
+            dispatcher.clock.t = t
+            return supervisor.crashed(i, items, f"boom {i}")
+
+        assert crash(0, 10.0, inflight) == 10.0 + policy.backoff_s(
+            1, jitter[0].random()
+        )
+        assert crashed == [(0, tickets[0].request_id, "worker_crash", "boom 0")]
+        assert crash(1, 11.0) == 11.0 + policy.backoff_s(1, jitter[1].random())
+        # The deadline reads whichever clock the dispatcher has now.
+        dispatcher.set_clock(VirtualClock(100.0))
+        assert crash(0, 100.0) == 100.0 + policy.backoff_s(
+            2, jitter[0].random()
+        )
+        assert crash(0, 101.0) is None  # budget spent: given up
+        assert not supervisor.exhausted and backlog == []
+        assert crash(1, 102.0) == 102.0 + policy.backoff_s(
+            2, jitter[1].random()
+        )
+        assert crash(1, 103.0) is None
+        assert supervisor.exhausted
+        assert supervisor.restarts == [2, 2]
+        assert backlog == [(t.request_id, "restart_budget") for t in tickets[1:]]
+        assert supervisor.backlog_failed == 2
+        # Once: a later death fails no backlog again.
+        late = dispatcher.submit(np.zeros(2))
+        assert crash(1, 104.0) is None
+        assert len(backlog) == 2 and not late.done
+        rejected = supervisor.reject()
+        assert backlog[-1] == (rejected.request_id, "restart_budget")
+        health = supervisor.health(
+            serving=0, ready=True, degraded=False, queue_depth=1
+        )
+        assert not health.live and not health.ready
+        assert health.worker_restarts == 4
+        assert health.restart_budget_remaining == 0
+
+    def test_without_a_policy_the_budget_is_zero(self):
+        dispatcher, backlog = self._dispatcher()
+        supervisor = Supervisor(None, dispatcher, lambda *args: None)
+        ticket = dispatcher.submit(np.zeros(2))
+        assert supervisor.crashed(0, [], "boom") is None
+        assert supervisor.exhausted and supervisor.restarts == [0]
+        assert backlog == [(ticket.request_id, "restart_budget")]
+        health = supervisor.health(
+            serving=1, ready=True, degraded=False, queue_depth=0
+        )
+        assert health.live and not health.ready
+        assert health.restart_budget_remaining is None
+
+    def test_no_restart_counts_nothing(self):
+        """A death the front end will not restart (it is starting or
+        stopping) fails the in-flight work and spends no budget."""
+        dispatcher, backlog = self._dispatcher()
+        crashed = []
+        supervisor = Supervisor(
+            ResiliencePolicy(max_restarts=1), dispatcher,
+            lambda pending, cause, message, i: crashed.append(cause),
+        )
+        dispatcher.submit(np.zeros(2))
+        inflight = dispatcher.pop().items
+        assert supervisor.crashed(0, inflight, "gone", restart=False) is None
+        assert crashed == ["worker_crash"]
+        assert supervisor.restarts == [0] and not supervisor.exhausted
+
+    def test_wait_ends_at_the_deadline_or_on_drain(self):
+        dispatcher, _ = self._dispatcher()
+        supervisor = Supervisor(ResiliencePolicy(), dispatcher, None)
+        supervisor.wait(9.0)  # already due on the virtual clock
+        dispatcher.draining = True
+        started = time.perf_counter()
+        supervisor.wait(1e9)  # a draining front end does not wait
+        assert time.perf_counter() - started < 1.0
+
+    def test_concurrent_deaths_fail_the_backlog_once(self):
+        """Eight executors crash-loop on eight threads (more threads than
+        cores, a short switch interval): every budget is spent exactly and
+        the backlog fails once, whole."""
+        dispatcher, backlog = self._dispatcher()
+        supervisor = Supervisor(
+            ResiliencePolicy(max_restarts=3), dispatcher, lambda *args: None,
+            executors=8,
+        )
+        waiting = [dispatcher.submit(np.zeros(2)) for _ in range(50)]
+
+        def crash_loop(i):
+            while supervisor.crashed(i, [], f"boom {i}") is not None:
+                pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=crash_loop, args=(i,))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert supervisor.restarts == [3] * 8 and supervisor.exhausted
+        assert supervisor.backlog_failed == len(waiting)
+        assert sorted(backlog) == sorted(
+            (t.request_id, "restart_budget") for t in waiting
+        )
 
 
 class TestResiliencePolicyValidation:
