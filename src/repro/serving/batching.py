@@ -23,9 +23,10 @@ forms its batches here, so each of these exists once:
 
 The dispatcher reads time only from the :class:`Clock` it is given: the
 wall clock for the threaded front ends, a :class:`VirtualClock` for
-``simulate()``.  What differs per front end stays there: the engine
+``simulate()``; the engine charges each batch's OPS on it before it
+stamps the answers.  What differs per front end stays there: the engine
 serves a formed batch, the fabric ships it to an idle replica, and
-``simulate()`` charges its OPS as virtual service time.
+``simulate()`` moves virtual time from one arrival to the next.
 
 The cascade makes batching unusually profitable: most inputs exit at
 the first linear stage, so only a small residual of each micro-batch ever
@@ -79,14 +80,29 @@ class MicroBatchPolicy:
 
 # -- clocks -----------------------------------------------------------------------
 class Clock(Protocol):
-    """Where the dispatcher and the engine read time and spend delay."""
+    """Where the dispatcher and the engine read time, spend delay and
+    charge a served batch's OPS."""
 
     def now(self) -> float: ...
 
     def sleep(self, seconds: float) -> None: ...
 
+    def serve(self, ops: float) -> None: ...
 
-class WallClock:
+
+class _RatedClock:
+    """``serve`` spends ``ops / ops_per_second`` through ``sleep`` (a
+    device of that capacity, busy with the batch); nothing without a rate."""
+
+    def __init__(self, ops_per_second: float | None = None) -> None:
+        self.ops_per_second = ops_per_second
+
+    def serve(self, ops: float) -> None:
+        if self.ops_per_second is not None:
+            self.sleep(ops / self.ops_per_second)
+
+
+class WallClock(_RatedClock):
     """``perf_counter`` seconds; ``sleep`` blocks the calling thread."""
 
     def now(self) -> float:
@@ -100,27 +116,19 @@ class WallClock:
 WALL_CLOCK = WallClock()
 
 
-class VirtualClock:
-    """Time that moves only when its driver sets :attr:`t`.
+class VirtualClock(_RatedClock):
+    """Time that moves only when its driver sets :attr:`t`, or when the
+    batch being served spends it: ``sleep`` and ``serve`` advance it."""
 
-    ``sleep`` does not advance ``now()``: injected delay is service time
-    of the batch being served, so it accumulates in :attr:`charged_s`
-    until the driver collects it with :meth:`take_charged`.
-    """
-
-    def __init__(self, t: float = 0.0) -> None:
+    def __init__(self, t: float = 0.0, *, ops_per_second: float | None = None) -> None:
+        super().__init__(ops_per_second)
         self.t = t
-        self.charged_s = 0.0
 
     def now(self) -> float:
         return self.t
 
     def sleep(self, seconds: float) -> None:
-        self.charged_s += seconds
-
-    def take_charged(self) -> float:
-        charged, self.charged_s = self.charged_s, 0.0
-        return charged
+        self.t += seconds
 
 
 # -- requests -----------------------------------------------------------------------

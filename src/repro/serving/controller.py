@@ -66,8 +66,8 @@ class ShedPolicy:
         runner and the gated benchmarks use.
     max_predicted_wait_s:
         Shed while ``queue_depth x EWMA(per-request service seconds)``
-        exceeds this bound.  Wall-clock based, so only meaningful for
-        real-time serving; leave ``None`` for deterministic replays.
+        exceeds this bound.  Service seconds are read on the dispatcher's
+        clock: the wall clock, or ``simulate()``'s virtual clock.
     """
 
     max_queue_depth: int | None = None

@@ -107,7 +107,8 @@ class InferenceResponse:
     #: True when backpressure served this request at a stage-0 early exit.
     shed: bool = False
     #: True when the request carried a ``deadline_s`` and the answer came
-    #: back later than that (wall clock).  The answer is still delivered.
+    #: back later than that, on the engine's clock.  The answer is still
+    #: delivered.
     deadline_missed: bool = False
     #: True when the resilience layer served this request at stage 0
     #: because the engine was in a degraded episode (accounted like shed).
@@ -674,8 +675,8 @@ class InferenceEngine:
         injector = self.faults
         if injector is not None:
             # Chaos hook: may raise InjectedFault (handled -- or not -- by
-            # the resilience layer above) or charge extra service time
-            # (a virtual clock charges it to the batch's service time).
+            # the resilience layer above) or add service time, spent on
+            # the clock before the batch's OPS.
             delay_s = injector.on_dispatch(
                 batch_index=batch_id,
                 request_ids=[p.ticket.request_id for p in batch],
@@ -698,6 +699,9 @@ class InferenceEngine:
         effective_delta = float(
             delta if delta is not None else entry.cdln.activation_module.delta
         )
+        # The batch's service time under a modeled capacity: the sum of
+        # the answers' float OPS in batch order, before they are stamped.
+        clock.serve(sum(ops.tolist()))
         now = clock.now()
         answers = []
         for i, pending in enumerate(batch):

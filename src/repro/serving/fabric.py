@@ -73,11 +73,11 @@ import threading
 from dataclasses import dataclass, replace
 from multiprocessing import get_context, shared_memory
 from pathlib import Path
-from time import perf_counter, sleep
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.nn.layers.base import Layer
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.trace import span_of
 from repro.serving.adaptive import RegimeSignature, SignatureWindow
@@ -85,6 +85,7 @@ from repro.serving.batching import (
     Batch,
     Dispatcher,
     Ticket,
+    WallClock,
     _Pending,
     collect_from_queue,
 )
@@ -120,7 +121,9 @@ class _ParamPickler(pickle.Pickler):
     """Pickles an object graph while hoisting every plain ndarray out.
 
     Arrays leave the stream as persistent ids (their index in the
-    manifest); everything else pickles normally.  Object-dtype arrays
+    manifest); everything else pickles normally, except that a layer
+    leaves its gradient buffers behind: a served model never reads them
+    (the optimizer reads ``layer.grads.get(key)``).  Object-dtype arrays
     stay inline -- they hold references, not flat numbers, and cannot
     live in a raw buffer.
     """
@@ -134,6 +137,12 @@ class _ParamPickler(pickle.Pickler):
             self._arrays.append(np.ascontiguousarray(obj))
             return len(self._arrays) - 1
         return None
+
+    def reducer_override(self, obj):  # noqa: D102 -- pickle protocol hook
+        if not isinstance(obj, Layer):
+            return NotImplemented
+        rebuild, args, state, *rest = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        return (rebuild, args, {**state, "grads": {}}, *rest)
 
 
 class _ParamUnpickler(pickle.Unpickler):
@@ -312,6 +321,9 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
             observer=observer,
         )
     )
+    # Capacity model: each batch's OPS cost wall time, so fleet throughput
+    # scales with replica count the way accelerator occupancy would.
+    engine.dispatcher.set_clock(WallClock(spec.capacity_ops_per_s))
     engine._batch_ids = itertools.count(spec.batch_id_base)
     engine._failure_span_ids = itertools.count(-spec.batch_id_base - 1, -1)
     # Replicas never retarget locally (the fleet owns the control loop):
@@ -332,13 +344,13 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
                 engine.delta = float(msg[1])
                 continue
             _, batch_id, items, fleet_depth, shed = msg
-            now = perf_counter()
+            now = engine.dispatcher.clock.now()
             pendings = [
                 _Pending(
                     image=image,
                     ticket=Ticket(request_id),
-                    # perf_counter is not comparable across processes, but
-                    # age offsets are: replica spans see the true fleet
+                    # The wall clock is not comparable across processes,
+                    # but age offsets are: replica spans see the true fleet
                     # queue wait, not just the replica-side wait.
                     enqueued_at=now - waited_s,
                     deadline_s=deadline_s,
@@ -354,11 +366,6 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
                 if not response.failed:
                     ok_ops += float(response.ops)
                 results.append((pending.ticket.request_id, response))
-            if spec.capacity_ops_per_s is not None:
-                # Capacity model: charge the batch's OPS as wall time, so
-                # fleet throughput scales with replica count the way real
-                # accelerator occupancy would.
-                sleep(ok_ops / spec.capacity_ops_per_s)
             batches += 1
             signature = (
                 window.signature() if batches % spec.report_every == 0 else None
@@ -391,8 +398,10 @@ class FabricConfig:
     read-only through :class:`SharedParams`.
 
     ``capacity_ops_per_s`` models replica accelerator capacity: each
-    replica sleeps ``batch_ops / capacity`` per batch, so benchmarks see
-    throughput scale with the fleet.  ``None`` serves at full host speed.
+    replica's engine runs on ``WallClock(capacity_ops_per_s)``, busy
+    ``batch_ops / capacity`` seconds per batch before it stamps the
+    answers, so benchmarks see throughput scale with the fleet.  ``None``
+    serves at full host speed.
     """
 
     config: ServingConfig

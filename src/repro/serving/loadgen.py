@@ -56,29 +56,25 @@ from repro.utils.logging import get_logger
 _log = get_logger("serving.loadgen")
 
 
-def _outcome(
-    arrival: Arrival, answer, *, queue_wait_s: float, latency_s: float
-) -> RequestOutcome:
+def _outcome(arrival: Arrival, answer) -> RequestOutcome:
     """One resolved answer as the SLO accountant sees it.
 
     ``answer`` is an :class:`~repro.serving.engine.InferenceResponse` or a
     :class:`~repro.serving.engine.RequestFailed` (which exits at stage -1,
-    pays nothing and never meets its deadline); the times come from the
-    runner's clock.
+    pays nothing and never meets its deadline); its times and deadline
+    verdict were stamped on the engine's clock.
     """
-    deadline_s = arrival.deadline_s
     return RequestOutcome(
         request_id=answer.request_id,
         arrival_s=arrival.t,
-        queue_wait_s=queue_wait_s,
-        latency_s=latency_s,
+        queue_wait_s=answer.queue_wait_s,
+        latency_s=answer.latency_s,
         exit_stage=answer.exit_stage,
         ops=answer.ops,
         energy_pj=answer.energy_pj,
         shed=answer.shed,
-        deadline_s=deadline_s,
-        deadline_met=not answer.failed
-        and (deadline_s is None or latency_s <= deadline_s),
+        deadline_s=arrival.deadline_s,
+        deadline_met=not answer.failed and not answer.deadline_missed,
         scenario=arrival.scenario,
         priority=arrival.priority,
         failed=answer.failed,
@@ -163,16 +159,19 @@ class LoadRunner:
         modeled service capacity: a dispatched micro-batch occupies the
         (single) server for ``sum(request OPS) / ops_per_second`` virtual
         seconds, where the OPS are the *measured* exit-path costs of
-        actually running the cascade on the batch.  The engine must be
-        idle when the run starts (nothing queued or in flight), and it is
-        left idle however the run ends.
+        actually running the cascade on the batch.  The engine charges
+        it on the clock before it stamps the answers, so outcomes read
+        their times and deadline verdicts off the answers, as in
+        :meth:`run`, and metrics and spans agree with the report.  The
+        engine must be idle when the run starts (nothing queued or in
+        flight), and it is left idle however the run ends.
 
         Chaos runs stay deterministic: the fault injector is reset at the
-        start, injected latency is charged to the batch's virtual
-        service time, a payload rejected at intake fails at its arrival
-        (latency 0, as in :meth:`run`), and failed requests become failed
-        outcomes.  Under a supervision-only policy (``isolate=False``) a
-        batch fault crashes the virtual server as it would the
+        start, injected latency is spent on the clock before the OPS, a
+        payload rejected at intake fails at its arrival (latency 0, as in
+        :meth:`run`), and failed requests become failed outcomes.  Under
+        a supervision-only policy (``isolate=False``) a batch fault
+        crashes the virtual server as it would the
         :class:`~repro.serving.engine.AsyncEngine` worker, which is down
         until its restart is due.  An *unprotected* engine (no resilience
         policy) wedges on the first injected batch fault -- the exception
@@ -200,13 +199,11 @@ class LoadRunner:
         injector = engine.faults
         if injector is not None:
             injector.reset()
-        clock = VirtualClock()
+        clock = VirtualClock(ops_per_second=ops_per_second)
         dispatcher.set_clock(clock)
         supervisor = Supervisor(engine.resilience, dispatcher)
         tickets = []
         timeline: list[tuple[float, int]] = []
-        #: request id -> (dispatch time, completion time), virtual seconds.
-        served_at: dict[int, tuple[float, float]] = {}
         server_free = 0.0
 
         def serve_until(t: float) -> bool:
@@ -219,15 +216,10 @@ class LoadRunner:
                     return True
                 clock.t = leave
                 batch = dispatcher.pop()
-                service_s = restart_at = None
                 try:
-                    engine._process_batch(
-                        batch.items,
-                        queue_depth=batch.queue_depth,
-                        shed=batch.shed,
-                    )
+                    engine._serve(batch)
+                    server_free = clock.t
                 except Exception as exc:  # noqa: BLE001 -- wedge accounting
-                    clock.take_charged()
                     if engine.resilience is None:
                         # No resilience layer: the fault killed the
                         # (virtual) worker.  Everything still queued or
@@ -243,27 +235,14 @@ class LoadRunner:
                         if stranded == len(arrivals):
                             raise
                         return False
-                    restart_at = engine._worker_crashed(
+                    # Crashed: down until the restart, or for good once
+                    # the budget is spent (the backlog has failed).
+                    server_free = engine._worker_crashed(
                         supervisor, exc, batch.items
                     )
-                else:
-                    # A failed answer paid no OPS.
-                    service_s = (
-                        sum(p.ticket.result(timeout=0).ops for p in batch.items)
-                        / ops_per_second
-                        + clock.take_charged()
-                    )
-                finally:
-                    dispatcher.done(batch, service_s)
                 timeline.append((leave, batch.queue_depth))
-                if service_s is None:  # crashed: down until the restart
-                    if restart_at is None:
-                        return True  # for good: the backlog failed
-                    server_free = restart_at
-                    continue
-                server_free = leave + service_s
-                for pending in batch.items:
-                    served_at[pending.ticket.request_id] = (leave, server_free)
+                if server_free is None:
+                    return True
 
         try:
             for index, arrival in enumerate(arrivals):
@@ -290,19 +269,12 @@ class LoadRunner:
             # intake), no virtual-time request outlives it in the engine.
             dispatcher.clear()
             dispatcher.set_clock(WALL_CLOCK)
-        outcomes: list[RequestOutcome] = []
-        for arrival, ticket in zip(arrivals, tickets):
-            if not ticket.done:
-                continue  # stranded by a wedge: dropped
-            answer = ticket.result(timeout=0)
-            if ticket.request_id in served_at:
-                dispatched, finished = served_at[ticket.request_id]
-                wait_s, latency_s = dispatched - arrival.t, finished - arrival.t
-            else:  # failed unserved: at intake, by a crash, by the budget
-                wait_s = latency_s = answer.latency_s
-            outcomes.append(
-                _outcome(arrival, answer, queue_wait_s=wait_s, latency_s=latency_s)
-            )
+        # A ticket still pending was stranded by a wedge: dropped.
+        outcomes = [
+            _outcome(arrival, ticket.result(timeout=0))
+            for arrival, ticket in zip(arrivals, tickets)
+            if ticket.done
+        ]
         self.last_outcomes = tuple(outcomes)
         return SLOReport.from_outcomes(
             outcomes,
@@ -375,14 +347,7 @@ class LoadRunner:
                         ticket.request_id,
                     )
                     continue
-                outcomes.append(
-                    _outcome(
-                        arrival,
-                        response,
-                        queue_wait_s=response.queue_wait_s,
-                        latency_s=response.latency_s,
-                    )
-                )
+                outcomes.append(_outcome(arrival, response))
         finally:
             if own_server:
                 server.stop()

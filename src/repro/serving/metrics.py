@@ -56,10 +56,11 @@ class MetricsSnapshot:
     mean_ops: float
     total_energy_pj: float
     mean_energy_pj: float
-    #: Tail latencies use ``np.quantile(..., method="higher")``: an actual
-    #: observed sample, never an interpolated value -- so with fewer than
-    #: 100 samples in the window, p99 is simply the window maximum
-    #: (conservative, deterministic).
+    #: Every latency quantile (p50, p95, p99, p99.9) uses
+    #: ``np.quantile(..., method="higher")``: an actual observed sample,
+    #: never an interpolated value -- so with fewer than 100 samples in
+    #: the window, p99 is simply the window maximum (conservative,
+    #: deterministic), as in :class:`~repro.serving.slo.SLOReport`.
     latency_p99_s: float = 0.0
     latency_p999_s: float = 0.0
     #: Deepest queue observed at any dispatch (0 when the engine never
@@ -236,33 +237,29 @@ class ServingMetrics:
             degraded_requests = self._degraded_requests
             failed_by_cause = tuple(sorted(self._failed_by_cause.items()))
             retries = self._retries
-        has_latency = latencies.size > 0
+        # method="higher" returns an observed sample, so small windows
+        # degrade to the max instead of an optimistic interpolation.
+        p50, p95, p99, p999 = (
+            np.quantile(latencies, (0.5, 0.95, 0.99, 0.999), method="higher")
+            if latencies.size
+            else (0.0,) * 4
+        )
         return MetricsSnapshot(
             requests=requests,
             batches=batches,
             mean_batch_size=requests / max(batches, 1),
             elapsed_s=elapsed,
             throughput_rps=requests / elapsed if elapsed > 0 else 0.0,
-            latency_mean_s=float(latencies.mean()) if has_latency else 0.0,
-            latency_p50_s=float(np.percentile(latencies, 50)) if has_latency else 0.0,
-            latency_p95_s=float(np.percentile(latencies, 95)) if has_latency else 0.0,
+            latency_mean_s=float(latencies.mean()) if latencies.size else 0.0,
+            latency_p50_s=float(p50),
+            latency_p95_s=float(p95),
             exit_stage_counts=counts,
             stage_names=self.stage_names,
             mean_ops=total_ops / max(requests, 1),
             total_energy_pj=total_energy,
             mean_energy_pj=total_energy / max(requests, 1),
-            # method="higher" returns an observed sample, so small windows
-            # degrade to the max instead of an optimistic interpolation.
-            latency_p99_s=(
-                float(np.quantile(latencies, 0.99, method="higher"))
-                if has_latency
-                else 0.0
-            ),
-            latency_p999_s=(
-                float(np.quantile(latencies, 0.999, method="higher"))
-                if has_latency
-                else 0.0
-            ),
+            latency_p99_s=float(p99),
+            latency_p999_s=float(p999),
             max_queue_depth=max_queue_depth,
             shed_requests=shed_requests,
             degraded_requests=degraded_requests,

@@ -138,15 +138,13 @@ class TestSharedParams:
 
     def test_trained_model_shares_its_parameters_only(self, trained_3c):
         # Training keeps no activations in the model, so the shared segment
-        # holds the parameters (with the gradient buffers that mirror them)
-        # and the classifiers, plus pickle metadata: not the last batch.
+        # holds the parameters and the classifiers, plus pickle metadata:
+        # not the last batch, and not the gradient buffers.
         cdln = trained_3c.cdln
         layers = cdln.baseline.layers
         assert not any(layer._cache for layer in layers)
         model_bytes = sum(
-            array.nbytes
-            for layer in layers
-            for array in (*layer.params.values(), *layer.grads.values())
+            array.nbytes for layer in layers for array in layer.params.values()
         ) + sum(
             stage.classifier.weights.nbytes + stage.classifier.bias.nbytes
             for stage in cdln.linear_stages
@@ -154,6 +152,30 @@ class TestSharedParams:
         params = SharedParams(cdln)
         try:
             assert model_bytes < params.size < model_bytes + 8 * 1024
+        finally:
+            params.dispose()
+
+    def test_gradient_buffers_stay_out_of_the_segment(self, trained_3c, images):
+        # A replica never reads Layer.grads: the segment hoists the layers'
+        # parameters and each classifier's weights, bias and 16-byte
+        # generator state, and the rehydrated model predicts bit for bit.
+        cdln = trained_3c.cdln
+        layers = cdln.baseline.layers
+        assert any(layer.grads for layer in layers)
+        params = SharedParams(cdln)
+        try:
+            clone = SharedParams.rehydrate(params.name)
+            assert params.num_arrays == 11 == (
+                sum(len(layer.params) for layer in layers)
+                + 3 * len(cdln.linear_stages)
+            )
+            assert not any(layer.grads for layer in clone.baseline.layers)
+            got = clone.predict(images, delta=DELTA)
+            want = cdln.predict(images, delta=DELTA)
+            for field in ("labels", "exit_stages", "confidences"):
+                np.testing.assert_array_equal(
+                    getattr(got, field), getattr(want, field)
+                )
         finally:
             params.dispose()
 

@@ -258,7 +258,8 @@ class TestLoadRunnerSimulate:
         self, trained_3c, tiny_test_set
     ):
         # The engine's metrics read the dispatcher's clock, so after a
-        # simulated run they time its dispatches in virtual seconds.
+        # simulated run they time it in virtual seconds: from the first
+        # batch's completion to the last one's, service time included.
         schedule = ArrivalSchedule.poisson(
             rate_rps=200.0, duration_s=1.0, seed=11, deadline_s=0.02
         )
@@ -266,10 +267,43 @@ class TestLoadRunnerSimulate:
         runner = LoadRunner(engine, schedule, tiny_test_set.images)
         report = runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
         snap = engine.metrics.snapshot()
-        timeline = report.queue_depth_timeline
+        done = sorted(o.arrival_s + o.latency_s for o in runner.last_outcomes)
         assert snap.requests == report.answered
-        assert snap.elapsed_s == timeline[-1][0] - timeline[0][0] > 0.9
+        assert snap.elapsed_s == pytest.approx(done[-1] - done[0], rel=1e-12)
+        assert snap.elapsed_s > 0.9
         assert snap.throughput_rps == snap.requests / snap.elapsed_s
+
+    def test_metrics_spans_and_report_read_one_latency(
+        self, trained_3c, tiny_test_set, burst_schedule, tmp_path
+    ):
+        # The engine charges each batch's service time on the virtual
+        # clock before it stamps the answers, so the metrics, the spans
+        # and the report fold the same latencies and deadline verdicts.
+        answers = []
+        with Observer.to_directory(tmp_path) as obs:
+            engine = make_engine(trained_3c, observer=obs)
+            record_batch = engine.metrics.record_batch
+
+            def spy(batch, now, **kwargs):
+                answers.extend(batch)
+                record_batch(batch, now, **kwargs)
+
+            engine.metrics.record_batch = spy
+            runner = LoadRunner(engine, burst_schedule, tiny_test_set.images)
+            report = runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
+        assert 0 < report.deadline_missed < report.answered
+        snap = engine.metrics.snapshot()
+        for quantile in ("p50", "p95", "p99", "p999"):
+            field = f"latency_{quantile}_s"
+            assert getattr(snap, field) == getattr(report, field)
+        outcomes = {o.request_id: o for o in runner.last_outcomes}
+        spans = read_spans(tmp_path / "trace.jsonl")
+        assert len(spans) == len(answers) == len(outcomes)
+        for span in spans:
+            assert span["latency_s"] == outcomes[span["request_id"]].latency_s
+        for answer in answers:
+            outcome = outcomes[answer.request_id]
+            assert answer.deadline_missed == (not outcome.deadline_met)
 
     def test_shed_requests_exit_stage0_none_dropped(
         self, trained_3c, tiny_test_set, burst_schedule, tmp_path
