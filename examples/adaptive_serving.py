@@ -13,6 +13,9 @@ Usage::
     python examples/adaptive_serving.py
 """
 
+import tempfile
+from pathlib import Path
+
 from repro import CdlTrainingConfig, make_dataset_pair, train_cdln
 from repro.cdl.architectures import ARCHITECTURES
 from repro.scenarios import DriftSchedule, DriftStream, Scenario, budgeted_drift_replay
@@ -49,8 +52,13 @@ def main() -> None:
         Scenario(name="occlusion", corruptions=(("occlusion", 0.8),)),
     ]
     table = OperatingTable.build(cdln, test, scenarios, reference_delta=DELTA)
-    path = table.save("/tmp/mnist_3c.optable.json")
-    print(f"built {table!r}, saved to {path}")
+    registry = ModelRegistry()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = table.save(Path(tmp) / "mnist_3c.optable.json")
+        print(f"built {table!r}, saved to {path}")
+        # The registry reads the table from disk as it registers the
+        # model, so the directory can go once this returns.
+        registry.register("mnist", trained, operating_table=path)
     for name in table.regime_names:
         entry = table.entry(name)
         ops = [p.mean_ops for p in entry.points]
@@ -60,8 +68,6 @@ def main() -> None:
         )
 
     # -- online: serve a shifting stream adaptively --------------------------
-    registry = ModelRegistry()
-    registry.register("mnist", trained, operating_table=path)
     baseline_ops = float(cdln.path_cost_table().baseline_cost.total)
     controller = DeltaController(target_mean_ops=0.75 * baseline_ops)
     engine = InferenceEngine.from_config(

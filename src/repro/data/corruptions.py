@@ -240,20 +240,7 @@ def corrupt_dataset(
     rng: int | np.random.Generator | None = None,
 ) -> DigitDataset:
     """A new dataset with one named corruption applied at ``severity``."""
-    corruption = get_corruption(name)
-    gen = ensure_rng(rng)
-    images, labels = dataset.images, dataset.labels
-    if corruption.corrupts_labels:
-        labels = corruption.fn(labels, dataset.num_classes, severity, gen)
-    else:
-        images = corruption.fn(images, severity, gen)
-    return DigitDataset(
-        images=images,
-        labels=labels,
-        num_classes=dataset.num_classes,
-        difficulty=dataset.difficulty.copy(),
-        name=f"{dataset.name}+{name}@{severity:g}",
-    )
+    return apply_corruptions(dataset, [(name, severity)], rng)
 
 
 def apply_corruptions(
@@ -261,13 +248,26 @@ def apply_corruptions(
     specs,
     rng: int | np.random.Generator | None = None,
 ) -> DigitDataset:
-    """Apply a chain of ``(name, severity)`` corruptions in order.
+    """A new dataset with a chain of ``(name, severity)`` corruptions applied.
 
     One generator threads through the whole chain, so the composite is as
-    deterministic as a single corruption.
+    deterministic as a single corruption.  Pixel corruptions compute in
+    float64 and hand float64 images down the chain; the returned dataset
+    rounds the result once, to the active compute policy's dtype.
     """
     gen = ensure_rng(rng)
-    out = dataset
-    for name, severity in specs:
-        out = corrupt_dataset(out, name, severity, gen)
-    return out
+    images, labels, name = dataset.images, dataset.labels, dataset.name
+    for corruption_name, severity in specs:
+        corruption = get_corruption(corruption_name)
+        if corruption.corrupts_labels:
+            labels = corruption.fn(labels, dataset.num_classes, severity, gen)
+        else:
+            images = corruption.fn(images, severity, gen)
+        name = f"{name}+{corruption_name}@{severity:g}"
+    return DigitDataset(
+        images=images,
+        labels=labels,
+        num_classes=dataset.num_classes,
+        difficulty=dataset.difficulty.copy(),
+        name=name,
+    )

@@ -12,12 +12,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import DataError
+from repro.nn.compute import active_policy
 from repro.utils.rng import ensure_rng
 
 
 @dataclass
 class DigitDataset:
-    """An immutable-by-convention image classification dataset."""
+    """An immutable-by-convention image classification dataset.
+
+    ``images`` are cast to the active compute policy's dtype
+    (:mod:`repro.nn.compute`), the dtype models built beside the dataset
+    compute in: float64 by default, float32 under
+    ``compute_policy("float32")``.  Images that already have it are held
+    without a copy.
+    """
 
     images: np.ndarray
     labels: np.ndarray
@@ -27,7 +35,7 @@ class DigitDataset:
     name: str = "digits"
 
     def __post_init__(self) -> None:
-        self.images = np.asarray(self.images, dtype=np.float64)
+        self.images = active_policy().cast(self.images)
         self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
         if self.images.ndim == 3:  # (N, H, W) -> (N, 1, H, W)
             self.images = self.images[:, None, :, :]

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.data.dataset import DigitDataset
 from repro.errors import DataError
+from repro.nn.compute import active_policy
 
 _IMAGE_MAGIC = 2051
 _LABEL_MAGIC = 2049
@@ -42,7 +43,10 @@ def _resolve(directory: Path, stem: str) -> Path:
 
 
 def read_idx_images(path: str | Path) -> np.ndarray:
-    """Read an IDX3 image file into a float array ``(N, H, W)`` in [0, 1]."""
+    """Read an IDX3 image file into a float array ``(N, H, W)`` in [0, 1].
+
+    The array has the active compute policy's dtype.
+    """
     path = Path(path)
     with _open_maybe_gz(path) as fh:
         header = fh.read(16)
@@ -55,7 +59,7 @@ def read_idx_images(path: str | Path) -> np.ndarray:
         if len(data) != count * rows * cols:
             raise DataError(f"truncated IDX image payload in {path}")
     pixels = np.frombuffer(data, dtype=np.uint8).reshape(count, rows, cols)
-    return pixels.astype(np.float64) / 255.0
+    return np.divide(pixels, 255, dtype=active_policy().dtype)
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:

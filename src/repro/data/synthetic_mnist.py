@@ -26,6 +26,7 @@ from repro.data.dataset import DigitDataset
 from repro.data.glyphs import DIGIT_STYLE_VARIABILITY, glyph_strokes
 from repro.data.rasterize import IMAGE_SIZE, rasterize_batch
 from repro.errors import ConfigurationError
+from repro.nn.compute import active_policy
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -124,6 +125,12 @@ def generate_synthetic_mnist(
 ) -> DigitDataset:
     """Generate a difficulty-annotated synthetic digit dataset.
 
+    Digits are rendered in float64, :data:`_BATCH` at a time, and each
+    batch is written into images of the active compute policy's dtype, so
+    every pixel is rounded once and no float64 copy of the whole set is
+    made.  The float64 pixels, labels, difficulties and generator draws do
+    not depend on the policy.
+
     Parameters
     ----------
     num_samples:
@@ -148,7 +155,10 @@ def generate_synthetic_mnist(
     variability = np.array([config.class_variability[d] for d in range(10)])
     difficulty = np.clip(raw_difficulty * variability[labels], 0.0, 1.0)
 
-    images = np.empty((num_samples, 1, config.image_size, config.image_size))
+    images = np.empty(
+        (num_samples, 1, config.image_size, config.image_size),
+        dtype=active_policy().dtype,
+    )
     for start in range(0, num_samples, _BATCH):
         batch = slice(start, start + _BATCH)
         images[batch, 0] = render_digits(
@@ -169,7 +179,11 @@ def make_dataset_pair(
     config: SyntheticMnistConfig | None = None,
     rng: int | np.random.Generator | None = None,
 ) -> tuple[DigitDataset, DigitDataset]:
-    """Generate disjoint train/test datasets from one seed."""
+    """Generate disjoint train/test datasets from one seed.
+
+    Both hold their images in the active compute policy's dtype, as
+    :func:`generate_synthetic_mnist` does.
+    """
     rng = ensure_rng(rng)
     train = generate_synthetic_mnist(
         num_train, config=config, rng=rng, name="synthetic-mnist-train"

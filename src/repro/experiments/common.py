@@ -78,8 +78,14 @@ def clear_cache() -> None:
 
 
 def get_datasets(scale: Scale, seed: int = 0) -> tuple[DigitDataset, DigitDataset]:
-    """Train/test synthetic-MNIST pair for ``(scale, seed)``, cached."""
-    key = (scale.num_train, scale.num_test, seed)
+    """Train/test synthetic-MNIST pair for ``(scale, seed)``, cached.
+
+    The images are held in the active compute policy's dtype, so each
+    dtype has its own cache slot, as in :func:`get_trained`.  A float32
+    pair is the float64 pair rounded once, with the same labels and
+    difficulties.
+    """
+    key = (scale.num_train, scale.num_test, seed, active_policy().dtype_name)
     if key not in _dataset_cache:
         _dataset_cache[key] = make_dataset_pair(
             scale.num_train, scale.num_test, rng=seed

@@ -15,6 +15,7 @@ from repro.data.corruptions import (
 )
 from repro.data.dataset import DigitDataset
 from repro.errors import ConfigurationError
+from repro.nn.compute import compute_policy
 
 PIXEL_CORRUPTIONS = corruption_names(labels=False)
 LABEL_CORRUPTIONS = corruption_names(labels=True)
@@ -155,3 +156,28 @@ class TestDatasetApplication:
         reversed_order = apply_corruptions(data, specs[::-1], rng=7)
         assert not np.array_equal(a.images, reversed_order.images)
         assert "blur" in a.name and "gaussian_noise" in a.name
+
+    @pytest.mark.parametrize("name", PIXEL_CORRUPTIONS + LABEL_CORRUPTIONS)
+    def test_float32_dataset_is_the_float64_result_rounded_once(self, name):
+        with compute_policy("float32"):
+            data = make_dataset()
+            out = corrupt_dataset(data, name, 0.6, rng=3)
+        with compute_policy("float64"):
+            exact = DigitDataset(data.images, data.labels, difficulty=data.difficulty)
+            want = corrupt_dataset(exact, name, 0.6, rng=3)
+        assert out.images.dtype == np.float32
+        np.testing.assert_array_equal(out.images, want.images.astype(np.float32))
+        np.testing.assert_array_equal(out.labels, want.labels)
+
+    def test_float32_chain_rounds_once_at_the_end(self):
+        specs = [("gaussian_noise", 0.5), ("contrast", 0.6), ("label_noise", 0.3)]
+        with compute_policy("float32"):
+            data = make_dataset()
+            out = apply_corruptions(data, specs, rng=7)
+        with compute_policy("float64"):
+            exact = DigitDataset(data.images, data.labels, difficulty=data.difficulty)
+            want = apply_corruptions(exact, specs, rng=7)
+        assert out.images.dtype == np.float32
+        np.testing.assert_array_equal(out.images, want.images.astype(np.float32))
+        np.testing.assert_array_equal(out.labels, want.labels)
+        assert out.name == "toy+gaussian_noise@0.5+contrast@0.6+label_noise@0.3"

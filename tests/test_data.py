@@ -1,6 +1,8 @@
 """Tests for the dataset substrate: glyphs, rasterizer, augmentation,
 containers, and the synthetic generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from repro.data.synthetic_mnist import (
     render_digit,
 )
 from repro.errors import ConfigurationError, DataError
+from repro.nn.compute import compute_policy
 
 
 class TestGlyphs:
@@ -230,6 +233,17 @@ class TestDigitDataset:
         with pytest.raises(DataError):
             train_test_split(self.make(), test_fraction=1.5)
 
+    def test_images_held_in_the_compute_dtype(self):
+        images = np.random.default_rng(0).random((4, 1, 8, 8))
+        labels = np.zeros(4, dtype=int)
+        with compute_policy("float32"):
+            ds = DigitDataset(images, labels)
+            assert ds.images.dtype == np.float32
+            np.testing.assert_array_equal(ds.images, images.astype(np.float32))
+            assert DigitDataset(ds.images, labels).images is ds.images  # no copy
+        with compute_policy("float64"):
+            assert DigitDataset(images, labels).images is images
+
 
 class TestSyntheticMnist:
     def test_deterministic_generation(self):
@@ -289,6 +303,43 @@ class TestSyntheticMnist:
     def test_variability_must_cover_digits(self):
         with pytest.raises(ConfigurationError):
             SyntheticMnistConfig(class_variability={0: 1.0})
+
+    def test_float32_pair_is_the_float64_pair_rounded_once(self):
+        with compute_policy("float64"):
+            want = make_dataset_pair(40, 20, rng=3)
+        with compute_policy("float32"):
+            got = make_dataset_pair(40, 20, rng=3)
+        for actual, expected in zip(got, want):
+            assert actual.images.dtype == np.float32
+            np.testing.assert_array_equal(
+                actual.images, expected.images.astype(np.float32)
+            )
+            np.testing.assert_array_equal(actual.labels, expected.labels)
+            np.testing.assert_array_equal(actual.difficulty, expected.difficulty)
+
+    def test_float32_generation_allocates_no_float64_copy_of_the_set(self):
+        """Synthesis peaks at the float32 set plus one batch's temporaries.
+
+        One 32-digit batch peaks at about 5 MB.  For 1500 digits the
+        float32 set is 4.7 MB and a float64 copy of it 9.4 MB, so any
+        float64 copy of the set, beside the temporaries or the float32
+        result, overshoots the bound by about 2 MB.
+        """
+
+        def traced_peak(num_samples: int) -> int:
+            tracemalloc.start()
+            try:
+                generate_synthetic_mnist(num_samples, rng=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        num_samples = 1500
+        float32_set = num_samples * 28 * 28 * 4
+        with compute_policy("float32"):
+            one_batch = traced_peak(32)
+            peak = traced_peak(num_samples)
+        assert peak < one_batch + 1.5 * float32_set
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 9), st.floats(0, 1))

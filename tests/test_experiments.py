@@ -18,6 +18,7 @@ from repro.experiments import (
 from repro.experiments.common import Scale, get_datasets, get_trained
 from repro.experiments.runner import ALL_EXPERIMENTS, run_all
 from repro.experiments.table4_examples import image_to_ascii
+from repro.nn.compute import compute_policy
 
 
 class TestScale:
@@ -34,6 +35,21 @@ class TestCommon:
         a = get_datasets(tiny_scale, seed=7)
         b = get_datasets(tiny_scale, seed=7)
         assert a[0] is b[0]
+
+    def test_dataset_cache_holds_one_entry_per_dtype(self, tiny_scale):
+        with compute_policy("float64"):
+            pair64 = get_datasets(tiny_scale, seed=7)
+        with compute_policy("float32"):
+            pair32 = get_datasets(tiny_scale, seed=7)
+            assert get_datasets(tiny_scale, seed=7)[0] is pair32[0]
+        with compute_policy("float64"):
+            assert get_datasets(tiny_scale, seed=7)[0] is pair64[0]
+        for got, want in zip(pair32, pair64):
+            assert want.images.dtype == np.float64
+            assert got.images.dtype == np.float32
+            np.testing.assert_array_equal(got.images, want.images.astype(np.float32))
+            np.testing.assert_array_equal(got.labels, want.labels)
+            np.testing.assert_array_equal(got.difficulty, want.difficulty)
 
     def test_trained_cache_returns_same_object(self, tiny_scale):
         a = get_trained("mnist_3c", tiny_scale, seed=7)

@@ -24,6 +24,7 @@ from repro.errors import (
     SerializationError,
     ShapeError,
 )
+from repro.nn.compute import compute_policy
 from repro.utils.logging import (
     JsonLogFormatter,
     enable_console_logging,
@@ -170,6 +171,14 @@ class TestIdx:
         loaded_labels = read_idx_labels(lbl_path)
         np.testing.assert_allclose(loaded_images, images / 255.0)
         np.testing.assert_array_equal(loaded_labels, labels)
+
+    def test_images_read_in_the_compute_dtype(self, tmp_path):
+        images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        img_path, _ = _write_idx(tmp_path, images, np.zeros(4, dtype=np.uint8))
+        with compute_policy("float32"):
+            loaded = read_idx_images(img_path)
+        assert loaded.dtype == np.float32
+        np.testing.assert_array_equal(loaded, (images / 255.0).astype(np.float32))
 
     def test_gzip_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
