@@ -66,18 +66,21 @@ def main() -> None:
     )
 
     # -- 3. the same burst behind a shed policy ------------------------------
-    outdir = Path(tempfile.mkdtemp())
-    with Observer.to_directory(outdir, meta={"example": "loadgen"}) as obs:
-        protected = InferenceEngine.from_config(
-            ServingConfig(
-                model=trained,
-                shed=ShedPolicy(max_queue_depth=32),
-                observer=obs,
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp)
+        with Observer.to_directory(outdir, meta={"example": "loadgen"}) as obs:
+            protected = InferenceEngine.from_config(
+                ServingConfig(
+                    model=trained,
+                    shed=ShedPolicy(max_queue_depth=32),
+                    observer=obs,
+                )
             )
-        )
-        shed_report = LoadRunner(protected, burst, test.images).simulate(
-            ops_per_second=CAPACITY_OPS_PER_S, slo_p99_s=SLO_P99_S
-        )
+            shed_report = LoadRunner(protected, burst, test.images).simulate(
+                ops_per_second=CAPACITY_OPS_PER_S, slo_p99_s=SLO_P99_S
+            )
+        # The fold reads the trace before the directory goes.
+        trace = fold_spans(read_spans(outdir / "trace.jsonl"))
     print(
         f"with shedding: p99 {shed_report.latency_p99_s * 1e3:.0f} ms "
         f"(SLO {'met' if shed_report.slo_met else 'VIOLATED'}), "
@@ -87,7 +90,6 @@ def main() -> None:
     )
 
     # -- 4. shed fraction reconciles exactly with the trace ------------------
-    trace = fold_spans(read_spans(outdir / "trace.jsonl"))
     assert trace.spans == shed_report.answered
     assert trace.shed_requests == shed_report.shed_count  # ==, not approx
     print(

@@ -154,7 +154,9 @@ class Conv2D(Layer):
             out=grad_rows.reshape(n, h_out, w_out, self.num_maps).transpose(0, 3, 1, 2),
         )
         self.grads["weight"] = (grad_rows.T @ cols).reshape(weight.shape)
-        self.grads["bias"] = grad_rows.sum(axis=0)
+        # einsum adds the rows one after another, as sum(axis=0) does on
+        # C-contiguous rows (same bits), in a loop made for few columns.
+        self.grads["bias"] = np.einsum("ij->j", grad_rows)
         return grad_rows
 
     def get_config(self) -> dict[str, Any]:

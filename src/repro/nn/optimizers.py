@@ -104,7 +104,10 @@ class Optimizer:
                 self._update(param, grad, lr, self._slot(layer, key, param))
 
     def _slot(self, layer: Layer, key: str, param: np.ndarray) -> dict[str, np.ndarray]:
-        return self._state.setdefault((id(layer), key), self._init_slot(param))
+        slot = self._state.get((id(layer), key))
+        if slot is None:
+            slot = self._state[(id(layer), key)] = self._init_slot(param)
+        return slot
 
     # -- subclass hooks ------------------------------------------------------
     def _init_slot(self, param: np.ndarray) -> dict[str, np.ndarray]:
@@ -180,19 +183,31 @@ class Adam(Optimizer):
             "m": np.zeros_like(param),
             "v": np.zeros_like(param),
             "t": np.zeros(1),
+            # Scratch for the update's temporaries, reused every step.
+            "a": np.empty_like(param),
+            "b": np.empty_like(param),
         }
 
     def _update(self, param, grad, lr, slot) -> None:
+        # The textbook update, one operation at a time in the same order,
+        # so in place it rounds exactly as the expression form does.
         slot["t"] += 1
         t = float(slot["t"][0])
-        m, v = slot["m"], slot["v"]
+        m, v, a, b = slot["m"], slot["v"], slot["a"], slot["b"]
         m *= self.beta1
-        m += (1 - self.beta1) * grad
+        np.multiply(grad, 1 - self.beta1, out=a)
+        m += a
         v *= self.beta2
-        v += (1 - self.beta2) * grad * grad
-        m_hat = m / (1 - self.beta1**t)
-        v_hat = v / (1 - self.beta2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        np.multiply(grad, 1 - self.beta2, out=a)
+        a *= grad
+        v += a
+        np.divide(m, 1 - self.beta1**t, out=a)  # m_hat
+        np.divide(v, 1 - self.beta2**t, out=b)  # v_hat
+        a *= lr
+        np.sqrt(b, out=b)
+        b += self.epsilon
+        a /= b
+        param -= a
 
 
 _REGISTRY: dict[str, type[Optimizer]] = {

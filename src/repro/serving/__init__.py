@@ -72,7 +72,6 @@ _EXPORTS = {
     "Arrival": "repro.serving.schedule",
     "ArrivalSchedule": "repro.serving.schedule",
     "LoadRunner": "repro.serving.loadgen",
-    "RequestOutcome": "repro.serving.slo",
     "SLOReport": "repro.serving.slo",
 }
 

@@ -202,6 +202,26 @@ class _Pending:
     #: Dispatch priority; higher boards earlier batches under backlog.
     priority: int = 0
 
+    def stamps(
+        self, now: float, dispatched_at: float | None = None
+    ) -> dict[str, float | bool]:
+        """The clock stamps of this request's answer at ``now``: the
+        ``latency_s`` every answer carries and, for one served from a
+        batch dispatched at ``dispatched_at``, its ``queue_wait_s`` and
+        ``deadline_missed`` verdict.  A failure (``dispatched_at=None``)
+        carries its latency alone: no stage ran, so it all counts as
+        queue wait, and it never meets a deadline."""
+        latency_s = now - self.enqueued_at
+        if dispatched_at is None:
+            return {"latency_s": latency_s}
+        return {
+            "latency_s": latency_s,
+            "queue_wait_s": dispatched_at - self.enqueued_at,
+            "deadline_missed": (
+                self.deadline_s is not None and latency_s > self.deadline_s
+            ),
+        }
+
 
 @dataclass
 class Batch:

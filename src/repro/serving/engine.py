@@ -175,7 +175,7 @@ def resolve_failure(
         error=cause,
         message=message,
         retries=retries,
-        latency_s=now - pending.enqueued_at,
+        **pending.stamps(now),
     )
     ticket._resolve(failure)
     return failure
@@ -706,7 +706,6 @@ class InferenceEngine:
         answers = []
         for i, pending in enumerate(batch):
             stage = int(result.exit_stages[i])
-            latency_s = now - pending.enqueued_at
             answer = InferenceResponse(
                 request_id=pending.ticket.request_id,
                 label=int(result.labels[i]),
@@ -718,14 +717,9 @@ class InferenceEngine:
                 energy_pj=float(energies[i]),
                 model_spec=entry.spec,
                 batch_size=len(batch),
-                latency_s=latency_s,
-                queue_wait_s=dispatched_at - pending.enqueued_at,
                 shed=shed,
-                deadline_missed=(
-                    pending.deadline_s is not None
-                    and latency_s > pending.deadline_s
-                ),
                 degraded=degraded,
+                **pending.stamps(now, dispatched_at),
             )
             pending.ticket._resolve(answer)
             answers.append(answer)

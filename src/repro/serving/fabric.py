@@ -281,7 +281,6 @@ class _ReplicaSpec:
     validate_inputs: bool
     obs_dir: str | None
     capacity_ops_per_s: float | None
-    report_every: int
     window: int
     batch_id_base: int
 
@@ -291,8 +290,8 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
 
     Protocol (parent -> replica): ``("batch", id, items, depth, shed)``,
     ``("delta", value)``, ``("stop",)``.  Replica -> parent: ``("ready",
-    rid)``, ``("result", rid, batch_id, results, ok_ops,
-    signature_or_None)``, ``("stopped", rid)``.
+    rid)``, ``("result", rid, batch_id, results, ok_ops, signature)``
+    (``None`` while the window is empty), ``("stopped", rid)``.
 
     The replica flushes its trace *before* acking each batch: an acked
     batch always has its spans on disk, which is the invariant fleet
@@ -331,7 +330,6 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
     window = SignatureWindow(len(engine.entry.cdln.stage_names), spec.window)
     engine.adaptive = window
     result_q.put(("ready", spec.replica_id))
-    batches = 0
     clean_stop = False
     try:
         while True:
@@ -366,13 +364,12 @@ def _replica_main(spec: _ReplicaSpec, task_q, result_q) -> None:
                 if not response.failed:
                     ok_ops += float(response.ops)
                 results.append((pending.ticket.request_id, response))
-            batches += 1
-            signature = (
-                window.signature() if batches % spec.report_every == 0 else None
-            )
             observer.flush()
             result_q.put(
-                ("result", spec.replica_id, batch_id, results, ok_ops, signature)
+                (
+                    "result", spec.replica_id, batch_id, results, ok_ops,
+                    window.signature(),
+                )
             )
     finally:
         if clean_stop:
@@ -402,15 +399,16 @@ class FabricConfig:
     ``batch_ops / capacity`` seconds per batch before it stamps the
     answers, so benchmarks see throughput scale with the fleet.  ``None``
     serves at full host speed.
+
+    Replicas always start by ``spawn`` (forking the parent, which runs
+    collector and dispatch threads, is unsafe) and ship their window
+    signature upstream with every acked batch.
     """
 
     config: ServingConfig
     replicas: int = 2
-    start_method: str = "spawn"
     capacity_ops_per_s: float | None = None
     obs_dir: str | Path | None = None
-    #: Ship a window signature upstream every N acked batches.
-    report_every: int = 1
     ready_timeout_s: float = 60.0
     drain_timeout_s: float = 30.0
 
@@ -419,21 +417,12 @@ class FabricConfig:
             raise ConfigurationError(
                 f"replicas must be >= 1, got {self.replicas}"
             )
-        if self.start_method not in ("spawn", "fork", "forkserver"):
-            raise ConfigurationError(
-                f"start_method must be spawn/fork/forkserver, "
-                f"got {self.start_method!r}"
-            )
         if (
             self.capacity_ops_per_s is not None
             and not self.capacity_ops_per_s > 0
         ):
             raise ConfigurationError(
                 f"capacity_ops_per_s must be > 0, got {self.capacity_ops_per_s}"
-            )
-        if self.report_every < 1:
-            raise ConfigurationError(
-                f"report_every must be >= 1, got {self.report_every}"
             )
         cfg = self.config.validate()
         if cfg.model is None:
@@ -570,7 +559,7 @@ class ServingFabric:
             if self.controller is not None
             else cfg.delta
         )
-        self._ctx = get_context(fc.start_method)
+        self._ctx = get_context("spawn")
         self._replicas = [_Replica(i) for i in range(fc.replicas)]
         #: Intake, the fleet queue, window, depth and shed decision; its
         #: condition also guards the fleet's own state.
@@ -841,7 +830,6 @@ class ServingFabric:
             validate_inputs=cfg.validate_inputs,
             obs_dir=obs_dir,
             capacity_ops_per_s=self.fabric_config.capacity_ops_per_s,
-            report_every=self.fabric_config.report_every,
             window=(
                 self.adaptive.detector.window
                 if self.adaptive is not None
@@ -975,21 +963,14 @@ class ServingFabric:
                     pending = lookup.get(rid)
                     if pending is None:
                         continue
-                    latency_s = now - pending.enqueued_at
-                    if response.failed:
-                        final = replace(response, latency_s=latency_s)
-                    else:
-                        final = replace(
-                            response,
-                            latency_s=latency_s,
-                            queue_wait_s=(
-                                batch.dispatched_at - pending.enqueued_at
-                            ),
-                            deadline_missed=(
-                                pending.deadline_s is not None
-                                and latency_s > pending.deadline_s
-                            ),
-                        )
+                    # Re-stamped on the dispatcher's clock: the replica's
+                    # stamps cover only its own side of the round trip.
+                    dispatched_at = (
+                        None if response.failed else batch.dispatched_at
+                    )
+                    final = replace(
+                        response, **pending.stamps(now, dispatched_at)
+                    )
                     pending.ticket._resolve(final)
                     finals.append(final)
                 answered = sum(not a.failed for a in finals)

@@ -45,42 +45,20 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.serving.batching import WALL_CLOCK, VirtualClock
-from repro.serving.engine import AsyncEngine, InferenceEngine
+from repro.serving.batching import WALL_CLOCK, Ticket, VirtualClock
+from repro.serving.engine import (
+    AsyncEngine,
+    InferenceEngine,
+    InferenceResponse,
+    RequestFailed,
+)
 from repro.serving.faults import FaultInjector, FaultPlan
 from repro.serving.resilience import Supervisor
 from repro.serving.schedule import Arrival, ArrivalSchedule
-from repro.serving.slo import RequestOutcome, SLOReport
+from repro.serving.slo import SLOReport
 from repro.utils.logging import get_logger
 
 _log = get_logger("serving.loadgen")
-
-
-def _outcome(arrival: Arrival, answer) -> RequestOutcome:
-    """One resolved answer as the SLO accountant sees it.
-
-    ``answer`` is an :class:`~repro.serving.engine.InferenceResponse` or a
-    :class:`~repro.serving.engine.RequestFailed` (which exits at stage -1,
-    pays nothing and never meets its deadline); its times and deadline
-    verdict were stamped on the engine's clock.
-    """
-    return RequestOutcome(
-        request_id=answer.request_id,
-        arrival_s=arrival.t,
-        queue_wait_s=answer.queue_wait_s,
-        latency_s=answer.latency_s,
-        exit_stage=answer.exit_stage,
-        ops=answer.ops,
-        energy_pj=answer.energy_pj,
-        shed=answer.shed,
-        deadline_s=arrival.deadline_s,
-        deadline_met=not answer.failed and not answer.deadline_missed,
-        scenario=arrival.scenario,
-        priority=arrival.priority,
-        failed=answer.failed,
-        error=answer.error,
-        degraded=answer.degraded,
-    )
 
 
 class LoadRunner:
@@ -126,9 +104,12 @@ class LoadRunner:
         self.engine = engine
         self.schedule = schedule
         self.images = images
-        #: Outcomes of the most recent ``simulate()`` / ``run()`` call,
-        #: in request-id order -- the raw records behind the report.
-        self.last_outcomes: tuple[RequestOutcome, ...] = ()
+        #: ``(arrival, answer)`` of every request the most recent
+        #: ``simulate()`` / ``run()`` call resolved, in arrival order --
+        #: the records behind the report.
+        self.last_outcomes: tuple[
+            tuple[Arrival, InferenceResponse | RequestFailed], ...
+        ] = ()
         self.scenario_pools = dict(scenario_pools or {})
         for name, pool in self.scenario_pools.items():
             if len(pool) == 0:
@@ -160,16 +141,16 @@ class LoadRunner:
         (single) server for ``sum(request OPS) / ops_per_second`` virtual
         seconds, where the OPS are the *measured* exit-path costs of
         actually running the cascade on the batch.  The engine charges
-        it on the clock before it stamps the answers, so outcomes read
-        their times and deadline verdicts off the answers, as in
-        :meth:`run`, and metrics and spans agree with the report.  The
+        it on the clock before it stamps the answers, so the report
+        folds the answers' own times and deadline verdicts, as in
+        :meth:`run`, and metrics and spans agree with it.  The
         engine must be idle when the run starts (nothing queued or in
         flight), and it is left idle however the run ends.
 
         Chaos runs stay deterministic: the fault injector is reset at the
         start, injected latency is spent on the clock before the OPS, a
         payload rejected at intake fails at its arrival (latency 0, as in
-        :meth:`run`), and failed requests become failed outcomes.  Under
+        :meth:`run`), and failed requests fold in as failed.  Under
         a supervision-only policy (``isolate=False``) a batch fault
         crashes the virtual server as it would the
         :class:`~repro.serving.engine.AsyncEngine` worker, which is down
@@ -270,19 +251,7 @@ class LoadRunner:
             dispatcher.clear()
             dispatcher.set_clock(WALL_CLOCK)
         # A ticket still pending was stranded by a wedge: dropped.
-        outcomes = [
-            _outcome(arrival, ticket.result(timeout=0))
-            for arrival, ticket in zip(arrivals, tickets)
-            if ticket.done
-        ]
-        self.last_outcomes = tuple(outcomes)
-        return SLOReport.from_outcomes(
-            outcomes,
-            slo_p99_s=slo_p99_s,
-            requests=len(arrivals),
-            offered_span_s=self.schedule.duration_s,
-            queue_depth_timeline=timeline,
-        )
+        return self._report(arrivals, tickets, timeline, slo_p99_s=slo_p99_s)
 
     # -- wall-clock mode -------------------------------------------------------
     def run(
@@ -333,27 +302,41 @@ class LoadRunner:
                     deadline_s=arrival.deadline_s,
                     priority=arrival.priority,
                 )
-                tickets.append((arrival, ticket))
+                tickets.append(ticket)
                 timeline.append(
                     (perf_counter() - t0, server.queue_depth())
                 )
-            outcomes: list[RequestOutcome] = []
-            for arrival, ticket in tickets:
-                try:
-                    response = ticket.result(timeout=result_timeout_s)
-                except TimeoutError:
-                    _log.warning(
-                        "request %d never resolved (dropped)",
-                        ticket.request_id,
-                    )
-                    continue
-                outcomes.append(_outcome(arrival, response))
+            return self._report(
+                arrivals, tickets, timeline,
+                slo_p99_s=slo_p99_s, timeout_s=result_timeout_s,
+            )
         finally:
             if own_server:
                 server.stop()
-        if not outcomes:
-            raise ConfigurationError(
-                "no request resolved within the result timeout"
+
+    def _report(
+        self,
+        arrivals: list[Arrival],
+        tickets: list[Ticket],
+        timeline: list[tuple[float, int]],
+        *,
+        slo_p99_s: float,
+        timeout_s: float = 0.0,
+    ) -> SLOReport:
+        """Pair each ticket's answer with its arrival, keep the pairs as
+        :attr:`last_outcomes` and fold them into the run's report.  A
+        ticket unresolved after ``timeout_s`` (and an arrival never
+        submitted) counts as dropped."""
+        outcomes = []
+        for arrival, ticket in zip(arrivals, tickets):
+            try:
+                outcomes.append((arrival, ticket.result(timeout=timeout_s)))
+            except TimeoutError:
+                continue
+        if len(outcomes) < len(tickets):
+            _log.warning(
+                "%d submitted requests never resolved (dropped)",
+                len(tickets) - len(outcomes),
             )
         self.last_outcomes = tuple(outcomes)
         return SLOReport.from_outcomes(

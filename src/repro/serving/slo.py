@@ -1,14 +1,17 @@
-"""SLO accounting: request outcomes folded into one tail-latency report.
+"""SLO accounting: resolved answers folded into one tail-latency report.
 
-The load generator (:mod:`repro.serving.loadgen`) produces one
-:class:`RequestOutcome` per answered request -- arrival time, queue wait,
-latency, exit stage, cost, shed/deadline flags.
-:meth:`SLOReport.from_outcomes` is a *pure* fold of those records into
-the numbers an operator negotiates: achieved throughput against a fixed
-p99 target, goodput under per-request deadlines, shed and deadline-miss
-counts, and the queue-depth timeline.  Pure means deterministic -- the
-same outcomes always produce the same report, which is what lets the
-simulated runner gate tail-latency claims in CI with exact baselines.
+The load generator (:mod:`repro.serving.loadgen`) pairs each resolved
+request's answer -- an :class:`~repro.serving.engine.InferenceResponse`
+or a :class:`~repro.serving.engine.RequestFailed`, stamped on the
+engine's clock with its queue wait, latency, exit stage, cost, shed and
+deadline flags -- with the :class:`~repro.serving.schedule.Arrival`
+that asked for it.  :meth:`SLOReport.from_outcomes` is a *pure* fold of
+those ``(arrival, answer)`` pairs into the numbers an operator
+negotiates: achieved throughput against a fixed p99 target, goodput
+under per-request deadlines, shed and deadline-miss counts, and the
+queue-depth timeline.  Pure means deterministic -- the same pairs always
+produce the same report, which is what lets the simulated runner gate
+tail-latency claims in CI with exact baselines.
 
 Units: times in seconds, rates in requests/second, ``ops`` in scalar
 multiply-accumulates, energy in picojoules.  Tail quantiles use
@@ -21,48 +24,19 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SerializationError
 from repro.utils.tables import AsciiTable
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serving.engine import InferenceResponse, RequestFailed
+    from repro.serving.schedule import Arrival
+
 #: Schema tag stamped into every serialized report.
 SLO_REPORT_SCHEMA = "repro.sloreport/v1"
-
-
-@dataclass(frozen=True)
-class RequestOutcome:
-    """One answered request, as the SLO accountant sees it.
-
-    ``latency_s`` is queue-to-answer; in the simulated runner it is
-    virtual time (deterministic), in the real-time runner it is wall
-    clock.  ``deadline_met`` is True when the request had no deadline or
-    was answered within it.
-    """
-
-    request_id: int
-    #: Scheduled arrival time, seconds from the run's t=0.
-    arrival_s: float
-    queue_wait_s: float
-    latency_s: float
-    exit_stage: int
-    ops: float
-    energy_pj: float
-    shed: bool
-    deadline_s: float | None
-    deadline_met: bool
-    scenario: str | None = None
-    priority: int = 0
-    #: True when the request resolved as ``RequestFailed`` -- answered
-    #: with a cause, not a label.  Failed outcomes are excluded from the
-    #: latency/cost statistics and from goodput.
-    failed: bool = False
-    #: Failure cause (``RequestFailed.error``) when ``failed``.
-    error: str | None = None
-    #: True when a degraded episode served this request at stage 0.
-    degraded: bool = False
 
 
 @dataclass(frozen=True)
@@ -120,19 +94,25 @@ class SLOReport:
     @classmethod
     def from_outcomes(
         cls,
-        outcomes: Sequence[RequestOutcome],
+        outcomes: Sequence[tuple[Arrival, InferenceResponse | RequestFailed]],
         *,
         slo_p99_s: float,
         requests: int | None = None,
         offered_span_s: float | None = None,
         queue_depth_timeline: Iterable[tuple[float, int]] = (),
     ) -> "SLOReport":
-        """Fold outcomes into a report (pure -- no clocks, no engine).
+        """Fold ``(arrival, answer)`` pairs into a report (pure -- no
+        clocks, no engine).
 
         Parameters
         ----------
         outcomes:
-            One record per *answered* request.
+            One pair per *resolved* request: its scheduled
+            :class:`~repro.serving.schedule.Arrival` and its answer
+            (:class:`~repro.serving.engine.InferenceResponse`, or
+            :class:`~repro.serving.engine.RequestFailed`, which is
+            excluded from the latency/cost statistics and from goodput).
+            An answer's completion is ``arrival.t + answer.latency_s``.
         slo_p99_s:
             The p99 latency target the run is judged against.
         requests:
@@ -140,7 +120,7 @@ class SLOReport:
             the difference is reported as ``dropped``.
         offered_span_s:
             Schedule span for the offered-rate denominator (defaults to
-            the last outcome's arrival time).
+            the last served arrival's time).
         queue_depth_timeline:
             Optional ``(dispatch time, depth)`` samples from the runner.
         """
@@ -154,7 +134,7 @@ class SLOReport:
                 f"requests={scheduled} is fewer than the {len(outcomes)} "
                 "outcomes supplied"
             )
-        served = [o for o in outcomes if not o.failed]
+        served = [(a, r) for a, r in outcomes if not r.failed]
         failed = len(outcomes) - len(served)
         if not served:
             raise ConfigurationError(
@@ -164,19 +144,19 @@ class SLOReport:
         # Latency/cost statistics cover *served* requests only: a failed
         # request has no answer latency, and mixing quarantine timing
         # into the percentiles would corrupt the SLO verdict.
-        latencies = np.array([o.latency_s for o in served], dtype=np.float64)
-        arrivals = np.array([o.arrival_s for o in served], dtype=np.float64)
-        ops = np.array([o.ops for o in served], dtype=np.float64)
-        energies = np.array([o.energy_pj for o in served], dtype=np.float64)
+        latencies = np.array([r.latency_s for _, r in served], dtype=np.float64)
+        arrivals = np.array([a.t for a, _ in served], dtype=np.float64)
+        ops = np.array([r.ops for _, r in served], dtype=np.float64)
+        energies = np.array([r.energy_pj for _, r in served], dtype=np.float64)
         if offered_span_s is None:
             span = float(arrivals.max())
         else:
             span = float(offered_span_s)
         duration = float((arrivals + latencies).max())
         answered = len(served)
-        in_time = sum(1 for o in served if o.deadline_met)
-        shed = sum(1 for o in served if o.shed)
-        degraded = sum(1 for o in served if o.degraded)
+        in_time = sum(1 for _, r in served if not r.deadline_missed)
+        shed = sum(1 for _, r in served if r.shed)
+        degraded = sum(1 for _, r in served if r.degraded)
         in_slo = int((latencies <= slo_p99_s).sum())
         p99 = float(np.quantile(latencies, 0.99, method="higher"))
         slo_met = p99 <= slo_p99_s

@@ -9,7 +9,8 @@ These are the earlier implementations, kept verbatim as test oracles:
 * ``Conv2D``: NHWC-in-memory activations read through an NCHW view, and a
   backward that always forms the input gradient;
 * ``Network.backward``: the full chain, down to dL/d input;
-* the activations' allocate-per-call ``forward``/``backward``.
+* the activations' allocate-per-call ``forward``/``backward``;
+* ``Adam._update``: the expression form, a fresh temporary per operation.
 
 The library's kernels must agree with these exactly, not approximately:
 ``tests/test_kernel_equivalence.py`` checks them kernel by kernel and
@@ -29,6 +30,7 @@ from repro.nn.activations import Softmax
 from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.nn.layers.pool import _reduce_windows
 from repro.nn.network import Network
+from repro.nn.optimizers import Adam
 from repro.nn.tensor_ops import conv_output_size, pad_images, sliding_windows
 
 
@@ -233,6 +235,19 @@ def network_backward(self, loss, outputs, targets):
     return grad
 
 
+def adam_update(self, param, grad, lr, slot) -> None:
+    slot["t"] += 1
+    t = float(slot["t"][0])
+    m, v = slot["m"], slot["v"]
+    m *= self.beta1
+    m += (1 - self.beta1) * grad
+    v *= self.beta2
+    v += (1 - self.beta2) * grad * grad
+    m_hat = m / (1 - self.beta1**t)
+    v_hat = v / (1 - self.beta2**t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
 #: ``(owner, attribute, reference)`` for every replaced kernel.
 PATCHES = (
     (activations.Identity, "forward", _identity_forward),
@@ -250,6 +265,7 @@ PATCHES = (
     (Conv2D, "forward", conv_forward),
     (Conv2D, "backward", conv_backward),
     (Network, "backward", network_backward),
+    (Adam, "_update", adam_update),
 )
 
 

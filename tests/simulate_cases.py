@@ -3,8 +3,8 @@
 Each case builds an engine, a schedule and (for the chaos pair) a fault
 plan, replays it in virtual time and records:
 
-* every :class:`~repro.serving.slo.RequestOutcome` field except
-  ``request_id``, keyed by arrival index;
+* one row of :data:`FIELDS` per resolved request, read off its
+  ``(arrival, answer)`` pair and keyed by arrival index;
 * the full :class:`~repro.serving.slo.SLOReport`.
 
 Any case runs with or without an observer (``run_case(..., traced=)``),
@@ -35,7 +35,7 @@ import hashlib
 import json
 import math
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -246,7 +246,8 @@ CASES = (
 TRACED = ("bursty_shed_depth", "chaos_resilient")
 
 
-#: Outcome fields in the order a fixture row stores them.
+#: Row fields in the order a fixture row stores them: the arrival's time,
+#: deadline, scenario and priority, and the answer's stamps, cost and flags.
 FIELDS = (
     "arrival_s", "queue_wait_s", "latency_s", "exit_stage", "ops",
     "energy_pj", "shed", "deadline_s", "deadline_met", "scenario",
@@ -254,8 +255,20 @@ FIELDS = (
 )
 
 
+def outcome_row(arrival, answer) -> list:
+    """One resolved request's ``(arrival, answer)`` pair as a row of
+    :data:`FIELDS`; a failed answer never meets its deadline."""
+    return [
+        arrival.t, answer.queue_wait_s, answer.latency_s, answer.exit_stage,
+        answer.ops, answer.energy_pj, answer.shed, arrival.deadline_s,
+        not answer.failed and not answer.deadline_missed, arrival.scenario,
+        arrival.priority, answer.failed, answer.error, answer.degraded,
+    ]
+
+
 def outcomes_by_arrival(arrivals, outcomes) -> dict[str, list]:
-    """Every outcome as a row of :data:`FIELDS`, keyed by arrival index.
+    """Every ``(arrival, answer)`` pair as a row of :data:`FIELDS`, keyed
+    by arrival index.
 
     Request ids follow boarding order within one ``(time, priority)``
     group of arrivals, so the ``k``-th id of a group answers the group's
@@ -265,10 +278,9 @@ def outcomes_by_arrival(arrivals, outcomes) -> dict[str, list]:
     for index, arrival in enumerate(arrivals):
         groups.setdefault((arrival.t, arrival.priority), []).append(index)
     keyed = {}
-    for outcome in sorted(outcomes, key=lambda o: o.request_id):
-        index = groups[(outcome.arrival_s, outcome.priority)].pop(0)
-        record = asdict(outcome)
-        keyed[str(index)] = [record[field] for field in FIELDS]
+    for arrival, answer in sorted(outcomes, key=lambda o: o[1].request_id):
+        index = groups[(arrival.t, arrival.priority)].pop(0)
+        keyed[str(index)] = outcome_row(arrival, answer)
     return dict(sorted(keyed.items(), key=lambda item: int(item[0])))
 
 

@@ -53,8 +53,7 @@ def _fabric_config(trained, *, replicas=2, resilience=..., **kw) -> FabricConfig
     fabric_kw = {
         k: kw.pop(k)
         for k in (
-            "capacity_ops_per_s", "obs_dir", "report_every", "start_method",
-            "drain_timeout_s",
+            "capacity_ops_per_s", "obs_dir", "drain_timeout_s",
         )
         if k in kw
     }
@@ -219,12 +218,8 @@ class TestFabricConfigValidation:
         cfg = ServingConfig(model=trained_3c.cdln, delta=DELTA)
         with pytest.raises(ConfigurationError, match="replicas"):
             FabricConfig(config=cfg, replicas=0).validate()
-        with pytest.raises(ConfigurationError, match="start_method"):
-            FabricConfig(config=cfg, start_method="thread").validate()
         with pytest.raises(ConfigurationError, match="capacity_ops_per_s"):
             FabricConfig(config=cfg, capacity_ops_per_s=0.0).validate()
-        with pytest.raises(ConfigurationError, match="report_every"):
-            FabricConfig(config=cfg, report_every=0).validate()
 
     def test_registry_configs_rejected(self, trained_3c):
         registry = ModelRegistry()

@@ -28,6 +28,7 @@ from repro.serving import (
     FaultPlan,
     FaultSpec,
     InferenceEngine,
+    InferenceResponse,
     LoadRunner,
     MicroBatchPolicy,
     ServingConfig,
@@ -36,7 +37,6 @@ from repro.serving import (
 )
 from repro.serving.batching import WALL_CLOCK
 from repro.serving.schedule import Arrival
-from repro.serving.slo import RequestOutcome
 
 CAPACITY = 3e7
 SLO = 0.25
@@ -160,11 +160,13 @@ class TestShedPolicy:
 class TestSLOReport:
     @staticmethod
     def outcome(i, latency, *, shed=False, deadline_s=None, met=True):
-        return RequestOutcome(
-            request_id=i, arrival_s=float(i), queue_wait_s=0.0,
-            latency_s=latency, exit_stage=0, ops=100.0, energy_pj=50.0,
-            shed=shed, deadline_s=deadline_s, deadline_met=met,
+        answer = InferenceResponse(
+            request_id=i, label=0, exit_stage=0, exit_stage_name="O1",
+            confidence=1.0, delta=0.5, ops=100.0, energy_pj=50.0,
+            model_spec="m", batch_size=1, latency_s=latency, shed=shed,
+            deadline_missed=not met,
         )
+        return Arrival(t=float(i), deadline_s=deadline_s), answer
 
     def test_quantiles_are_observed_samples(self):
         outcomes = [self.outcome(i, (i + 1) / 100) for i in range(100)]
@@ -267,7 +269,7 @@ class TestLoadRunnerSimulate:
         runner = LoadRunner(engine, schedule, tiny_test_set.images)
         report = runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
         snap = engine.metrics.snapshot()
-        done = sorted(o.arrival_s + o.latency_s for o in runner.last_outcomes)
+        done = sorted(a.t + r.latency_s for a, r in runner.last_outcomes)
         assert snap.requests == report.answered
         assert snap.elapsed_s == pytest.approx(done[-1] - done[0], rel=1e-12)
         assert snap.elapsed_s > 0.9
@@ -296,14 +298,14 @@ class TestLoadRunnerSimulate:
         for quantile in ("p50", "p95", "p99", "p999"):
             field = f"latency_{quantile}_s"
             assert getattr(snap, field) == getattr(report, field)
-        outcomes = {o.request_id: o for o in runner.last_outcomes}
+        outcomes = {r.request_id: r for _, r in runner.last_outcomes}
         spans = read_spans(tmp_path / "trace.jsonl")
         assert len(spans) == len(answers) == len(outcomes)
         for span in spans:
             assert span["latency_s"] == outcomes[span["request_id"]].latency_s
+        # The report folds the very answers the metrics recorded.
         for answer in answers:
-            outcome = outcomes[answer.request_id]
-            assert answer.deadline_missed == (not outcome.deadline_met)
+            assert outcomes[answer.request_id] is answer
 
     def test_shed_requests_exit_stage0_none_dropped(
         self, trained_3c, tiny_test_set, burst_schedule, tmp_path
@@ -380,9 +382,9 @@ class TestLoadRunnerSimulate:
         runner = LoadRunner(engine, sched, tiny_test_set.images)
         report = runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
         assert report.answered == 9
-        high = [o for o in runner.last_outcomes if o.priority == 5]
+        high = [r for a, r in runner.last_outcomes if a.priority == 5]
         assert len(high) == 1
-        fastest = min(o.latency_s for o in runner.last_outcomes)
+        fastest = min(r.latency_s for _, r in runner.last_outcomes)
         assert high[0].latency_s == fastest
 
     def test_scenario_pools_route_payloads(self, trained_3c, tiny_test_set):
@@ -397,7 +399,7 @@ class TestLoadRunnerSimulate:
         )
         report = runner.simulate(ops_per_second=CAPACITY, slo_p99_s=SLO)
         assert report.answered == report.requests
-        assert all(o.scenario == "dark" for o in runner.last_outcomes)
+        assert all(a.scenario == "dark" for a, _ in runner.last_outcomes)
 
     def test_intake_error_leaves_the_engine_idle(
         self, trained_3c, tiny_test_set
@@ -566,7 +568,7 @@ class TestPublicSurface:
             "LoadRunner", "MetricsSnapshot", "MicroBatchPolicy",
             "ModelEntry", "ModelRegistry", "OperatingPoint",
             "OperatingTable", "RegimeEntry", "RegimeSignature",
-            "RequestFailed", "RequestOutcome", "ResiliencePolicy",
+            "RequestFailed", "ResiliencePolicy",
             "RetargetEvent", "STAGE0_QUANTILE_GRID", "SLOReport",
             "ServingConfig", "ServingFabric", "ServingMetrics",
             "SharedParams", "ShedPolicy", "Ticket",
@@ -593,6 +595,7 @@ class TestPublicSurface:
         for name in (
             "MicroBatcher", "AsyncInferenceEngine", "LearningDeltaPolicy",
             "MiniCalibrator", "MiniCalibration", "simulate_exit_stages",
+            "RequestOutcome",
         ):
             assert name not in dir(serving)
             with pytest.raises(AttributeError):

@@ -34,9 +34,11 @@ from repro.errors import (
 )
 from repro.obs import Observer, fold_spans, read_spans
 from repro.serving import (
+    Arrival,
     ArrivalSchedule,
     AsyncEngine,
     InferenceEngine,
+    InferenceResponse,
     LoadRunner,
     MicroBatchPolicy,
     RequestFailed,
@@ -54,7 +56,6 @@ from repro.serving.faults import (
     merge_plans,
 )
 from repro.serving.resilience import Supervisor
-from repro.serving.slo import RequestOutcome
 
 DELTA = 0.6
 
@@ -528,21 +529,19 @@ class TestAsyncSupervision:
 # -- accounting: report, metrics, trace ---------------------------------------
 def _outcome(request_id, *, failed=False, error=None, degraded=False,
              latency_s=0.01, arrival_s=0.0):
-    return RequestOutcome(
-        request_id=request_id,
-        arrival_s=arrival_s,
-        queue_wait_s=0.0,
-        latency_s=latency_s,
-        exit_stage=-1 if failed else 0,
-        ops=0.0 if failed else 100.0,
-        energy_pj=0.0,
-        shed=False,
-        deadline_s=None,
-        deadline_met=not failed,
-        failed=failed,
-        error=error,
-        degraded=degraded,
-    )
+    """One ``(arrival, answer)`` pair, as ``LoadRunner`` hands the report."""
+    if failed:
+        answer = RequestFailed(
+            request_id=request_id, error=error, message="", latency_s=latency_s
+        )
+    else:
+        answer = InferenceResponse(
+            request_id=request_id, label=0, exit_stage=0,
+            exit_stage_name="O1", confidence=1.0, delta=DELTA, ops=100.0,
+            energy_pj=0.0, model_spec="m", batch_size=1,
+            latency_s=latency_s, degraded=degraded,
+        )
+    return Arrival(t=arrival_s), answer
 
 
 class TestSLOReportFailures:
@@ -733,13 +732,13 @@ class TestChaosSimulation:
             trained_3c, tiny_test_set.images, plan, max_restarts=3
         )
         assert report.dropped == 0
-        failed = [o for o in runner.last_outcomes if o.failed]
-        assert failed and {o.error for o in failed} == {"worker_crash"}
+        failed = [(a, r) for a, r in runner.last_outcomes if r.failed]
+        assert failed and {r.error for _, r in failed} == {"worker_crash"}
         (crash_t, crash_depth), (next_t, _) = report.queue_depth_timeline[3:5]
         # The crashed batch held the failures, and the server stayed down
         # until its restart was due on the virtual clock.
         assert len(failed) <= crash_depth
-        assert all(o.latency_s == crash_t - o.arrival_s for o in failed)
+        assert all(r.latency_s == crash_t - a.t for a, r in failed)
         jitter = random.Random(policy.seed * 1_000_003).random()
         assert next_t >= crash_t + policy.backoff_s(1, jitter)
 
@@ -752,15 +751,15 @@ class TestChaosSimulation:
         )
         assert report.dropped == 0
         outcomes = runner.last_outcomes
-        causes = {o.error for o in outcomes if o.failed}
+        causes = {r.error for _, r in outcomes if r.failed}
         assert causes == {"worker_crash", "restart_budget"}
         # Batches 0-2 answered; batches 3 and 4 crashed; then the budget
         # was spent: everything after failed without being served.
         gave_up_at = report.queue_depth_timeline[4][0]
         assert len(report.queue_depth_timeline) == 5
-        later = [o for o in outcomes if o.arrival_s > gave_up_at]
+        later = [r for a, r in outcomes if a.t > gave_up_at]
         assert later and all(
-            o.error == "restart_budget" and o.latency_s == 0.0 for o in later
+            r.error == "restart_budget" and r.latency_s == 0.0 for r in later
         )
         assert report.answered + report.failed_count == report.requests
 

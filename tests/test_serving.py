@@ -26,7 +26,9 @@ from repro.serving.batching import (
     Dispatcher,
     MicroBatcher,
     MicroBatchPolicy,
+    Ticket,
     VirtualClock,
+    _Pending,
     collect_from_queue,
 )
 from repro.serving.cascade import execute_cascade
@@ -600,6 +602,20 @@ class TestBatching:
         assert batcher.next_batch() == [0, 1, 2]
         assert batcher.drain() == [[3, 4, 5], [6, 7]]
         assert batcher.next_batch() == []
+
+    def test_answer_stamps(self):
+        # The engine, the failure path and the fabric's re-stamp on the
+        # parent's clock all take an answer's stamps from here.
+        pending = _Pending(
+            image=None, ticket=Ticket(0), enqueued_at=1.0, deadline_s=0.5
+        )
+        assert pending.stamps(1.5, 1.25) == {
+            "latency_s": 0.5, "queue_wait_s": 0.25, "deadline_missed": False,
+        }
+        assert pending.stamps(1.75, 1.25)["deadline_missed"]
+        assert pending.stamps(1.75) == {"latency_s": 0.75}
+        no_deadline = _Pending(image=None, ticket=Ticket(1), enqueued_at=0.0)
+        assert not no_deadline.stamps(99.0, 98.0)["deadline_missed"]
 
     def test_collect_from_queue_fills_or_times_out(self):
         dispatcher = _dispatcher(MicroBatchPolicy(max_batch_size=4, max_wait_s=0.01))

@@ -88,6 +88,6 @@ def test_rejected_payload_fails_at_arrival(trained_3c, tiny_test_set):
     outcomes = cases.run_case(
         "chaos_resilient", trained_3c, tiny_test_set.images
     ).outcomes
-    rejected = [o for o in outcomes if o.error == "invalid_input"]
+    rejected = [r for _, r in outcomes if r.error == "invalid_input"]
     assert rejected
-    assert all(o.queue_wait_s == o.latency_s == 0.0 for o in rejected)
+    assert all(r.queue_wait_s == r.latency_s == 0.0 for r in rejected)
