@@ -1,7 +1,7 @@
 """Benchmark registry: the ``@benchmark`` decorator and its bookkeeping.
 
 A benchmark is a named callable ``fn(ctx) -> BenchResult`` registered under
-a group ("figures", "ablations", "substrate", "serving").  The registry is
+a group ("figures", "ablations", "serving", ...).  The registry is
 what both front ends share: the pytest wrappers in ``benchmarks/`` time the
 same callables that ``python -m repro.bench run`` turns into JSON artifacts,
 so a perf number seen in CI is the perf number a developer reproduces

@@ -17,7 +17,6 @@ from repro.bench.suites import (
     obs,
     scenarios,
     serving,
-    substrate,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "obs",
     "scenarios",
     "serving",
-    "substrate",
 ]

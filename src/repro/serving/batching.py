@@ -13,10 +13,11 @@ forms its batches here, so each of these exists once:
 * **intake** -- shape coercion, the NaN/Inf check, the ``deadline_s``
   check, and the pre-failed ``invalid_input`` ticket;
 * **the priority queue** -- highest class first, FIFO within a class;
-* **the window** -- a batch leaves when the executor is idle and either
+* **the window** -- a batch leaves when an executor is idle and either
   ``max_batch_size`` requests are waiting or ``max_wait_s`` has passed
   since the window opened.  The window opens at the later of the first
-  waiting arrival and the moment the executor went idle;
+  waiting arrival and the earliest ``idle_since`` of the executors (for
+  a crashed one, the moment its restart is due);
 * **the unified queue depth** -- waiting plus in flight;
 * **the shed decision** and the per-request service-time EWMA it
   predicts waits from.
@@ -24,9 +25,12 @@ forms its batches here, so each of these exists once:
 The dispatcher reads time only from the :class:`Clock` it is given: the
 wall clock for the threaded front ends, a :class:`VirtualClock` for
 ``simulate()``; the engine charges each batch's OPS on it before it
-stamps the answers.  What differs per front end stays there: the engine
-serves a formed batch, the fabric ships it to an idle replica, and
-``simulate()`` moves virtual time from one arrival to the next.
+stamps the answers.  One serve loop,
+:func:`~repro.serving.engine.serve_batches`, hands each batch that
+:func:`collect_from_queue` releases to the executor idle longest: the
+engine on the loop's own thread (the ``AsyncEngine`` worker,
+``simulate()``'s virtual server) or a fabric replica process.  On the
+virtual clock it never blocks, and returns at each arrival to be fed.
 
 The cascade makes batching unusually profitable: most inputs exit at
 the first linear stage, so only a small residual of each micro-batch ever
@@ -563,23 +567,35 @@ def collect_from_queue(
     *,
     idle_since: Callable[[], float | None] = lambda: float("-inf"),
     poll_s: float = 0.05,
+    until: float | None = None,
 ) -> Batch | None:
     """Block for the next micro-batch under the dispatcher's window.
 
-    The threaded executor's one blocking call per batch.  ``idle_since()``
-    says since when an executor has been idle, or ``None`` while none is
-    (the default: one executor, always idle).  Returns the formed batch as
+    The serve loop's one blocking call per batch.  ``idle_since()`` says
+    since when an executor has been idle, or ``None`` while none is (the
+    default: one executor, always idle).  Returns the formed batch as
     soon as an executor is idle and the window lets the batch leave, or
     ``None`` when nothing left within ``poll_s`` (an idle poll, so the
     caller can check for shutdown).  While the dispatcher drains, batches
     leave without waiting for their window and an empty batch means the
     queue is empty.  Reads time from the dispatcher's clock; waits on its
     condition, so callers may hold it.
+
+    With ``until`` (on a :class:`VirtualClock`) nothing blocks: the clock
+    moves to the departure of the batch that leaves before an arrival at
+    ``until`` (:meth:`Dispatcher.leaves_before`), or ``None`` says none does.
     """
     clock = dispatcher.clock
     cond = dispatcher.cond
     give_up = clock.now() + poll_s
     with cond:
+        if until is not None:
+            idle = idle_since()
+            leave = None if idle is None else dispatcher.leaves_before(until, idle)
+            if leave is None:
+                return None
+            clock.t = leave
+            return dispatcher.pop()
         while True:
             if dispatcher.draining and not len(dispatcher):
                 return dispatcher.pop()  # empty: drained

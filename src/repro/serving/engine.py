@@ -592,35 +592,6 @@ class InferenceEngine:
             consecutive_failures=self._consecutive_failures,
         )
 
-    # -- supervision of the one worker ------------------------------------------
-    def _worker_crashed(
-        self, supervisor: Supervisor, exc: Exception, inflight: list[_Pending]
-    ) -> float | None:
-        """Hand a crash of the one worker to ``supervisor``: when its
-        restart is due, or ``None`` once the budget is spent."""
-        restart_at = supervisor.crashed(
-            0, inflight, f"worker crashed mid-batch: {exc}"
-        )
-        restarts = supervisor.restarts[0]
-        if restart_at is None:
-            self.observer.event(
-                "worker_gave_up",
-                restarts=restarts,
-                backlog_failed=supervisor.backlog_failed,
-            )
-            return None
-        self.observer.inc(
-            "worker_restarts_total", 1.0,
-            "Supervised serving-worker restarts after a crash.",
-        )
-        self.observer.event(
-            "worker_restart",
-            restarts=restarts,
-            error=self._failure_cause(exc),
-            message=str(exc)[:200],
-        )
-        return restart_at
-
     def _dispatch_batch(
         self,
         batch: list[_Pending],
@@ -864,16 +835,124 @@ class InferenceEngine:
         )
 
 
+# -- the one serve loop ---------------------------------------------------------
+class Executor:
+    """One server of the serve loop's batches.
+
+    ``idle_since`` is when it last became free, or when its restart is
+    due after a crash; ``None`` while it cannot take a batch (it holds
+    one, is starting, or has given up).  ``inflight`` is the batch it
+    holds, and ``gone`` is set once it has given up for good.
+    """
+
+    idle_since: float | None = None
+    inflight: Batch | None = None
+    gone = False
+
+    def run(self, batch: Batch) -> None:
+        """Take ``batch``, which the loop has just made :attr:`inflight`."""
+        raise NotImplementedError
+
+
+class LocalExecutor(Executor):
+    """``engine`` serving on the loop's own thread: the ``AsyncEngine``
+    worker, or ``simulate()``'s virtual server.
+
+    Under a resilience policy a crash goes to ``supervisor``: the
+    executor stays down until the restart it grants is due, or is gone
+    once the budget is spent.  Without one the exception kills the
+    executor and leaves the loop.
+    """
+
+    def __init__(self, engine: InferenceEngine, supervisor: Supervisor) -> None:
+        self.engine = engine
+        self.supervisor = supervisor
+        self.idle_since = engine.dispatcher.clock.now()
+
+    def run(self, batch: Batch) -> None:
+        engine = self.engine
+        try:
+            engine._serve(batch)
+            self.idle_since = engine.dispatcher.clock.now()
+        except Exception as exc:  # noqa: BLE001 -- supervision boundary
+            if engine.resilience is None:
+                self.gone = True
+                raise  # no resilience layer: the exception kills the worker
+            supervisor, observer = self.supervisor, engine.observer
+            self.idle_since = supervisor.crashed(
+                0, batch.items, f"worker crashed mid-batch: {exc}"
+            )
+            self.gone = self.idle_since is None
+            if self.gone:
+                observer.event(
+                    "worker_gave_up", restarts=supervisor.restarts[0],
+                    backlog_failed=supervisor.backlog_failed,
+                )
+            else:
+                observer.inc(
+                    "worker_restarts_total", 1.0,
+                    "Supervised serving-worker restarts after a crash.",
+                )
+                observer.event(
+                    "worker_restart", restarts=supervisor.restarts[0],
+                    error=engine._failure_cause(exc), message=str(exc)[:200],
+                )
+        finally:
+            self.inflight = None
+
+
+def serve_batches(
+    dispatcher: Dispatcher,
+    executors: list[Executor],
+    *,
+    until: float | None = None,
+    timeline: list[tuple[float, int]] | None = None,
+) -> None:
+    """The one serve loop: each batch the dispatcher's window releases
+    goes to the executor idle longest, whose idle time opened the window.
+
+    Blocks in :func:`~repro.serving.batching.collect_from_queue`, read as
+    this module's attribute so a profiler can wrap it, and returns once
+    the draining queue is empty or every executor has given up.  With
+    ``until`` the dispatcher runs on a
+    :class:`~repro.serving.batching.VirtualClock` and nothing blocks: the
+    loop returns once no batch leaves before an arrival at ``until``.
+    ``timeline`` collects each served batch's departure and queue depth.
+    """
+
+    def idle_since() -> float | None:
+        free = [e.idle_since for e in executors if e.idle_since is not None]
+        return min(free, default=None)
+
+    while not all(e.gone for e in executors):
+        with dispatcher.cond:
+            batch = collect_from_queue(
+                dispatcher, idle_since=idle_since, until=until
+            )
+            if batch is None and until is None:
+                continue  # an idle poll, so stop() can interleave
+            if not batch:
+                return  # drained, or nothing leaves before ``until``
+            executor = min(
+                (e for e in executors if e.idle_since is not None),
+                key=lambda e: e.idle_since,
+            )
+            executor.idle_since, executor.inflight = None, batch
+        executor.run(batch)
+        if timeline is not None:
+            timeline.append((batch.dispatched_at, batch.queue_depth))
+
+
 class AsyncEngine:
     """Worker-thread facade over an :class:`InferenceEngine`.
 
     ``submit`` returns a :class:`Ticket` immediately from any thread and
     queues the request in the engine's
-    :class:`~repro.serving.batching.Dispatcher`.  A single background
-    worker is the executor: each turn it blocks in
-    :func:`~repro.serving.batching.collect_from_queue` until the window
-    lets a batch leave (``max_batch_size`` waiting, or ``max_wait_s``
-    since the window opened), then serves it.  The request contract
+    :class:`~repro.serving.batching.Dispatcher`.  A background worker
+    runs :func:`serve_batches` with the engine as its one
+    :class:`LocalExecutor`: each turn it blocks until the window lets a
+    batch leave (``max_batch_size`` waiting, or ``max_wait_s`` since the
+    window opened), then serves it.  The request contract
     (``deadline_s``, ``priority``, :class:`Ticket` semantics) is
     identical to the synchronous engine -- see the module API table.
     Use as a context manager::
@@ -888,9 +967,6 @@ class AsyncEngine:
         self._thread: threading.Thread | None = None
         #: The worker's restart ladder, fresh on every ``start()``.
         self._supervisor = Supervisor(engine.resilience, engine.dispatcher)
-        #: Batch currently being served (supervised mode fails these
-        #: tickets on a worker crash instead of stranding them).
-        self._inflight: list[_Pending] | None = None
 
     @property
     def running(self) -> bool:
@@ -928,11 +1004,14 @@ class AsyncEngine:
             raise ConfigurationError("async engine is already running")
         # A restarted facade gets a fresh restart budget: the budget
         # bounds one worker session's crash loop, not the process.
-        self._supervisor = Supervisor(self.engine.resilience, self.engine.dispatcher)
-        self._inflight = None
-        self.engine.dispatcher.draining = False
+        engine = self.engine
+        self._supervisor = Supervisor(engine.resilience, engine.dispatcher)
+        engine.dispatcher.draining = False
         self._thread = threading.Thread(
-            target=self._run, name="repro-serving-worker", daemon=True
+            target=serve_batches,
+            args=(engine.dispatcher, [LocalExecutor(engine, self._supervisor)]),
+            name="repro-serving-worker",
+            daemon=True,
         )
         self._thread.start()
         return self
@@ -979,51 +1058,6 @@ class AsyncEngine:
         return self.engine.dispatcher.submit(
             image, deadline_s=deadline_s, priority=priority
         )
-
-    def _run(self) -> None:
-        """Worker entry point, supervised under a resilience policy.
-
-        A crash goes to the :class:`~repro.serving.resilience.Supervisor`;
-        the loop restarts once the backoff has passed on the dispatcher's
-        condition (``stop()`` cuts it short, and the loop then drains), or
-        exits once the budget is spent.  Without a policy the exception
-        kills the thread: the pre-resilience tests pin that wedge.
-        """
-        engine = self.engine
-        supervisor = self._supervisor
-        while True:
-            try:
-                self._run_loop()
-                return  # drained: clean shutdown
-            except Exception as exc:  # noqa: BLE001 -- supervision boundary
-                if engine.resilience is None:
-                    raise
-                inflight, self._inflight = self._inflight, None
-                restart_at = engine._worker_crashed(
-                    supervisor, exc, inflight or []
-                )
-                if restart_at is None:
-                    return
-                supervisor.wait(restart_at)
-
-    def _run_loop(self) -> None:
-        engine = self.engine
-        dispatcher = engine.dispatcher
-        idle_since = dispatcher.clock.now()
-        while True:
-            batch = collect_from_queue(
-                dispatcher, idle_since=lambda: idle_since
-            )
-            if batch is None:
-                continue  # idle poll; loop so stop() can interleave
-            if not batch:
-                return  # drained
-            # Cleared only on success: a crash leaves the batch in
-            # _inflight for the supervisor to fail instead of strand.
-            self._inflight = batch.items
-            engine._serve(batch)
-            self._inflight = None
-            idle_since = dispatcher.clock.now()
 
     def __enter__(self) -> "AsyncEngine":
         return self.start()

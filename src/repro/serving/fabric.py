@@ -17,9 +17,10 @@ bill or forking the control plane:
   :class:`~repro.serving.batching.Ticket`) and feeds the same
   :class:`~repro.serving.batching.Dispatcher` an engine uses, so intake,
   priority boarding, the batching window, queue depth and shedding
-  behave exactly as on one engine.  The replica pool is the executor: a
-  batch leaves only when some replica is idle, and goes to one of the
-  idle replicas (at most one batch in flight per replica -- crash
+  behave exactly as on one engine.  Each replica is an executor of the
+  engine's serve loop (:func:`~repro.serving.engine.serve_batches`): a
+  batch leaves only when some replica is idle, and goes to the replica
+  idle longest (at most one batch in flight per replica -- crash
   accounting stays trivial).
 * **Fleet-level control** -- one logical
   :class:`~repro.serving.controller.DeltaController` lives in the
@@ -81,16 +82,14 @@ from repro.nn.layers.base import Layer
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.trace import span_of
 from repro.serving.adaptive import RegimeSignature, SignatureWindow
-from repro.serving.batching import (
-    Batch,
-    Dispatcher,
-    Ticket,
-    WallClock,
-    _Pending,
-    collect_from_queue,
-)
+from repro.serving.batching import Batch, Dispatcher, Ticket, WallClock, _Pending
 from repro.serving.config import ServingConfig
-from repro.serving.engine import InferenceEngine, resolve_failure
+from repro.serving.engine import (
+    Executor,
+    InferenceEngine,
+    resolve_failure,
+    serve_batches,
+)
 from repro.serving.faults import FaultInjector
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry
@@ -453,25 +452,51 @@ class FleetSnapshot:
     requests_by_replica: tuple[tuple[int, int], ...]
 
 
-@dataclass(eq=False, slots=True)
-class _Replica:
-    """Parent-side bookkeeping for one replica process and its session."""
+@dataclass(eq=False)
+class _Replica(Executor):
+    """Parent-side bookkeeping for one replica process and its session:
+    the serve loop's executor, free from the session's ``ready`` ack.
+    Its collector retires each batch it ships, or runs the death path."""
 
     id: int
+    fabric: "ServingFabric"
     process: object = None
     task_q: object = None
     result_q: object = None
     collector: threading.Thread | None = None
-    ready: threading.Event | None = None
     stopped: threading.Event | None = None
     sessions: int = 0
     state: str = "new"  # new -> live -> (backoff -> live)* -> dead
-    #: ``(batch_id, batch)`` while a batch is out, else None.
-    inflight: tuple[int, Batch] | None = None
-    #: When this replica last became free to take a batch.
-    idle_since: float = float("-inf")
+    #: Id of the last batch shipped; an ack must carry it to retire it.
+    batch_id: int = 0
     last_signature: RegimeSignature | None = None
     answered: int = 0
+
+    @property
+    def gone(self) -> bool:
+        return self.state == "dead"
+
+    def run(self, batch: Batch) -> None:
+        fabric = self.fabric
+        with fabric._cond:
+            if self.inflight is not batch:
+                return  # died since the hand-off: its death failed the batch
+            self.batch_id += 1
+            items = [
+                (
+                    p.ticket.request_id, p.image, p.deadline_s,
+                    p.priority, batch.dispatched_at - p.enqueued_at,
+                )
+                for p in batch.items
+            ]
+            self.task_q.put(
+                ("batch", self.batch_id, items, batch.queue_depth, batch.shed)
+            )
+        fabric.observer.set_gauge(
+            "fleet_queue_depth", float(batch.queue_depth),
+            "Unified fleet queue depth at dispatch "
+            "(waiting + in-flight across replicas).",
+        )
 
 
 # -- the fabric -----------------------------------------------------------------
@@ -486,7 +511,7 @@ class ServingFabric:
             answer = ticket.result(timeout=5.0)
 
     Thread layout (all in the dispatcher process): one dispatcher thread
-    forms batches and assigns them to idle replicas; one collector thread
+    runs the serve loop over the replicas; one collector thread
     per replica session, the only reader of its result queue, stamps
     results back onto tickets, feeds the fleet control loop and, once its
     process has exited, runs the death path (:meth:`_replica_died`).
@@ -560,7 +585,7 @@ class ServingFabric:
             else cfg.delta
         )
         self._ctx = get_context("spawn")
-        self._replicas = [_Replica(i) for i in range(fc.replicas)]
+        self._replicas = [_Replica(i, self) for i in range(fc.replicas)]
         #: Intake, the fleet queue, window, depth and shed decision; its
         #: condition also guards the fleet's own state.
         self._dispatcher = Dispatcher(
@@ -578,9 +603,7 @@ class ServingFabric:
             self.resilience, self._dispatcher, self._fail,
             executors=fc.replicas,
         )
-        self._batch_seq = itertools.count()
         self._span_ids = itertools.count()
-        self._rr = 0
         self._broadcast_delta: float | None = None
         self._dispatch_thread: threading.Thread | None = None
         self._started = False
@@ -607,17 +630,17 @@ class ServingFabric:
             # Each collector notifies on its ``ready`` ack or its death.
             self._cond.wait_for(
                 lambda: all(
-                    r.ready.is_set() or r.state == "dead" for r in self._replicas
+                    r.idle_since is not None or r.gone for r in self._replicas
                 ),
                 timeout=timeout,
             )
-            late = [r for r in self._replicas if not r.ready.is_set()]
+            late = [r for r in self._replicas if r.idle_since is None]
         if late:
             rep = late[0]
             why = (
                 f"replica {rep.id} died during startup "
                 f"(exit code {rep.process.exitcode})"
-                if rep.state == "dead"
+                if rep.gone
                 else f"replica {rep.id} not ready within {timeout}s"
             )
             for other in self._replicas:
@@ -627,7 +650,10 @@ class ServingFabric:
             raise ConfigurationError(why)
         self._running = True
         self._dispatch_thread = threading.Thread(
-            target=self._dispatch_loop, name="fabric-dispatch", daemon=True
+            target=serve_batches,
+            args=(self._dispatcher, self._replicas),
+            name="fabric-dispatch",
+            daemon=True,
         )
         self._dispatch_thread.start()
         self.observer.event(
@@ -653,14 +679,14 @@ class ServingFabric:
             # A replica that dies now fails its batch on its collector,
             # which notifies: the wait ends early.
             self._cond.wait_for(
-                lambda: not any(r.inflight for r in self._replicas),
+                lambda: all(r.inflight is None for r in self._replicas),
                 timeout=self.fabric_config.drain_timeout_s,
             )
             # Anything still stuck after the drain window: fail it, never
             # strand.
             for rep in self._replicas:
                 if rep.inflight is not None:
-                    batch, rep.inflight = rep.inflight[1], None
+                    batch, rep.inflight = rep.inflight, None
                     self._dispatcher.done(batch)
                     self._supervisor.crashed(
                         rep.id, batch.items,
@@ -747,7 +773,7 @@ class ServingFabric:
             return self._supervisor.health(
                 serving=self.live_replicas if self._running else 0,
                 ready=not self._dispatcher.draining,
-                degraded=any(r.state == "dead" for r in self._replicas),
+                degraded=any(r.gone for r in self._replicas),
                 queue_depth=self.queue_depth(),
             )
 
@@ -842,7 +868,6 @@ class ServingFabric:
         )
 
     def _spawn_replica(self, rep: _Replica) -> None:
-        rep.ready = threading.Event()
         rep.stopped = threading.Event()
         rep.task_q = self._ctx.Queue()
         rep.result_q = self._ctx.Queue()
@@ -860,59 +885,6 @@ class ServingFabric:
             daemon=True,
         )
         rep.collector.start()
-
-    # -- dispatcher -------------------------------------------------------------
-    def _idle_replicas(self) -> list[_Replica]:
-        return [
-            r for r in self._replicas
-            if r.state == "live" and r.inflight is None and r.ready.is_set()
-        ]
-
-    def _pool_idle_since(self) -> float | None:
-        """When the first idle replica freed, or None while all are busy:
-        the pool is the dispatcher's one executor."""
-        idle = self._idle_replicas()
-        return min(r.idle_since for r in idle) if idle else None
-
-    def _dispatch_loop(self) -> None:
-        """Ship each batch the dispatcher's window releases to an idle
-        replica, until the drained queue (or a dead fleet) ends it."""
-        dispatcher = self._dispatcher
-        while True:
-            with self._cond:
-                batch = collect_from_queue(
-                    dispatcher, idle_since=self._pool_idle_since
-                )
-                if batch is None:
-                    if dispatcher.draining and all(
-                        r.state == "dead" for r in self._replicas
-                    ):
-                        return  # stop() fails the backlog
-                    continue
-                if not batch:
-                    return  # drained
-                # The condition has been held since collect_from_queue saw
-                # an idle replica, so that replica is still idle.
-                idle = self._idle_replicas()
-                rep = idle[self._rr % len(idle)]
-                self._rr += 1
-                batch_id = next(self._batch_seq)
-                rep.inflight = (batch_id, batch)
-                items = [
-                    (
-                        p.ticket.request_id, p.image, p.deadline_s,
-                        p.priority, batch.dispatched_at - p.enqueued_at,
-                    )
-                    for p in batch.items
-                ]
-                rep.task_q.put(
-                    ("batch", batch_id, items, batch.queue_depth, batch.shed)
-                )
-            self.observer.set_gauge(
-                "fleet_queue_depth", float(batch.queue_depth),
-                "Unified fleet queue depth at dispatch "
-                "(waiting + in-flight across replicas).",
-            )
 
     # -- result collection ------------------------------------------------------
     def _collect_loop(self, rep: _Replica, process, result_q) -> None:
@@ -935,7 +907,6 @@ class ServingFabric:
             if kind == "ready":
                 with self._cond:
                     rep.idle_since = self._dispatcher.clock.now()
-                    rep.ready.set()
                     self._cond.notify_all()
             elif kind == "result":
                 self._handle_result(rep, msg)
@@ -948,14 +919,13 @@ class ServingFabric:
         _, _, batch_id, results, ok_ops, signature = msg
         now = self._dispatcher.clock.now()
         with self._cond:
-            inflight = rep.inflight
+            batch = rep.inflight
             answered = 0
             # A post-crash remnant answers nothing: its batch already
             # failed as worker_crash.  Its signature still counts.
-            if inflight is not None and inflight[0] == batch_id:
+            if batch is not None and rep.batch_id == batch_id:
                 rep.inflight = None
                 rep.idle_since = now
-                batch = inflight[1]
                 self._dispatcher.done(batch, now - batch.dispatched_at)
                 lookup = {p.ticket.request_id: p for p in batch.items}
                 finals = []
@@ -1046,10 +1016,10 @@ class ServingFabric:
         """
         supervisor, observer = self._supervisor, self.observer
         with self._cond:
-            inflight, rep.inflight = rep.inflight, None
-            items = inflight[1].items if inflight is not None else []
+            inflight, rep.inflight, rep.idle_since = rep.inflight, None, None
+            items = inflight.items if inflight is not None else []
             if inflight is not None:
-                self._dispatcher.done(inflight[1])
+                self._dispatcher.done(inflight)
             serving = self._running and not self._dispatcher.draining
             restart_at = supervisor.crashed(
                 rep.id, items,

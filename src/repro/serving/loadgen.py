@@ -50,7 +50,9 @@ from repro.serving.engine import (
     AsyncEngine,
     InferenceEngine,
     InferenceResponse,
+    LocalExecutor,
     RequestFailed,
+    serve_batches,
 )
 from repro.serving.faults import FaultInjector, FaultPlan
 from repro.serving.resilience import Supervisor
@@ -183,52 +185,14 @@ class LoadRunner:
         clock = VirtualClock(ops_per_second=ops_per_second)
         dispatcher.set_clock(clock)
         supervisor = Supervisor(engine.resilience, dispatcher)
+        server = LocalExecutor(engine, supervisor)
         tickets = []
         timeline: list[tuple[float, int]] = []
-        server_free = 0.0
-
-        def serve_until(t: float) -> bool:
-            """Serve every batch that leaves before an arrival at ``t``;
-            False once an unprotected engine has wedged."""
-            nonlocal server_free
-            while True:
-                leave = dispatcher.leaves_before(t, idle_since=server_free)
-                if leave is None:
-                    return True
-                clock.t = leave
-                batch = dispatcher.pop()
-                try:
-                    engine._serve(batch)
-                    server_free = clock.t
-                except Exception as exc:  # noqa: BLE001 -- wedge accounting
-                    if engine.resilience is None:
-                        # No resilience layer: the fault killed the
-                        # (virtual) worker.  Everything still queued or
-                        # unscheduled is stranded -- exactly the outage the
-                        # report must show.
-                        stranded = len(arrivals) - sum(
-                            ticket.done for ticket in tickets
-                        )
-                        _log.warning(
-                            "engine wedged at t=%.3fs: %s -- %d requests "
-                            "stranded", leave, exc, stranded,
-                        )
-                        if stranded == len(arrivals):
-                            raise
-                        return False
-                    # Crashed: down until the restart, or for good once
-                    # the budget is spent (the backlog has failed).
-                    server_free = engine._worker_crashed(
-                        supervisor, exc, batch.items
-                    )
-                timeline.append((leave, batch.queue_depth))
-                if server_free is None:
-                    return True
-
         try:
             for index, arrival in enumerate(arrivals):
-                if not serve_until(arrival.t):
-                    break
+                serve_batches(
+                    dispatcher, [server], until=arrival.t, timeline=timeline
+                )
                 clock.t = arrival.t
                 payload = self._payload(index, arrival)
                 if injector is not None:
@@ -243,8 +207,22 @@ class LoadRunner:
                         priority=arrival.priority,
                     )
                 )
-            else:
-                serve_until(float("inf"))
+            serve_batches(
+                dispatcher, [server], until=float("inf"), timeline=timeline
+            )
+        except Exception as exc:  # noqa: BLE001 -- wedge accounting
+            if not server.gone or engine.resilience is not None:
+                raise  # from intake, not a crash of the virtual server
+            # No resilience layer: the fault killed the (virtual) worker.
+            # Everything still queued or unscheduled is stranded --
+            # exactly the outage the report must show.
+            stranded = len(arrivals) - sum(ticket.done for ticket in tickets)
+            _log.warning(
+                "engine wedged at t=%.3fs: %s -- %d requests stranded",
+                clock.t, exc, stranded,
+            )
+            if stranded == len(arrivals):
+                raise
         finally:
             # Whatever stopped the run (a wedge, or an exception from
             # intake), no virtual-time request outlives it in the engine.

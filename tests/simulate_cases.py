@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -64,10 +63,6 @@ CAPACITY = 3e7
 UNSTABLE_SPAN_KEYS = ("confidence",)
 #: Snapshot fields left out of the frozen metrics: wall-clock timing.
 UNFROZEN_SNAPSHOT_FIELDS = ("elapsed_s", "throughput_rps")
-#: Report fields that are sums over outcomes in request-id order.  Request
-#: ids follow arrival order, not boarding order, so a priority mix may
-#: move them by summation order only (relative 1e-12).
-SUMMED = ("latency_mean_s", "mean_ops", "mean_energy_pj")
 
 
 class Run(NamedTuple):
@@ -299,26 +294,15 @@ def snapshot(run: Run) -> dict:
 
 def differences(fresh: dict, frozen: dict) -> list[str]:
     """The keys of a case's record, or of its telemetry, where a fresh run
-    differs from the frozen one; empty when it matches.
-
-    Every value must be equal, except the report's :data:`SUMMED` means,
-    which may differ by a relative 1e-12.
-    """
+    differs from the frozen one (``report.<field>`` for the report); empty
+    when every value is equal."""
     keys = sorted(set(fresh) | set(frozen))
     differ = [
         key for key in keys
         if key != "report" and fresh.get(key) != frozen.get(key)
     ]
     if "report" in keys:
-        new, old = dict(fresh.get("report", {})), dict(frozen.get("report", {}))
-        for field in SUMMED:
-            a, b = new.pop(field, None), old.pop(field, None)
-            if a != b and (
-                a is None
-                or b is None
-                or not math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
-            ):
-                differ.append(f"report.{field}")
+        new, old = fresh.get("report", {}), frozen.get("report", {})
         differ += [
             f"report.{field}"
             for field in sorted(set(new) | set(old))

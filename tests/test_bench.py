@@ -125,10 +125,8 @@ class TestRegistry:
             "fig8_difficulty", "fig9_stage_sweep", "fig10_delta_sweep",
             "table4_examples", "ablation_confidence_policies",
             "ablation_gain_epsilon", "ablation_lc_training_rule",
-            "ablation_scalable_effort", "substrate_mnist_2c_inference",
-            "substrate_mnist_3c_inference", "substrate_mnist_3c_training_epoch",
-            "substrate_synthetic_generation", "substrate_conditional_inference",
-            "serving_throughput", "serving_delta_budget", "serving_hot_path",
+            "ablation_scalable_effort", "serving_throughput",
+            "serving_delta_budget", "serving_hot_path",
             "scenarios_robustness_sweep", "scenarios_drift_replay",
         }
         assert expected <= names

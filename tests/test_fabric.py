@@ -918,7 +918,8 @@ class TestFleetMetrics:
         tickets = [fabric._dispatcher.submit(images[i]) for i in range(2)]
         items = fabric._dispatcher.pop().items
         rep = fabric._replicas[0]
-        rep.inflight = (0, Batch(items, 2, True, items[0].enqueued_at))
+        rep.inflight = Batch(items, 2, True, items[0].enqueued_at)
+        rep.batch_id = 0
         served = InferenceResponse(
             request_id=tickets[0].request_id, label=3, exit_stage=0,
             exit_stage_name="O1", confidence=0.9, delta=DELTA, ops=10.0,

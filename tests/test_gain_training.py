@@ -1,5 +1,6 @@
 """Tests for the gain criterion, stage admission, and Algorithm 1."""
 
+import numpy as np
 import pytest
 
 from repro.cdl.architectures import ARCHITECTURES, build_architecture, mnist_2c, mnist_3c
@@ -13,6 +14,7 @@ from repro.cdl.gain import (
 from repro.cdl.statistics import evaluate_baseline_accuracy, evaluate_cdln
 from repro.cdl.training import CdlTrainingConfig, train_cdln
 from repro.errors import ConfigurationError
+from repro.nn import Adam, Trainer
 
 
 class TestStageGainFormula:
@@ -116,6 +118,22 @@ class TestArchitectures:
         assert shapes[-1] == (10,)
         assert spec.attach_indices == (1, 3)
         assert spec.all_tap_indices == (1, 3, 5)
+
+    @pytest.mark.parametrize("name", ["mnist_2c", "mnist_3c"])
+    def test_forward_pass_scores_ten_classes_and_trains(self, name):
+        """A forward pass gives one score per digit class, and one training
+        epoch records one epoch of finite loss."""
+        net, _ = build_architecture(name, rng=0)
+        rng = np.random.default_rng(0)
+        images = rng.random((16, 1, 28, 28))
+        scores = net.predict(images)
+        assert scores.shape == (16, 10) and np.isfinite(scores).all()
+        trainer = Trainer(
+            net, loss="softmax_cross_entropy", optimizer=Adam(0.005), rng=0
+        )
+        history = trainer.fit(images, rng.integers(0, 10, 16), epochs=1)
+        assert len(history.epochs) == 1
+        assert np.isfinite(history.epochs[0].train_loss)
 
     def test_layer_names_match_paper(self):
         net, _ = mnist_3c(rng=0)

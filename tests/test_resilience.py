@@ -436,6 +436,38 @@ class TestAsyncSupervision:
             assert health.live and health.ready
             assert health.restart_budget_remaining == 2
 
+    def test_stop_during_restart_backoff_drains_at_once(
+        self, trained_3c, images
+    ):
+        """A crash grants a restart due in 5 s; the backlog waits for it,
+        but ``stop()`` does not: it answers the backlog at once."""
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="raise_in_batch", rate=1.0, first=0, last=0),)
+        )
+        engine = _engine(
+            trained_3c,
+            resilience=ResiliencePolicy(
+                isolate=False, degraded_after=0,
+                backoff_base_s=5.0, backoff_max_s=5.0,
+            ),
+            faults=plan,
+        )
+        server = AsyncEngine(engine).start()
+        try:
+            crashed = server.submit(images[0]).result(timeout=10.0)
+            assert crashed.failed and crashed.error == "worker_crash"
+            backlog = [server.submit(images[i]) for i in range(1, 5)]
+            time.sleep(0.1)
+            assert not any(t.done for t in backlog)  # held by the backoff
+            started = time.perf_counter()
+            server.stop()
+            elapsed = time.perf_counter() - started
+        finally:
+            server.stop(drain=False)
+        assert elapsed < 2.0, f"stop() took {elapsed:.1f}s"
+        assert not any(t.result(timeout=0).failed for t in backlog)
+        assert server.worker_restarts == 1
+
     def test_restart_budget_exhaustion_fails_backlog(self, trained_3c, images):
         engine = _engine(
             trained_3c,

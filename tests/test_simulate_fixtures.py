@@ -7,11 +7,8 @@ bursty traffic under both shed triggers, a priority mix with deadlines,
 an all-at-once replay that exercises ties, and the chaos plan against a
 resilient and an unprotected engine.
 
-Every value must match exactly, except the report's three means: they
-sum outcomes in request-id order, and request ids follow arrival order,
-not boarding order, so a priority mix may only move them by summation
-order (relative 1e-12).  ``simulate_cases.differences`` is that one
-comparison; the regeneration script applies it too.
+Every value must match exactly.  ``simulate_cases.differences`` is that
+one comparison; the regeneration script applies it too.
 
 The two traced cases also freeze the engine's telemetry (the span count
 and digest, the Prometheus exposition and the metrics snapshot), which
@@ -48,24 +45,25 @@ def test_traced_telemetry_matches_frozen_fixture(
     assert cases.differences(fresh, frozen) == []
 
 
-def test_comparator_forgives_only_summation_order():
-    """The report's summed means may move in their last bits; nothing else
-    may move at all."""
+def test_comparator_reports_every_moved_value():
+    """Nothing is forgiven: a mean that moves in its last bit is a
+    difference, like any other value."""
     frozen = {
-        "outcomes": {"0": [1]},
-        "report": {"latency_mean_s": 0.1102895667530888, "answered": 3},
-    }
-    last_bit = {
         "outcomes": {"0": [1]},
         "report": {"latency_mean_s": 0.11028956675308879, "answered": 3},
     }
-    assert cases.differences(last_bit, frozen) == []
+    assert cases.differences(frozen, frozen) == []
+    last_bit = {
+        "outcomes": {"0": [1]},
+        "report": {"latency_mean_s": 0.1102895667530888, "answered": 3},
+    }
+    assert cases.differences(last_bit, frozen) == ["report.latency_mean_s"]
     moved = {
         "outcomes": {"0": [2]},
         "report": {"latency_mean_s": 0.1103, "answered": 4},
     }
     assert cases.differences(moved, frozen) == [
-        "outcomes", "report.latency_mean_s", "report.answered",
+        "outcomes", "report.answered", "report.latency_mean_s",
     ]
 
 
