@@ -13,7 +13,9 @@ The scale tier comes from the harness's single mechanism: the
 default ``small``), parsed by :func:`repro.bench.tier_from_env`.  Bodies
 run under the bench compute policy (float32 unless ``REPRO_COMPUTE_DTYPE``
 overrides it) exactly like the CLI runner, so pytest-benchmark timings and
-``BENCH_*.json`` artifacts measure the same arithmetic.
+``BENCH_*.json`` artifacts measure the same arithmetic.  The session holds
+every digit set it fetches, as the CLI runner does for its run, so each is
+synthesized once, outside later benchmarks' timed rounds.
 """
 
 from __future__ import annotations
@@ -21,8 +23,15 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import bench_compute_policy, get_benchmark, tier_from_env
+from repro.experiments.common import holding_datasets
 
 _SEED = 0
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hold_datasets():
+    with holding_datasets():
+        yield
 
 
 @pytest.fixture(scope="session")

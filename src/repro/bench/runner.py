@@ -18,6 +18,7 @@ from repro.bench.registry import (
 )
 from repro.bench.timing import measure
 from repro.errors import ConfigurationError
+from repro.experiments.common import holding_datasets
 from repro.nn.compute import DTYPE_ENV_VAR, compute_policy
 
 #: Environment variable consulted by every front end for the scale tier.
@@ -117,6 +118,7 @@ def _describe_failure(exc: AssertionError) -> str:
     return f"{Path(frame.filename).name}:{frame.lineno}: {frame.line}"
 
 
+@holding_datasets()
 def run_benchmarks(
     names: list[str] | None = None,
     *,
@@ -133,9 +135,12 @@ def run_benchmarks(
 
     Benchmarks run in registry order (group, then name) so trained-model
     caching in :mod:`repro.experiments.common` is exercised the same way
-    every run.  A benchmark that fails an assertion (with ``check``, its
-    shape-check) writes no artifact and the rest still run;
-    :class:`BenchCheckFailures` then reports every failure at the end.
+    every run.  The digit sets stay held for the whole run, so each is
+    synthesized once, by the first benchmark that asks for it, and never
+    again in a later benchmark's timed rounds.  A benchmark that fails an
+    assertion (with ``check``, its shape-check) writes no artifact and the
+    rest still run; :class:`BenchCheckFailures` then reports every failure
+    at the end.
     """
     if registry is None:
         load_suites()

@@ -3,7 +3,9 @@
 Every module exposes ``run(scale=..., seed=...) -> <Result>`` where the
 result object carries the measured series plus a ``render()`` method that
 prints the same rows/series the paper reports.  ``common`` caches the
-trained baseline/CDLN pairs so the whole suite trains each network once.
+trained baseline/CDLN pairs so the whole suite trains each network once,
+and hands out digit sets for as long as a caller or a
+``holding_datasets()`` scope holds them.
 
 ========  =========================================  =========================
 ID        Paper result                               Module
@@ -19,6 +21,12 @@ Fig. 10   efficiency/accuracy tradeoff vs delta      ``fig10_delta_sweep``
 ========  =========================================  =========================
 """
 
-from repro.experiments.common import Scale, clear_cache, get_datasets, get_trained
+from repro.experiments.common import (
+    Scale,
+    clear_cache,
+    get_datasets,
+    get_trained,
+    holding_datasets,
+)
 
-__all__ = ["Scale", "clear_cache", "get_datasets", "get_trained"]
+__all__ = ["Scale", "clear_cache", "get_datasets", "get_trained", "holding_datasets"]

@@ -3,11 +3,24 @@
 Training a baseline takes seconds at bench scale but would dominate every
 figure's runtime if repeated; this module trains each (architecture, taps,
 scale, seed) combination once per process and hands out the cached result.
+
+Digit sets are cached for as long as someone uses them.  A pair lives
+while a caller holds both its splits, or while a :func:`holding_datasets`
+scope is open; after that it is freed, and a later :func:`get_datasets`
+synthesizes it again, bit for bit.  A process that serves a trained
+model therefore does not carry the training pixels.  Callers that reuse
+pairs across many calls (the bench runner, the experiment runner, the
+test and bench suites) run inside one scope, so each synthesizes each
+pair once.  A caller that trains and then evaluates fetches the pair
+before :func:`get_trained`, so training finds it.
 """
 
 from __future__ import annotations
 
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.cdl.training import CdlTrainingConfig, TrainedCdl, train_cdln
 from repro.cdl.architectures import ARCHITECTURES
@@ -67,30 +80,67 @@ class Scale:
         return Scale(num_train=12000, num_test=4000, baseline_epochs=8)
 
 
-_dataset_cache: dict[tuple, tuple[DigitDataset, DigitDataset]] = {}
+_Pair = tuple[DigitDataset, DigitDataset]
+#: Weak references to the splits of every pair handed out, by key.
+_dataset_cache: dict[tuple, tuple[weakref.ref, weakref.ref]] = {}
+#: The pairs an open :func:`holding_datasets` scope keeps; None outside one.
+_held: dict[tuple, _Pair] | None = None
 _trained_cache: dict[tuple, TrainedCdl] = {}
 
 
 def clear_cache() -> None:
-    """Drop every cached dataset and trained model (mainly for tests)."""
+    """Forget every cached dataset and drop every trained model (mainly for
+    tests).
+
+    A later :func:`get_datasets` synthesizes a new pair even while a
+    caller still holds the old one; an open :func:`holding_datasets`
+    scope lets go of what it held.
+    """
     _dataset_cache.clear()
+    if _held is not None:
+        _held.clear()
     _trained_cache.clear()
 
 
-def get_datasets(scale: Scale, seed: int = 0) -> tuple[DigitDataset, DigitDataset]:
-    """Train/test synthetic-MNIST pair for ``(scale, seed)``, cached.
+@contextmanager
+def holding_datasets() -> Iterator[None]:
+    """Keep every pair :func:`get_datasets` hands out until the scope exits.
 
-    The images are held in the active compute policy's dtype, so each
-    dtype has its own cache slot, as in :func:`get_trained`.  A float32
-    pair is the float64 pair rounded once, with the same labels and
-    difficulties.
+    Scopes nest: the outermost one holds what inner ones fetched, so a
+    test session that holds its pairs keeps those an experiment run
+    inside it fetched as well.  As a decorator (``@holding_datasets()``)
+    it opens a scope around each call.
+    """
+    global _held
+    if _held is not None:
+        yield
+        return
+    _held = {}
+    try:
+        yield
+    finally:
+        _held = None
+
+
+def get_datasets(scale: Scale, seed: int = 0) -> _Pair:
+    """Train/test synthetic-MNIST pair for ``(scale, seed)``, cached while held.
+
+    Hands out the same two datasets while a caller holds both, or while
+    a :func:`holding_datasets` scope is open; otherwise synthesizes them
+    again, bit-identical.  The images are held in the active compute
+    policy's dtype, so each dtype has its own cache slot, as in
+    :func:`get_trained`.  A float32 pair is the float64 pair rounded
+    once, with the same labels and difficulties.
     """
     key = (scale.num_train, scale.num_test, seed, active_policy().dtype_name)
-    if key not in _dataset_cache:
-        _dataset_cache[key] = make_dataset_pair(
-            scale.num_train, scale.num_test, rng=seed
-        )
-    return _dataset_cache[key]
+    refs = _dataset_cache.get(key)
+    train, test = (None, None) if refs is None else (refs[0](), refs[1]())
+    if train is None or test is None:
+        train, test = make_dataset_pair(scale.num_train, scale.num_test, rng=seed)
+        _dataset_cache[key] = (weakref.ref(train), weakref.ref(test))
+    if _held is not None:
+        _held[key] = (train, test)
+    return train, test
 
 
 def get_trained(
@@ -103,6 +153,10 @@ def get_trained(
     delta: float = 0.6,
 ) -> TrainedCdl:
     """A trained baseline + CDLN for an architecture, cached per process.
+
+    Trains on :func:`get_datasets`' pair for ``(scale, seed)`` and keeps
+    no reference to it, so a caller that also evaluates on that pair
+    fetches it first and holds it across this call.
 
     Parameters
     ----------

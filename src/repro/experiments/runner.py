@@ -5,7 +5,8 @@ Usage::
     python -m repro.experiments.runner [tiny|small|full] [seed]
 
 Since the trained models are cached in :mod:`repro.experiments.common`,
-the whole suite trains each network exactly once.
+the whole suite trains each network exactly once, and :func:`run_all`
+holds the digit sets for its run, so it synthesizes each one once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.experiments import (
     table3_accuracy,
     table4_examples,
 )
-from repro.experiments.common import Scale
+from repro.experiments.common import Scale, holding_datasets
 
 #: Execution order: headline tables first, then the figure sweeps, then the
 #: beyond-the-paper robustness suite.
@@ -40,8 +41,12 @@ ALL_EXPERIMENTS = (
 )
 
 
+@holding_datasets()
 def run_all(scale: Scale | None = None, seed: int = 0) -> dict[str, object]:
-    """Run every experiment; returns ``{experiment id: result object}``."""
+    """Run every experiment; returns ``{experiment id: result object}``.
+
+    The digit sets stay held until the last experiment has run.
+    """
     scale = scale or Scale.small()
     results: dict[str, object] = {}
     for name, module in ALL_EXPERIMENTS:

@@ -72,8 +72,8 @@ class ScenarioRobustnessResult:
 
 def run(scale: Scale | None = None, seed: int = 0) -> ScenarioRobustnessResult:
     scale = scale or Scale.small()
-    trained = get_trained("mnist_3c", scale, seed)
     _train, test = get_datasets(scale, seed)
+    trained = get_trained("mnist_3c", scale, seed)
     suite = default_suite()
     report = evaluate_suite(trained.cdln, test, suite, delta=DELTA)
 

@@ -26,7 +26,13 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.obs.events import EVENTS_SCHEMA
-from repro.obs.trace import TRACE_SCHEMA, fold_spans, iter_records, read_header
+from repro.obs.trace import (
+    TRACE_SCHEMA,
+    fold_spans,
+    iter_records,
+    read_header,
+    read_spans,
+)
 from repro.utils.tables import AsciiTable
 
 
@@ -74,10 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spans(path: Path) -> list[dict]:
-    return [r for r in iter_records(path) if r.get("kind") == "span"]
-
-
 def summarize_trace(path: Path) -> dict:
     """The ``summary`` command's payload as a plain dict.
 
@@ -90,7 +92,7 @@ def summarize_trace(path: Path) -> dict:
     answer -- and surface as ``failed`` counts in the totals instead.
     """
     header = read_header(path)
-    all_spans = _spans(path)
+    all_spans = read_spans(path)
     fold = fold_spans(all_spans)
     spans = [s for s in all_spans if s.get("error") is None]
     if not spans:
@@ -250,7 +252,7 @@ def _span_matches(span: dict, args: argparse.Namespace) -> bool:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     matched = 0
-    for span in _spans(args.path):
+    for span in read_spans(args.path):
         if not _span_matches(span, args):
             continue
         print(json.dumps(span, sort_keys=True))

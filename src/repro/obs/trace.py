@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SerializationError
 from repro.obs import forksafe
+from repro.utils.jsonio import iter_jsonl
 
 #: Schema tag written into every trace file's header record.
 TRACE_SCHEMA = "repro.trace/v1"
@@ -170,42 +171,34 @@ def iter_records(
 ) -> Iterator[dict]:
     """Parsed records of one header-first JSON-lines file.
 
-    Validates the header's schema tag (against ``schemas`` -- span traces
-    by default; the CLI's ``tail`` also accepts event logs) before
-    yielding anything; malformed lines raise
+    The first non-blank record must be the header, with a schema tag in
+    ``schemas`` (span traces by default; the CLI's ``tail`` also accepts
+    event logs); it is checked before anything is yielded.  An empty
+    file, a missing header and malformed lines raise
     :class:`~repro.errors.SerializationError` with the line number.
     """
-    path = Path(path)
-    with path.open() as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SerializationError(
-                    f"{path}:{lineno}: not valid JSON ({exc})"
-                ) from None
-            if lineno == 1:
-                if record.get("kind") != "header":
-                    raise SerializationError(
-                        f"{path}: first record must be the header"
-                    )
-                schema = record.get("schema")
-                if schema not in schemas:
-                    raise SerializationError(
-                        f"{path}: schema {schema!r} is not one of "
-                        f"{sorted(schemas)}"
-                    )
-            yield record
+    records = iter_jsonl(path)
+    first = next(records, None)
+    if first is None:
+        raise SerializationError(f"{path}: empty trace file (no header record)")
+    lineno, header = first
+    if header.get("kind") != "header":
+        raise SerializationError(
+            f"{path}:{lineno}: first record must be the header"
+        )
+    schema = header.get("schema")
+    if schema not in schemas:
+        raise SerializationError(
+            f"{path}: schema {schema!r} is not one of {sorted(schemas)}"
+        )
+    yield header
+    for _lineno, record in records:
+        yield record
 
 
 def read_header(path: str | Path) -> dict:
     """The trace file's validated header record."""
-    for record in iter_records(path):
-        return record
-    raise SerializationError(f"{path}: empty trace file")
+    return next(iter_records(path))
 
 
 def read_spans(path: str | Path) -> list[dict]:

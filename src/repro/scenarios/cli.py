@@ -177,8 +177,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"training {args.arch} at tier {args.tier!r} (seed {args.seed}) ...",
         flush=True,
     )
-    trained = get_trained(args.arch, scale, seed=args.seed)
+    # Held across both get_trained calls, which train on the same pair.
     _train, test = get_datasets(scale, seed=args.seed)
+    trained = get_trained(args.arch, scale, seed=args.seed)
     cdln = trained.cdln
 
     print(f"evaluating {len(suite)} scenario(s) on {len(test)} test samples ...")
@@ -245,8 +246,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
         f"training {args.arch} at tier {args.tier!r} (seed {args.seed}) ...",
         flush=True,
     )
-    trained = get_trained(args.arch, scale, seed=args.seed, attach="all")
     _train, test = get_datasets(scale, seed=args.seed)
+    trained = get_trained(args.arch, scale, seed=args.seed, attach="all")
     deltas = tuple(args.deltas) if args.deltas else DEFAULT_TABLE_GRID
     print(
         f"tabulating {len(suite)} regime(s) x {len(deltas)} delta(s) on "

@@ -55,6 +55,7 @@ from repro.serving.controller import (
     nearest_delta_index,
 )
 from repro.serving.metrics import STAGE0_QUANTILE_GRID
+from repro.utils.jsonio import read_object, record_fields
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -1011,8 +1012,14 @@ class OperatingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "OperatingTable":
-        """Load a table previously written by :meth:`save`."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Load a table previously written by :meth:`save`.
+
+        A file that is not a table's JSON raises
+        :class:`~repro.errors.SerializationError`.
+        """
+        payload = read_object(path)
+        with record_fields(str(path)):
+            return cls.from_dict(payload)
 
     @staticmethod
     def default_path(checkpoint_path: str | Path) -> Path:

@@ -49,7 +49,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ReproError, SerializationError
+from repro.errors import ConfigurationError, ReproError
+from repro.utils.jsonio import read_jsonl, record_fields
 
 #: Schema tag on the header line of a saved fault plan.
 FAULTS_SCHEMA = "repro.faults/v1"
@@ -262,28 +263,10 @@ class FaultPlan:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "FaultPlan":
         """Load a saved plan (exact round-trip of :meth:`save_jsonl`)."""
-        path = Path(path)
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-        if not lines:
-            raise SerializationError(f"{path} is empty")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"{path}: malformed header: {exc}") from exc
-        if header.get("schema") != FAULTS_SCHEMA:
-            raise SerializationError(
-                f"{path}: expected schema {FAULTS_SCHEMA!r}, "
-                f"got {header.get('schema')!r}"
-            )
+        header, records = read_jsonl(path, FAULTS_SCHEMA)
         specs = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SerializationError(
-                    f"{path}:{lineno}: malformed fault spec: {exc}"
-                ) from exc
-            try:
+        for lineno, record in records:
+            with record_fields(f"{path}:{lineno}"):
                 specs.append(
                     FaultSpec(
                         kind=record["kind"],
@@ -295,11 +278,9 @@ class FaultPlan:
                         last=record.get("last"),
                     )
                 )
-            except KeyError as exc:
-                raise SerializationError(
-                    f"{path}:{lineno}: fault spec missing key {exc}"
-                ) from exc
-        return cls(specs=tuple(specs), seed=int(header.get("seed", 0)))
+        with record_fields(f"{path}: header"):
+            seed = int(header.get("seed", 0))
+        return cls(specs=tuple(specs), seed=seed)
 
 
 class FaultInjector:

@@ -495,8 +495,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(schedule.describe())
     scale = Scale.tiny()
     print("training tiny reference cascade (cached per process)...")
-    trained = get_trained("mnist_3c", scale, seed=args.model_seed)
+    # Held across get_trained, which trains on the same pair.
     _, test = get_datasets(scale, seed=args.model_seed)
+    trained = get_trained("mnist_3c", scale, seed=args.model_seed)
     shed = (
         ShedPolicy(max_queue_depth=args.shed_depth)
         if args.shed_depth is not None

@@ -44,7 +44,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SerializationError
+from repro.errors import ConfigurationError
+from repro.utils.jsonio import read_jsonl, record_fields
 
 #: Schema tag on the header line of a saved arrival trace.
 ARRIVALS_SCHEMA = "repro.arrivals/v1"
@@ -364,28 +365,10 @@ class ArrivalSchedule:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ArrivalSchedule":
         """Load a saved trace as a ``replay`` schedule."""
-        path = Path(path)
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-        if not lines:
-            raise SerializationError(f"{path} is empty")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"{path}: malformed header: {exc}") from exc
-        if header.get("schema") != ARRIVALS_SCHEMA:
-            raise SerializationError(
-                f"{path}: expected schema {ARRIVALS_SCHEMA!r}, "
-                f"got {header.get('schema')!r}"
-            )
+        _header, records = read_jsonl(path, ARRIVALS_SCHEMA)
         arrivals = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SerializationError(
-                    f"{path}:{lineno}: malformed arrival: {exc}"
-                ) from exc
-            try:
+        for lineno, record in records:
+            with record_fields(f"{path}:{lineno}"):
                 arrivals.append(
                     Arrival(
                         t=float(record["t"]),
@@ -394,10 +377,6 @@ class ArrivalSchedule:
                         deadline_s=record.get("deadline_s"),
                     )
                 )
-            except KeyError as exc:
-                raise SerializationError(
-                    f"{path}:{lineno}: arrival missing key {exc}"
-                ) from exc
         return cls.replay(arrivals)
 
     def describe(self) -> str:

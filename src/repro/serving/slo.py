@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, SerializationError
+from repro.utils.jsonio import parse_object, read_text, record_fields
 from repro.utils.tables import AsciiTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -248,17 +249,22 @@ class SLOReport:
         return path
 
     @classmethod
+    def load(cls, path: str | Path) -> "SLOReport":
+        """Read a report :meth:`save` wrote."""
+        return cls.from_json(read_text(path))
+
+    @classmethod
     def from_json(cls, text: str) -> "SLOReport":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"malformed SLO report JSON: {exc}") from exc
+        """Parse :meth:`to_json`'s output; anything else raises
+        :class:`~repro.errors.SerializationError`."""
+        payload = parse_object(text, "SLO report")
         schema = payload.pop("schema", None)
         if schema != SLO_REPORT_SCHEMA:
             raise SerializationError(
                 f"expected schema {SLO_REPORT_SCHEMA!r}, got {schema!r}"
             )
-        payload["queue_depth_timeline"] = tuple(
-            (float(t), int(d)) for t, d in payload.get("queue_depth_timeline", [])
-        )
-        return cls(**payload)
+        with record_fields("SLO report"):
+            payload["queue_depth_timeline"] = tuple(
+                (float(t), int(d)) for t, d in payload.get("queue_depth_timeline", [])
+            )
+            return cls(**payload)

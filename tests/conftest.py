@@ -2,7 +2,9 @@
 
 Heavy objects (datasets, trained networks) are session-scoped and built at
 the *tiny* experiment scale so the whole suite stays fast while still
-exercising the real training paths end to end.
+exercising the real training paths end to end.  The session holds every
+digit set :func:`~repro.experiments.common.get_datasets` hands out, so each
+is synthesized once per run.
 """
 
 from __future__ import annotations
@@ -11,7 +13,13 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic_mnist import make_dataset_pair
-from repro.experiments.common import Scale, get_datasets, get_trained
+from repro.experiments.common import Scale, get_datasets, get_trained, holding_datasets
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hold_datasets():
+    with holding_datasets():
+        yield
 
 
 @pytest.fixture(scope="session")

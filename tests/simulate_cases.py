@@ -342,8 +342,9 @@ def dumps(frozen: dict) -> str:
 def main() -> None:
     from repro.experiments.common import Scale, get_datasets, get_trained
 
+    _train, test = get_datasets(Scale.tiny(), seed=7)
     trained = get_trained("mnist_3c", Scale.tiny(), seed=7)
-    images = get_datasets(Scale.tiny(), seed=7)[1].images
+    images = test.images
     out = fixture_dir()
     out.mkdir(parents=True, exist_ok=True)
     for name in CASES:

@@ -1,11 +1,17 @@
 """Tests for the experiment harness: every table/figure runs at tiny scale
 and produces structurally sound, renderable results."""
 
+import hashlib
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.bench import run_benchmarks
 from repro.errors import ConfigurationError
 from repro.experiments import (
+    common,
     fig5_ops,
     fig6_energy,
     fig7_accuracy_stages,
@@ -15,10 +21,39 @@ from repro.experiments import (
     table3_accuracy,
     table4_examples,
 )
-from repro.experiments.common import Scale, get_datasets, get_trained
+from repro.experiments.common import Scale, get_datasets, get_trained, holding_datasets
 from repro.experiments.runner import ALL_EXPERIMENTS, run_all
 from repro.experiments.table4_examples import image_to_ascii
-from repro.nn.compute import compute_policy
+from repro.nn.compute import active_policy, compute_policy
+
+
+@pytest.fixture
+def synthesized(monkeypatch):
+    """``make_dataset_pair`` calls per dataset key, counted on an empty
+    dataset cache outside the session's holding scope."""
+    calls = Counter()
+    make_pair = common.make_dataset_pair
+
+    def counting(num_train, num_test, *, rng):
+        calls[(num_train, num_test, rng, active_policy().dtype_name)] += 1
+        return make_pair(num_train, num_test, rng=rng)
+
+    monkeypatch.setattr(common, "make_dataset_pair", counting)
+    monkeypatch.setattr(common, "_dataset_cache", {})
+    monkeypatch.setattr(common, "_held", None)
+    return calls
+
+
+#: Small enough that synthesizing and training on it takes a moment.
+MINI = Scale(num_train=40, num_test=20, baseline_epochs=1)
+
+
+def _digest(pair) -> str:
+    sha = hashlib.sha256()
+    for dataset in pair:
+        for array in (dataset.images, dataset.labels, dataset.difficulty):
+            sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()
 
 
 class TestScale:
@@ -50,6 +85,52 @@ class TestCommon:
             np.testing.assert_array_equal(got.images, want.images.astype(np.float32))
             np.testing.assert_array_equal(got.labels, want.labels)
             np.testing.assert_array_equal(got.difficulty, want.difficulty)
+
+    def test_dropped_pair_is_freed_and_rebuilt_bit_identical(
+        self, synthesized, monkeypatch
+    ):
+        monkeypatch.setattr(common, "_trained_cache", {})
+        pair = get_datasets(MINI, seed=3)
+        digest = _digest(pair)
+        assert get_datasets(MINI, seed=3)[0] is pair[0]
+        # Training reads the held pair and keeps no reference to it.
+        get_trained("mnist_3c", MINI, seed=3)
+        refs = [weakref.ref(dataset) for dataset in pair]
+        del pair
+        assert [ref() for ref in refs] == [None, None]
+        assert _digest(get_datasets(MINI, seed=3)) == digest
+        assert list(synthesized.values()) == [2]
+
+    def test_holding_scope_keeps_pairs_until_it_exits(self, synthesized):
+        with holding_datasets():
+            refs = [weakref.ref(dataset) for dataset in get_datasets(MINI, seed=3)]
+            with holding_datasets():
+                get_datasets(MINI, seed=3)
+            # The outer scope still holds what the inner one fetched.
+            assert None not in [ref() for ref in refs]
+        assert [ref() for ref in refs] == [None, None]
+        assert list(synthesized.values()) == [1]
+
+    def test_run_benchmarks_synthesizes_each_pair_once(self, synthesized):
+        # A tier-scale spec and one fixed at Scale.tiny(), which share a pair.
+        run_benchmarks(
+            ["serving_delta_budget", "serving_slo_tiny"], tier="tiny",
+            rounds=1, warmup_rounds=0,
+        )
+        assert list(synthesized.values()) == [1]
+
+    def test_loadgen_cli_synthesizes_its_pair_once(
+        self, synthesized, monkeypatch, capsys
+    ):
+        from repro.serving.loadgen import main
+
+        monkeypatch.setattr(common, "_trained_cache", {})
+        assert main([
+            "run", "--mode", "sim", "--rate", "50", "--duration", "0.5",
+            "--slo-p99", "0.5",
+        ]) == 0
+        assert "throughput @ SLO" in capsys.readouterr().out
+        assert list(synthesized.values()) == [1]
 
     def test_trained_cache_returns_same_object(self, tiny_scale):
         a = get_trained("mnist_3c", tiny_scale, seed=7)
@@ -175,8 +256,9 @@ class TestRunner:
             "Fig. 8", "Fig. 9", "Fig. 10", "Table IV", "Robustness",
         ]
 
-    def test_run_all_tiny(self, tiny_scale):
+    def test_run_all_tiny(self, tiny_scale, synthesized):
         results = run_all(tiny_scale, seed=7)
         assert set(results) == {name for name, _ in ALL_EXPERIMENTS}
         for result in results.values():
             assert isinstance(result.render(), str)
+        assert list(synthesized.values()) == [1]

@@ -208,7 +208,7 @@ class TestSLOReport:
             outcomes, slo_p99_s=1.0, queue_depth_timeline=[(0.0, 3), (1.0, 5)]
         )
         path = report.save(tmp_path / "report.json")
-        loaded = SLOReport.from_json(path.read_text())
+        loaded = SLOReport.load(path)
         assert loaded == report
         assert loaded.max_queue_depth == 5
         with pytest.raises(SerializationError):
@@ -497,7 +497,7 @@ class TestLoadgenCLI:
         out = capsys.readouterr().out
         assert "throughput @ SLO" in out
         assert "goodput" in out
-        report = SLOReport.from_json(out_json.read_text())
+        report = SLOReport.load(out_json)
         assert report.dropped == 0
         assert report.requests == report.answered
 

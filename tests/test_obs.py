@@ -287,6 +287,30 @@ class TestTraceRecorder:
         with pytest.raises(SerializationError, match="empty"):
             read_header(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n \n", "\n" + json.dumps(_example_span()) + "\n"],
+        ids=["empty", "blank", "blank-then-span"],
+    )
+    def test_every_reader_requires_the_header(self, tmp_path, text):
+        # A recorder writes its header on open, so a file without one,
+        # even an empty one, is not a trace.
+        path = tmp_path / "headless.jsonl"
+        path.write_text(text)
+        for read in (read_header, read_spans):
+            with pytest.raises(SerializationError):
+                read(path)
+
+    def test_header_is_the_first_non_blank_record(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with TraceRecorder(path) as rec:
+            rec.record(_example_span())
+        path.write_text("\n" + path.read_text())
+        assert read_header(path)["kind"] == "header"
+        assert [s["request_id"] for s in read_spans(path)] == [
+            _example_span()["request_id"]
+        ]
+
     def test_validate_span_missing_keys(self):
         span = _example_span()
         del span["ops"], span["batch_id"]

@@ -110,10 +110,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL {message}", file=sys.stderr)
         return 1
     if not args.links_only:
-        for path in documentation_files(root):
-            count = len(extract_python_blocks(path.read_text()))
-            print(f"running {count} snippet block(s) from {path.relative_to(root)}")
-            errors.extend(run_snippets(path, root))
+        # One process runs every page, so the pages share their digit sets
+        # as one session would, instead of each synthesizing its own.
+        from repro.experiments.common import holding_datasets
+
+        with holding_datasets():
+            for path in documentation_files(root):
+                count = len(extract_python_blocks(path.read_text()))
+                print(f"running {count} snippet block(s) from {path.relative_to(root)}")
+                errors.extend(run_snippets(path, root))
     if errors:
         for message in errors:
             print(f"FAIL {message}", file=sys.stderr)
