@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SerializationError
+from repro.utils.jsonio import read_object, record_fields
 
 #: Bump on any backwards-incompatible change to the artifact layout.
 SCHEMA = "repro.bench/1"
@@ -104,13 +105,18 @@ def validate_artifact_dict(data: Mapping[str, Any]) -> None:
 
 
 def load_artifact(path: Path | str) -> BenchArtifact:
-    """Read and validate one artifact file."""
+    """Read and validate one artifact file.
+
+    Anything that is not a readable UTF-8 artifact -- bad bytes, bad JSON,
+    a missing or ill-typed field -- raises :class:`ConfigurationError`.
+    """
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = read_object(path)
+        with record_fields(str(path)):
+            return BenchArtifact.from_dict(data)
+    except (OSError, SerializationError) as exc:
         raise ConfigurationError(f"cannot read artifact {path}: {exc}") from exc
-    return BenchArtifact.from_dict(data)
 
 
 def load_artifact_dir(directory: Path | str) -> dict[str, BenchArtifact]:

@@ -2,19 +2,22 @@
 
 Same bodies the old ``benchmarks/bench_ablation_*.py`` scripts ran inline:
 confidence-policy comparison, Algorithm 1's admission threshold, the
-linear-classifier training rule, and the scalable-effort baseline.
+linear-classifier training rule, and the scalable-effort baseline; plus
+the sweep behind MNIST_3C's pooled O1 head.
 """
 
 from __future__ import annotations
 
 from repro.baselines.scalable_effort import ScalableEffortCascade
 from repro.bench.registry import BenchContext, BenchResult, Tolerance, benchmark
+from repro.cdl.architectures import ARCHITECTURES
 from repro.cdl.confidence import ActivationModule
 from repro.cdl.gain import admit_stages
 from repro.cdl.linear_classifier import LinearClassifier
 from repro.cdl.network import CDLN
 from repro.cdl.score_cache import StageScoreCache
 from repro.cdl.statistics import evaluate_cached, evaluate_cdln
+from repro.cdl.training import CdlTrainingConfig, stage_classifiers
 from repro.experiments.common import get_datasets, get_trained
 from repro.nn import Adam, Dense, Flatten, Network, Trainer
 from repro.utils.tables import AsciiTable
@@ -185,6 +188,78 @@ def _check_lc_training_rule(res: BenchResult) -> None:
     for rule, (acc, ops) in rows.items():
         assert acc > 0.8, rule
         assert ops < 1.0, rule
+
+
+POOL_ARCHITECTURES = ("mnist_2c", "mnist_3c")
+POOL_WINDOWS = (1, 2, 3)
+
+
+@benchmark(
+    "ablation_o1_head_pool",
+    group=GROUP,
+    title="Ablation -- average-pooling the O1 head's tap",
+    rounds=2,
+    tolerances={
+        f"{metric}_{a}_w{w}": tolerance
+        for metric, tolerance in (("accuracy", _ACC), ("normalized_ops", _OPS))
+        for a in POOL_ARCHITECTURES
+        for w in POOL_WINDOWS
+    },
+)
+def bench_o1_head_pool(ctx: BenchContext) -> BenchResult:
+    """O1's head over P1 pooled 1x1 (dense), 2x2 and 3x3, every other head
+    as ``train_cdln`` builds it, on each architecture's trained baseline."""
+    train, test = get_datasets(ctx.scale, ctx.seed)
+    rows: dict[tuple[str, int], tuple[float, float, int]] = {}
+    table = AsciiTable(
+        ["network", "O1 pool", "O1 head OPS", "accuracy (%)", "normalized OPS"],
+        title="Ablation -- average-pooling the O1 head's tap (delta=0.6)",
+    )
+    metrics: dict[str, float] = {}
+    for arch in POOL_ARCHITECTURES:
+        spec = ARCHITECTURES[arch]
+        baseline = get_trained(arch, ctx.scale, ctx.seed).baseline
+        taps = spec.attach_indices
+        features = None
+        for window in POOL_WINDOWS:
+            cdln = CDLN(
+                baseline,
+                taps,
+                activation_module=ActivationModule(delta=DELTA),
+                classifier_factory=stage_classifiers(
+                    baseline,
+                    taps,
+                    CdlTrainingConfig(),
+                    ctx.seed,
+                    {**spec.head_pools, taps[0]: window},
+                ),
+            )
+            if features is None:  # the same taps for every window
+                features = cdln.extract_features(train.images)
+            cdln.fit_linear_classifiers(train.images, train.labels, features=features)
+            ev = evaluate_cdln(cdln, test, delta=DELTA)
+            head_ops = cdln.linear_stages[0].classifier.op_cost().total
+            rows[(arch, window)] = (ev.accuracy, ev.normalized_ops, head_ops)
+            default = " (default)" if window == spec.head_pools.get(taps[0], 1) else ""
+            table.add_row([
+                arch, f"{window}x{window}{default}", head_ops,
+                round(ev.accuracy * 100, 2), round(ev.normalized_ops, 3),
+            ])
+            metrics[f"accuracy_{arch}_w{window}"] = ev.accuracy
+            metrics[f"normalized_ops_{arch}_w{window}"] = ev.normalized_ops
+    return BenchResult(metrics=metrics, text=table.render(), payload=rows)
+
+
+@bench_o1_head_pool.check
+def _check_o1_head_pool(res: BenchResult) -> None:
+    rows = res.payload
+    dense_acc, dense_ops, dense_head = rows[("mnist_3c", 1)]
+    pooled_acc, pooled_ops, pooled_head = rows[("mnist_3c", 2)]
+    # MNIST_3C's default: the 2x2 pool makes O1's head cheaper, the
+    # cascade cheaper on average, and costs at most half a point.
+    assert pooled_head < dense_head
+    assert pooled_ops < dense_ops
+    assert pooled_acc >= dense_acc - 0.005
 
 
 def _small_model(rng):

@@ -370,7 +370,7 @@ RATE_DETECTOR_KWARGS = {
     "rate_threshold": 0.005,
     "rate_window": 6,
     "rate_patience": 3,
-    "rate_floor_fraction": 0.5,
+    "rate_floor_fraction": 0.4,
 }
 
 

@@ -9,7 +9,8 @@ Two baselines are reproduced exactly at the geometry level:
   28x28 -> C1(3x3, 3 maps) -> P1(2x2) -> C2(4x4, 6 maps) -> P2(2x2)
   -> C3(3x3, 9 maps) -> P3(1x1) -> FC(10), with taps O1 after P1 and O2
   after P2.  (Table II lists P3 at the same 3x3 geometry as C3, i.e. a
-  unit pooling window.)
+  unit pooling window.)  Its O1 head averages P1 over 2x2 windows before
+  its linear map (see :attr:`ArchitectureSpec.head_pools`).
 
 Two training recipes are offered: ``"paper"`` (sigmoid activations + MSE,
 the convolutional backprop of [19]) and ``"modern"`` (ReLU + softmax
@@ -62,6 +63,11 @@ class ArchitectureSpec:
         sweeps, which add classifiers one at a time.
     builder:
         ``builder(rng, recipe)`` returning the baseline :class:`Network`.
+    head_pools:
+        Average-pool window of the linear classifier at each tap, keyed by
+        tap index; a tap not listed feeds its classifier unpooled (see
+        :class:`~repro.cdl.linear_classifier.LinearClassifier`'s
+        ``pool_window``).
     """
 
     name: str
@@ -70,6 +76,7 @@ class ArchitectureSpec:
     all_tap_indices: tuple[int, ...]
     builder: object = field(repr=False)
     description: str = ""
+    head_pools: dict[int, int] = field(default_factory=dict, hash=False)
 
     def build(self, rng=None, recipe: str = "modern") -> Network:
         return self.builder(rng, recipe)
@@ -127,6 +134,11 @@ MNIST_3C = ArchitectureSpec(
     all_tap_indices=(1, 3, 5),  # P1, P2, P3
     builder=_build_mnist_3c,
     description="I->C1(3@3x3)->P1->C2(6@4x4)->P2->C3(9@3x3)->P3->FC(10); O1, O2",
+    # O1 reads P1's 3x13x13 = 507 features; pooled 2x2 it maps 108 of them,
+    # which cuts the head every input pays from 10,189 to 2,641 OPS (9.1%
+    # to 2.4% of the baseline) at no measured accuracy cost (the
+    # ablation_o1_head_pool bench).
+    head_pools={1: 2},
 )
 
 #: Registry of reproducible architectures.

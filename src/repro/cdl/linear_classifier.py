@@ -4,18 +4,23 @@ Each stage of the CDLN is "a linear network of output neurons" trained on
 the flattened convolutional features of that stage "using the least mean
 square rule" (Algorithm 1, step 7).  :class:`LinearClassifier` implements
 exactly that delta-rule training, plus a softmax-regression alternative
-used by the trainer ablation.
+used by the trainer ablation.  A classifier may average-pool its tap
+before the linear map, which shrinks the map (and the head's OPS) by the
+window's area while it still reads the stage's full feature vector.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError, ShapeError
 from repro.nn.activations import Softmax
 from repro.nn.compute import active_policy, resolve_dtype
+from repro.nn.layers import AvgPool2D
 from repro.nn.tensor_ops import one_hot
-from repro.ops.counting import OpCount
+from repro.ops.counting import OpCount, count_layer_ops
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -51,6 +56,15 @@ class LinearClassifier:
         Optional L2 weight decay.
     rng:
         Seed/generator for initialization and shuffling.
+    tap_shape:
+        The ``(C, H, W)`` feature map the flat features were taken from.
+        Required when ``pool_window > 1``.
+    pool_window:
+        Average-pool the tap with non-overlapping ``pool_window`` windows
+        (:class:`~repro.nn.layers.AvgPool2D`) before the linear map.  The
+        classifier still reads the tap's full flat features; rows and
+        columns past the last whole window are dropped, as the pooling
+        layer drops them.  ``1`` (the default) maps the tap as it is.
     """
 
     def __init__(
@@ -63,6 +77,8 @@ class LinearClassifier:
         batch_size: int = 64,
         l2: float = 0.0,
         rng: int | np.random.Generator | None = None,
+        tap_shape: tuple[int, int, int] | None = None,
+        pool_window: int = 1,
     ) -> None:
         self.num_classes = check_positive_int(num_classes, "num_classes")
         if rule not in _RULES:
@@ -77,6 +93,16 @@ class LinearClassifier:
         self.batch_size = check_positive_int(batch_size, "batch_size")
         self.l2 = float(l2)
         self.rng = ensure_rng(rng)
+        self.tap_shape = None if tap_shape is None else tuple(int(d) for d in tap_shape)
+        self.pool: AvgPool2D | None = None
+        if check_positive_int(pool_window, "pool_window") > 1:
+            if self.tap_shape is None or len(self.tap_shape) != 3:
+                raise ConfigurationError(
+                    f"pool_window={pool_window} needs a (C, H, W) tap_shape, "
+                    f"got {tap_shape}"
+                )
+            self.pool = AvgPool2D(pool_window, name="pool")
+            self.pool.build(self.tap_shape, None)
         self.weights: np.ndarray | None = None
         self.bias: np.ndarray | None = None
 
@@ -96,6 +122,9 @@ class LinearClassifier:
             raise ShapeError("features and labels disagree on sample count")
         if features.shape[0] == 0:
             raise ShapeError("cannot fit a linear classifier on zero samples")
+        if self.tap_shape is not None:
+            self._check_width(features, math.prod(self.tap_shape))
+        features = self._pooled(features)
         n, dim = features.shape
         targets = one_hot(labels, self.num_classes, dtype=dtype)
         if self.rule == "ridge":
@@ -152,12 +181,27 @@ class LinearClassifier:
 
     @property
     def input_dim(self) -> int:
+        """Width of the flat features the classifier reads (its tap's size)."""
         self._require_fitted()
+        if self.tap_shape is not None:
+            return math.prod(self.tap_shape)
         return int(self.weights.shape[1])
 
     def _require_fitted(self) -> None:
         if not self.is_fitted:
             raise NotFittedError("LinearClassifier used before fit()")
+
+    @staticmethod
+    def _check_width(features: np.ndarray, width: int) -> None:
+        if features.ndim != 2 or features.shape[1] != width:
+            raise ShapeError(f"features must be (N, {width}), got {features.shape}")
+
+    def _pooled(self, features: np.ndarray) -> np.ndarray:
+        """What the linear map reads: the features, pooled if configured."""
+        if self.pool is None:
+            return features
+        n = features.shape[0]
+        return self.pool.forward(features.reshape(n, *self.tap_shape)).reshape(n, -1)
 
     # -- inference -------------------------------------------------------------
     def astype(self, dtype: np.dtype | str | type) -> "LinearClassifier":
@@ -172,11 +216,8 @@ class LinearClassifier:
         """Raw linear scores ``(N, num_classes)`` (computed in the weight dtype)."""
         self._require_fitted()
         features = np.asarray(features, dtype=self.weights.dtype)
-        if features.ndim != 2 or features.shape[1] != self.weights.shape[1]:
-            raise ShapeError(
-                f"features must be (N, {self.weights.shape[1]}), got {features.shape}"
-            )
-        return features @ self.weights.T + self.bias
+        self._check_width(features, self.input_dim)
+        return self._pooled(features) @ self.weights.T + self.bias
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Class probabilities (softmax over the linear scores)."""
@@ -208,17 +249,29 @@ class LinearClassifier:
 
     # -- hardware cost -----------------------------------------------------------
     def op_cost(self) -> OpCount:
-        """Operations per input: the linear layer, the confidence softmax,
-        and the activation module's threshold comparisons."""
+        """Operations per input: the tap's pooling (if any), the linear
+        layer, a confidence softmax, and the activation module's
+        threshold comparisons.
+
+        The softmax terms (``c - 1`` adds, ``2 * c`` activations) are
+        charged whatever the rule, although only the ``softmax`` rule runs
+        one: the ``ridge`` and ``lms`` heads clip their scores to [0, 1]
+        instead (:meth:`confidence_scores`), so each is charged 29 OPS it
+        never executes for 10 classes, and its clip is not charged.
+        """
         self._require_fitted()
         c, d = self.weights.shape
-        return OpCount(
+        cost = OpCount(
             macs=c * d,
             adds=c + (c - 1),  # bias adds + softmax normalization sum
             comparisons=c,  # activation-module threshold checks
             activations=2 * c,  # softmax exp + divide per class
         )
+        if self.pool is not None:
+            cost = count_layer_ops(self.pool) + cost
+        return cost
 
     def __repr__(self) -> str:
-        dims = f"{self.weights.shape[1]}->{self.num_classes}" if self.is_fitted else "unfitted"
-        return f"LinearClassifier({dims}, rule={self.rule!r})"
+        dims = f"{self.input_dim}->{self.num_classes}" if self.is_fitted else "unfitted"
+        pool = "" if self.pool is None else f", pool_window={self.pool.window}"
+        return f"LinearClassifier({dims}, rule={self.rule!r}{pool})"

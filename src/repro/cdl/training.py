@@ -4,7 +4,9 @@
 
 1. train the baseline DLN on the training set (step 1);
 2. attach a linear classifier at every requested convolutional stage and
-   train each with the LMS rule on that stage's features (steps 4-7);
+   train each with the LMS rule on that stage's features (steps 4-7),
+   pooled first where the architecture pools that tap
+   (:attr:`~repro.cdl.architectures.ArchitectureSpec.head_pools`);
 3. measure each stage's gain G_i on the training set and drop stages that
    do not clear the user threshold epsilon (steps 8-10).
 
@@ -14,6 +16,7 @@ history and the admission diagnostics.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +133,37 @@ def train_baseline(
     return network, history
 
 
+def stage_classifiers(
+    baseline: Network,
+    taps: Sequence[int],
+    config: CdlTrainingConfig,
+    rng: int | np.random.Generator | None,
+    pools: Mapping[int, int],
+) -> Callable[[], LinearClassifier]:
+    """The classifier factory :class:`CDLN` calls once per tap, in tap order.
+
+    Each call returns ``config``'s linear classifier over the next tap,
+    average-pooled with window ``pools.get(tap, 1)`` and seeded from its own
+    child of ``rng``.
+    """
+    heads = iter(zip(taps, spawn_rngs(rng, len(taps))))
+
+    def factory() -> LinearClassifier:
+        tap, lc_rng = next(heads)
+        return LinearClassifier(
+            num_classes=int(baseline.output_shape[0]),
+            rule=config.lc_rule,
+            learning_rate=config.lc_learning_rate,
+            epochs=config.lc_epochs,
+            l2=config.lc_l2,
+            rng=lc_rng,
+            tap_shape=baseline.layers[tap].output_shape,
+            pool_window=pools.get(tap, 1),
+        )
+
+    return factory
+
+
 def train_cdln(
     train: DigitDataset,
     *,
@@ -163,26 +197,15 @@ def train_cdln(
         baseline, history = train_baseline(train, config, rng, validation)
     taps = tuple(attach_indices) if attach_indices is not None else spec.attach_indices
 
-    lc_rngs = spawn_rngs(rng, len(taps))
-    rng_iter = iter(lc_rngs)
-
-    def classifier_factory() -> LinearClassifier:
-        return LinearClassifier(
-            num_classes=int(baseline.output_shape[0]),
-            rule=config.lc_rule,
-            learning_rate=config.lc_learning_rate,
-            epochs=config.lc_epochs,
-            l2=config.lc_l2,
-            rng=next(rng_iter),
-        )
-
     cdln = CDLN(
         baseline,
         taps,
         activation_module=ActivationModule(
             delta=config.delta, policy=config.confidence_policy
         ),
-        classifier_factory=classifier_factory,
+        classifier_factory=stage_classifiers(
+            baseline, taps, config, rng, spec.head_pools
+        ),
     )
     # One backbone pass over the training set feeds both the classifiers'
     # features (steps 4-7) and the admission score cache (steps 8-10).

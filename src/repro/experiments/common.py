@@ -25,7 +25,7 @@ from typing import Iterator
 from repro.cdl.training import CdlTrainingConfig, TrainedCdl, train_cdln
 from repro.cdl.architectures import ARCHITECTURES
 from repro.data.dataset import DigitDataset
-from repro.data.synthetic_mnist import make_dataset_pair
+from repro.data.synthetic_mnist import generate_synthetic_mnist, make_dataset_pair
 from repro.errors import ConfigurationError
 from repro.nn.compute import active_policy
 from repro.utils.validation import check_positive_int
@@ -81,10 +81,10 @@ class Scale:
 
 
 _Pair = tuple[DigitDataset, DigitDataset]
-#: Weak references to the splits of every pair handed out, by key.
-_dataset_cache: dict[tuple, tuple[weakref.ref, weakref.ref]] = {}
-#: The pairs an open :func:`holding_datasets` scope keeps; None outside one.
-_held: dict[tuple, _Pair] | None = None
+#: Weak references to the datasets of every set handed out, by key.
+_dataset_cache: dict[tuple, tuple[weakref.ref, ...]] = {}
+#: The sets an open :func:`holding_datasets` scope keeps; None outside one.
+_held: dict[tuple, tuple[DigitDataset, ...]] | None = None
 _trained_cache: dict[tuple, TrainedCdl] = {}
 
 
@@ -133,14 +133,36 @@ def get_datasets(scale: Scale, seed: int = 0) -> _Pair:
     once, with the same labels and difficulties.
     """
     key = (scale.num_train, scale.num_test, seed, active_policy().dtype_name)
-    refs = _dataset_cache.get(key)
-    train, test = (None, None) if refs is None else (refs[0](), refs[1]())
-    if train is None or test is None:
-        train, test = make_dataset_pair(scale.num_train, scale.num_test, rng=seed)
-        _dataset_cache[key] = (weakref.ref(train), weakref.ref(test))
+    return _cached(
+        key, lambda: make_dataset_pair(scale.num_train, scale.num_test, rng=seed)
+    )
+
+
+def get_validation_set(size: int, seed: int) -> DigitDataset:
+    """``size`` held-out digits drawn with ``seed``, cached while held.
+
+    Cached like :func:`get_datasets`' pairs, by size, seed and dtype, so a
+    caller that tunes on the same set round after round synthesizes it once
+    while it (or a :func:`holding_datasets` scope) holds it.
+    """
+    key = ("validation", size, seed, active_policy().dtype_name)
+    (validation,) = _cached(
+        key,
+        lambda: (generate_synthetic_mnist(size, rng=seed, name="validation"),),
+    )
+    return validation
+
+
+def _cached(key: tuple, make) -> tuple[DigitDataset, ...]:
+    """The datasets cached under ``key`` while held; else ``make()``'s."""
+    refs = _dataset_cache.get(key, ())
+    sets = tuple(ref() for ref in refs)
+    if not sets or any(dataset is None for dataset in sets):
+        sets = make()
+        _dataset_cache[key] = tuple(weakref.ref(dataset) for dataset in sets)
     if _held is not None:
-        _held[key] = (train, test)
-    return train, test
+        _held[key] = sets
+    return sets
 
 
 def get_trained(

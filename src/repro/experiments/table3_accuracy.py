@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from repro.cdl.statistics import evaluate_baseline_accuracy, evaluate_cdln
 from repro.cdl.training import TrainedCdl
-from repro.data.synthetic_mnist import generate_synthetic_mnist
-from repro.experiments.common import Scale, get_datasets, get_trained
+from repro.experiments.common import Scale, get_datasets, get_trained, get_validation_set
 from repro.utils.tables import AsciiTable
 
 CANDIDATE_DELTAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
@@ -71,9 +70,7 @@ def run(scale: Scale | None = None, seed: int = 0) -> Table3Result:
     """Measure baseline and CDLN accuracy for both architectures."""
     scale = scale or Scale.small()
     _train, test = get_datasets(scale, seed)
-    validation = generate_synthetic_mnist(
-        scale.num_test, rng=seed + 99991, name="table3-validation"
-    )
+    validation = get_validation_set(scale.num_test, seed + 99991)
     trained_2c = get_trained("mnist_2c", scale, seed)
     trained_3c = get_trained("mnist_3c", scale, seed)
     delta_2c = select_delta(trained_2c, validation)

@@ -186,6 +186,30 @@ class TestArtifact:
         with pytest.raises(ConfigurationError, match="schema"):
             load_artifact(path)
 
+    @pytest.mark.parametrize(
+        ("content", "match"),
+        [
+            (b"\xff{}", "not UTF-8"),
+            (b"null", "expected a JSON object"),
+            (b"[1, 2]", "expected a JSON object"),
+        ],
+        ids=["not_utf8", "null", "list"],
+    )
+    def test_unreadable_artifact_rejected(self, tmp_path, content, match):
+        path = tmp_path / "BENCH_toy.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match=match):
+            load_artifact(path)
+
+    def test_ill_typed_field_rejected(self, tmp_path):
+        spec = make_registry().get("toy")
+        path = run_benchmark(spec, tier="tiny").write(tmp_path)
+        data = json.loads(path.read_text())
+        data["timing"] = 5
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="malformed record"):
+            load_artifact(path)
+
     def test_missing_keys_and_bad_metrics_rejected(self):
         with pytest.raises(ConfigurationError, match="missing keys"):
             validate_artifact_dict({"schema": SCHEMA})

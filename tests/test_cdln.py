@@ -11,6 +11,7 @@ from repro.cdl.linear_classifier import LinearClassifier
 from repro.cdl.network import CDLN
 from repro.cdl.stages import Stage
 from repro.errors import ConfigurationError, NotFittedError, ShapeError
+from repro.ops.counting import count_layer_ops
 
 
 class TestStage:
@@ -100,6 +101,27 @@ class TestCostTable:
         """The deepest path pays the whole backbone plus every LC."""
         table = trained_3c.cdln.path_cost_table()
         assert table.exit_totals()[-1] > table.baseline_cost.total
+
+    def test_exit_costs_pin_the_pooled_o1_head(self, trained_3c):
+        """O1 = C1 + P1 + the head's 2x2 pool + its 10x108 map; O2 and FC
+        add their backbone layers and every head they passed."""
+        cdln = trained_3c.cdln
+        assert cdln.stage_names == ("O1", "O2", "FC")
+        o1, o2 = (stage.classifier for stage in cdln.linear_stages)
+        c1, p1, c2, p2, c3, p3, flat, fc = (
+            count_layer_ops(layer).total for layer in cdln.baseline.layers
+        )
+        pool = count_layer_ops(o1.pool).total
+        assert (c1, p1, pool, o1.op_cost().total) == (40560, 1521, 432, 2641)
+        assert o2.pool is None and o2.op_cost().total == 3049
+        baseline = c1 + p1 + c2 + p2 + c3 + p3 + flat + fc
+        table = cdln.path_cost_table()
+        assert table.baseline_cost.total == baseline == 111900
+        assert table.exit_totals().tolist() == [
+            c1 + p1 + pool + 2209,
+            c1 + p1 + c2 + p2 + 2641 + 3049,
+            baseline + 2641 + 3049,
+        ] == [44722, 107021, 117590]
 
 
 class TestConditionalInference:

@@ -21,7 +21,13 @@ from repro.experiments import (
     table3_accuracy,
     table4_examples,
 )
-from repro.experiments.common import Scale, get_datasets, get_trained, holding_datasets
+from repro.experiments.common import (
+    Scale,
+    get_datasets,
+    get_trained,
+    get_validation_set,
+    holding_datasets,
+)
 from repro.experiments.runner import ALL_EXPERIMENTS, run_all
 from repro.experiments.table4_examples import image_to_ascii
 from repro.nn.compute import active_policy, compute_policy
@@ -100,6 +106,30 @@ class TestCommon:
         assert [ref() for ref in refs] == [None, None]
         assert _digest(get_datasets(MINI, seed=3)) == digest
         assert list(synthesized.values()) == [2]
+
+    def test_validation_set_is_held_and_rebuilt_bit_identical(self, monkeypatch):
+        calls = Counter()
+        generate = common.generate_synthetic_mnist
+
+        def counting(size, *, rng, name):
+            calls[(size, rng, active_policy().dtype_name)] += 1
+            return generate(size, rng=rng, name=name)
+
+        monkeypatch.setattr(common, "generate_synthetic_mnist", counting)
+        monkeypatch.setattr(common, "_dataset_cache", {})
+        monkeypatch.setattr(common, "_held", None)
+        validation = get_validation_set(20, seed=5)
+        digest = _digest([validation])
+        # The digits table3_accuracy synthesized inline before it cached them.
+        assert digest == _digest([generate(20, rng=5, name="table3-validation")])
+        assert get_validation_set(20, seed=5) is validation
+        ref = weakref.ref(validation)
+        del validation
+        assert ref() is None
+        with holding_datasets():
+            assert _digest([get_validation_set(20, seed=5)]) == digest
+            assert _digest([get_validation_set(20, seed=5)]) == digest
+        assert list(calls.values()) == [2]
 
     def test_holding_scope_keeps_pairs_until_it_exits(self, synthesized):
         with holding_datasets():

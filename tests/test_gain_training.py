@@ -171,6 +171,23 @@ class TestTrainCdln:
         assert ev.accuracy > 0.5
         assert ev.ops_improvement > 1.0
 
+    def test_heads_pool_only_where_the_architecture_says(
+        self, trained_3c, trained_3c_all_taps, trained_2c
+    ):
+        """MNIST_3C's O1 head pools P1 2x2; every other head, and MNIST_2C's
+        O1, maps its tap unpooled."""
+        assert ARCHITECTURES["mnist_3c"].head_pools == {1: 2}
+        assert ARCHITECTURES["mnist_2c"].head_pools == {}
+        for trained in (trained_3c, trained_3c_all_taps, trained_2c):
+            baseline = trained.baseline
+            for stage in trained.cdln.linear_stages:
+                clf = stage.classifier
+                assert clf.tap_shape == baseline.layers[stage.attach_index].output_shape
+                if trained is not trained_2c and stage.name == "O1":
+                    assert clf.pool.window == 2
+                else:
+                    assert clf.pool is None
+
     def test_admission_recorded(self, trained_3c):
         assert isinstance(trained_3c.admission, AdmissionResult)
         assert "O1" in trained_3c.admission.kept

@@ -170,3 +170,67 @@ class TestValidation:
         clf = LinearClassifier(classes, rule="ridge", rng=0).fit(x, y)
         assert clf.predict(x).shape == (n,)
         assert set(clf.predict(x)) <= set(range(classes))
+
+
+class TestPooledTap:
+    """A head that average-pools its (C, H, W) tap before the linear map."""
+
+    SHAPE = (3, 13, 13)  # MNIST_3C's P1, the O1 tap
+
+    def _fitted(self, rule="ridge"):
+        rng = np.random.default_rng(3)
+        x = rng.random((120, 507))
+        y = rng.integers(0, 10, 120)
+        clf = LinearClassifier(
+            10, rule=rule, rng=0, tap_shape=self.SHAPE, pool_window=2
+        ).fit(x, y)
+        return clf, x
+
+    def test_reads_the_whole_tap_and_maps_the_pooled_one(self):
+        clf, x = self._fitted()
+        assert clf.input_dim == 507
+        assert clf.weights.shape == (10, 3 * 6 * 6)
+        assert clf.scores(x).shape == (120, 10)
+        with pytest.raises(ShapeError):
+            clf.scores(x[:, :108])
+
+    @pytest.mark.parametrize("rule", ["ridge", "lms", "softmax"])
+    def test_scores_equal_a_dense_head_with_spread_weights(self, rule):
+        """The pooled head is a linear classifier on all 507 P1 features:
+        each pooled weight / 4 over its 2x2 block, zero on the 13th row and
+        column that no whole window covers."""
+        clf, x = self._fitted(rule)
+        blocks = clf.weights.reshape(10, 3, 6, 6) / 4
+        dense = np.zeros((10, *self.SHAPE), dtype=clf.weights.dtype)
+        dense[:, :, :12, :12] = blocks.repeat(2, axis=2).repeat(2, axis=3)
+        assert not dense[:, :, 12, :].any() and not dense[:, :, :, 12].any()
+        want = x.astype(clf.weights.dtype) @ dense.reshape(10, 507).T + clf.bias
+        rtol = 1e-12 if clf.weights.dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(clf.scores(x), want, rtol=rtol, atol=rtol)
+
+    def test_op_cost_adds_the_pool(self):
+        clf, _ = self._fitted()
+        cost = clf.op_cost()
+        # 108 windows x (3 adds + 1 scale), then a 10x108 map.
+        assert cost.macs == 10 * 108
+        assert cost.adds == 432 + 10 + 9
+        assert cost.total == 2641
+
+    def test_window_one_maps_the_tap_unpooled(self):
+        rng = np.random.default_rng(0)
+        x, y = rng.random((40, 507)), rng.integers(0, 10, 40)
+        plain = LinearClassifier(10, rng=0).fit(x, y)
+        tapped = LinearClassifier(10, rng=0, tap_shape=self.SHAPE).fit(x, y)
+        assert tapped.pool is None
+        np.testing.assert_array_equal(tapped.weights, plain.weights)
+        assert tapped.op_cost() == plain.op_cost()
+        with pytest.raises(ShapeError):
+            LinearClassifier(10, tap_shape=self.SHAPE).fit(x[:, :500], y)
+
+    def test_pool_needs_a_tap_shape(self):
+        with pytest.raises(ConfigurationError, match="tap_shape"):
+            LinearClassifier(10, pool_window=2)
+        with pytest.raises(ConfigurationError, match="tap_shape"):
+            LinearClassifier(10, tap_shape=(507,), pool_window=2)
+        with pytest.raises(ConfigurationError):
+            LinearClassifier(10, tap_shape=self.SHAPE, pool_window=0)
