@@ -8,6 +8,11 @@ rng)``: severity is a fraction in [0, 1] scaling the distortion magnitude
 an explicit :class:`numpy.random.Generator`, so a corrupted dataset is
 reproducible from a single integer seed.
 
+Pixel corruptions run :data:`_BLOCK` images at a time, in float64, as
+synthesis renders digits (:mod:`repro.data.synthetic_mnist`): the
+corrupted set is allocated once, in the active compute policy's dtype,
+and no float64 copy of the whole set is made for a single corruption.
+
 Corruptions compose with the synthetic-MNIST augmentation pipeline: they
 consume/produce the same ``(N, 1, H, W)`` float images in [0, 1] that
 :func:`repro.data.augment.augment_image` emits, and the affine jitter
@@ -26,21 +31,38 @@ import numpy as np
 from repro.data.augment import affine_matrix
 from repro.data.dataset import DigitDataset
 from repro.errors import ConfigurationError
+from repro.nn.compute import active_policy
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_fraction
+
+#: Images per float64 block: a 28x28 block is 200 KB, so a corruption's
+#: temporaries stay small however large the set.
+_BLOCK = 32
+
+#: ``corrupt(block, rows)``: one float64 block of images, corrupted.
+BlockFn = Callable[[np.ndarray, slice], np.ndarray]
 
 
 @dataclass(frozen=True)
 class Corruption:
     """One registered corruption transform.
 
-    ``fn`` takes ``(images, severity, rng)`` for pixel corruptions and
-    ``(labels, num_classes, severity, rng)`` for label corruptions
-    (``corrupts_labels=True``); both return a fresh array.
+    A label corruption (``corrupts_labels=True``) is
+    ``fn(labels, num_classes, severity, rng)`` and returns fresh labels.
+
+    A pixel corruption is ``fn(shape, severity, rng)`` for a set of
+    ``shape = (N, C, H, W)`` images and a severity in (0, 1]; severity 0
+    is the identity, for which :func:`apply_corruptions` never calls it.
+    It makes the draws that span the whole set, then returns a
+    :data:`BlockFn`, ``corrupt(block, rows)``, which receives the set's
+    ``rows`` (a slice of at most :data:`_BLOCK` images) as a fresh float64
+    ``block`` it may overwrite, and returns them corrupted.  Blocks arrive
+    in order, each once, with nothing else drawn in between, so a draw made
+    block by block follows the same stream as one draw over the whole set.
     """
 
     name: str
-    fn: Callable[..., np.ndarray]
+    fn: Callable[..., np.ndarray | BlockFn]
     corrupts_labels: bool = False
 
 
@@ -81,131 +103,132 @@ def corruption_names(*, labels: bool | None = None) -> tuple[str, ...]:
     )
 
 
-def _check_images(images: np.ndarray) -> np.ndarray:
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise ConfigurationError(
-            f"corruptions expect (N, C, H, W) images, got shape {images.shape}"
-        )
-    return images
+def _blocks(n: int):
+    """The row slices of :data:`_BLOCK`-image blocks over ``n`` images."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+
+
+def _unchanged(block: np.ndarray, rows: slice) -> np.ndarray:
+    """The :data:`BlockFn` of severity 0."""
+    return block
 
 
 # -- pixel corruptions ----------------------------------------------------------
 
 
 @register_corruption("gaussian_noise")
-def gaussian_noise(
-    images: np.ndarray, severity: float, rng: np.random.Generator
-) -> np.ndarray:
+def gaussian_noise(shape, severity: float, rng: np.random.Generator) -> BlockFn:
     """Additive zero-mean sensor noise, sigma up to 0.30 at severity 1."""
-    images = _check_images(images)
-    severity = check_fraction(severity, "severity")
-    if severity == 0:
-        return images.copy()
-    noise = rng.normal(0.0, 0.30 * severity, size=images.shape)
-    return np.clip(images + noise, 0.0, 1.0)
+    sigma = 0.30 * severity
+
+    def corrupt(block, rows):
+        block += rng.normal(0.0, sigma, size=block.shape)
+        return np.clip(block, 0.0, 1.0, out=block)
+
+    return corrupt
 
 
 @register_corruption("impulse_noise")
-def impulse_noise(
-    images: np.ndarray, severity: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Salt-and-pepper: up to 20 % of pixels forced to 0 or 1 at severity 1."""
-    images = _check_images(images)
-    severity = check_fraction(severity, "severity")
-    out = images.copy()
-    if severity == 0:
-        return out
-    flip = rng.random(images.shape) < 0.20 * severity
-    salt = rng.random(images.shape) < 0.5
-    out[flip & salt] = 1.0
-    out[flip & ~salt] = 0.0
-    return out
+def impulse_noise(shape, severity: float, rng: np.random.Generator) -> BlockFn:
+    """Salt-and-pepper: up to 20 % of pixels forced to 0 or 1 at severity 1.
+
+    Every pixel's flip is drawn before any pixel's salt, so the flip mask
+    covers the set; each block draws its salt as it comes.
+    """
+    flip = np.empty(shape, dtype=bool)
+    for rows in _blocks(shape[0]):
+        flip[rows] = rng.random(flip[rows].shape) < 0.20 * severity
+
+    def corrupt(block, rows):
+        salt = rng.random(block.shape) < 0.5
+        block[flip[rows] & salt] = 1.0
+        block[flip[rows] & ~salt] = 0.0
+        return block
+
+    return corrupt
 
 
 @register_corruption("blur")
-def blur(images: np.ndarray, severity: float, rng: np.random.Generator) -> np.ndarray:
+def blur(shape, severity: float, rng: np.random.Generator) -> BlockFn:
     """Gaussian defocus blur, sigma up to 1.8 px at severity 1 (no randomness)."""
-    images = _check_images(images)
-    severity = check_fraction(severity, "severity")
-    if severity == 0:
-        return images.copy()
-    sigma = 1.8 * severity
     from scipy import ndimage  # lazy: keeps scipy out of ``import repro``
 
-    return np.clip(
-        ndimage.gaussian_filter(images, sigma=(0.0, 0.0, sigma, sigma)), 0.0, 1.0
-    )
+    sigma = 1.8 * severity
+
+    def corrupt(block, rows):
+        out = ndimage.gaussian_filter(block, sigma=(0.0, 0.0, sigma, sigma))
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    return corrupt
 
 
 @register_corruption("occlusion")
-def occlusion(
-    images: np.ndarray, severity: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One zeroed square patch per image, side up to half the canvas."""
-    images = _check_images(images)
-    severity = check_fraction(severity, "severity")
-    out = images.copy()
-    if severity == 0:
-        return out
-    h, w = images.shape[2], images.shape[3]
+def occlusion(shape, severity: float, rng: np.random.Generator) -> BlockFn:
+    """One zeroed square patch per image, side up to half the canvas.
+
+    Every image's top is drawn before any image's left.
+    """
+    n, _, h, w = shape
     side = max(1, int(round(0.5 * severity * min(h, w))))
-    tops = rng.integers(0, h - side + 1, size=images.shape[0])
-    lefts = rng.integers(0, w - side + 1, size=images.shape[0])
-    for i, (top, left) in enumerate(zip(tops, lefts)):
-        out[i, :, top : top + side, left : left + side] = 0.0
-    return out
+    tops = rng.integers(0, h - side + 1, size=n)
+    lefts = rng.integers(0, w - side + 1, size=n)
+
+    def corrupt(block, rows):
+        for image, top, left in zip(block, tops[rows], lefts[rows]):
+            image[:, top : top + side, left : left + side] = 0.0
+        return block
+
+    return corrupt
 
 
 @register_corruption("contrast")
-def contrast(
-    images: np.ndarray, severity: float, rng: np.random.Generator
-) -> np.ndarray:
+def contrast(shape, severity: float, rng: np.random.Generator) -> BlockFn:
     """Compress dynamic range toward each image's mean (80 % at severity 1)."""
-    images = _check_images(images)
-    severity = check_fraction(severity, "severity")
-    if severity == 0:
-        return images.copy()
-    means = images.mean(axis=(2, 3), keepdims=True)
     factor = 1.0 - 0.8 * severity
-    return np.clip(means + (images - means) * factor, 0.0, 1.0)
+
+    def corrupt(block, rows):
+        means = block.mean(axis=(2, 3), keepdims=True)
+        block -= means
+        block *= factor
+        block += means
+        return np.clip(block, 0.0, 1.0, out=block)
+
+    return corrupt
 
 
 @register_corruption("affine_jitter")
-def affine_jitter(
-    images: np.ndarray, severity: float, rng: np.random.Generator
-) -> np.ndarray:
+def affine_jitter(shape, severity: float, rng: np.random.Generator) -> BlockFn:
     """Per-image rotation/shear/scale/translation jitter of the raster.
 
     Magnitudes at severity 1: 30 deg rotation, 0.25 shear, 20 % scale,
     12 % translation -- the camera-pose analogue of the stroke-space
-    jitter in :mod:`repro.data.augment`.
+    jitter in :mod:`repro.data.augment`.  Each image's draws are made as
+    its block comes.
     """
-    images = _check_images(images)
-    severity = check_fraction(severity, "severity")
-    out = images.copy()
-    if severity == 0:
-        return out
     from scipy import ndimage  # lazy: keeps scipy out of ``import repro``
 
-    n, c, h, w = images.shape
+    h, w = shape[2], shape[3]
     center = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
-    for i in range(n):
-        rotation = rng.uniform(-1, 1) * 30.0 * severity
-        shear = rng.uniform(-1, 1) * 0.25 * severity
-        scale_x = 1.0 + rng.uniform(-1, 1) * 0.20 * severity
-        scale_y = 1.0 + rng.uniform(-1, 1) * 0.20 * severity
-        shift = rng.uniform(-1, 1, size=2) * 0.12 * severity * np.array([h, w])
-        matrix = affine_matrix(rotation, shear, scale_x, scale_y)
-        # ndimage pulls input coordinates from output ones: x_in = M x_out
-        # + offset; invert the forward map and keep the canvas center fixed.
-        inverse = np.linalg.inv(matrix)
-        offset = center - inverse @ (center + shift)
-        for ch in range(c):
-            out[i, ch] = ndimage.affine_transform(
-                images[i, ch], inverse, offset=offset, order=1, mode="constant"
-            )
-    return np.clip(out, 0.0, 1.0)
+
+    def corrupt(block, rows):
+        for image in block:
+            rotation = rng.uniform(-1, 1) * 30.0 * severity
+            shear = rng.uniform(-1, 1) * 0.25 * severity
+            scale_x = 1.0 + rng.uniform(-1, 1) * 0.20 * severity
+            scale_y = 1.0 + rng.uniform(-1, 1) * 0.20 * severity
+            shift = rng.uniform(-1, 1, size=2) * 0.12 * severity * np.array([h, w])
+            matrix = affine_matrix(rotation, shear, scale_x, scale_y)
+            # ndimage pulls input coordinates from output ones: x_in = M x_out
+            # + offset; invert the forward map and keep the canvas center fixed.
+            inverse = np.linalg.inv(matrix)
+            offset = center - inverse @ (center + shift)
+            for channel in image:
+                channel[...] = ndimage.affine_transform(
+                    channel, inverse, offset=offset, order=1, mode="constant"
+                )
+        return np.clip(block, 0.0, 1.0, out=block)
+
+    return corrupt
 
 
 # -- label corruption -----------------------------------------------------------
@@ -251,19 +274,37 @@ def apply_corruptions(
     """A new dataset with a chain of ``(name, severity)`` corruptions applied.
 
     One generator threads through the whole chain, so the composite is as
-    deterministic as a single corruption.  Pixel corruptions compute in
-    float64 and hand float64 images down the chain; the returned dataset
-    rounds the result once, to the active compute policy's dtype.
+    deterministic as a single corruption.  The corruptions run in chain
+    order, each over the whole set before the next starts, so they draw
+    from the generator in that order.  A pixel corruption runs over
+    :data:`_BLOCK`-image float64 blocks.  The last one writes each block
+    into images of the active compute policy's dtype, so every pixel is
+    rounded once; the ones before it write into one float64 working array
+    that the next reads.
     """
     gen = ensure_rng(rng)
+    steps = [(get_corruption(n), check_fraction(s, "severity")) for n, s in specs]
+    pixel_steps = sum(not corruption.corrupts_labels for corruption, _ in steps)
     images, labels, name = dataset.images, dataset.labels, dataset.name
-    for corruption_name, severity in specs:
-        corruption = get_corruption(corruption_name)
+    working = None
+    for corruption, severity in steps:
         if corruption.corrupts_labels:
             labels = corruption.fn(labels, dataset.num_classes, severity, gen)
         else:
-            images = corruption.fn(images, severity, gen)
-        name = f"{name}+{corruption_name}@{severity:g}"
+            pixel_steps -= 1
+            if pixel_steps == 0:
+                out = np.empty(images.shape, dtype=active_policy().dtype)
+            elif working is None:
+                out = working = np.empty(images.shape, dtype=np.float64)
+            else:
+                out = working
+            corrupt = _unchanged
+            if severity:
+                corrupt = corruption.fn(images.shape, severity, gen)
+            for rows in _blocks(images.shape[0]):
+                out[rows] = corrupt(images[rows].astype(np.float64), rows)
+            images = out
+        name = f"{name}+{corruption.name}@{severity:g}"
     return DigitDataset(
         images=images,
         labels=labels,

@@ -70,13 +70,17 @@ class DigitDataset:
         return tuple(self.images.shape[1:])  # type: ignore[return-value]
 
     def subset(self, indices: np.ndarray, name: str | None = None) -> "DigitDataset":
-        """A new dataset restricted to ``indices`` (copying the views)."""
+        """A new dataset restricted to ``indices``.
+
+        Indexing with an array, a 0-d one included, returns a copy, so each
+        array is copied once and shares no memory with this dataset.
+        """
         indices = np.asarray(indices)
         return DigitDataset(
-            images=self.images[indices].copy(),
-            labels=self.labels[indices].copy(),
+            images=self.images[indices],
+            labels=self.labels[indices],
             num_classes=self.num_classes,
-            difficulty=self.difficulty[indices].copy(),
+            difficulty=self.difficulty[indices],
             name=name or self.name,
         )
 

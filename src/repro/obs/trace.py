@@ -101,14 +101,14 @@ class TraceRecorder:
         self._lock = threading.Lock()
         forksafe.register(self)
         self._file: IO[str] | None = self.path.open("w")
-        self._records = 0
+        self._lines = 0
         header = {
             "kind": "header",
             "schema": TRACE_SCHEMA,
             "created_unix": time.time(),
             **(meta or {}),
         }
-        self._write(header)
+        self.record(header)
 
     @property
     def closed(self) -> bool:
@@ -117,16 +117,7 @@ class TraceRecorder:
     @property
     def records_written(self) -> int:
         """Records written so far (header excluded)."""
-        return self._records
-
-    def _write(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, allow_nan=False)
-        with self._lock:
-            if self._file is None:
-                raise SerializationError(
-                    f"trace recorder for {self.path} is closed"
-                )
-            self._file.write(line + "\n")
+        return self._lines - 1
 
     def record(self, record: dict) -> None:
         """Append one record (the caller supplies ``kind``)."""
@@ -137,7 +128,7 @@ class TraceRecorder:
                     f"trace recorder for {self.path} is closed"
                 )
             self._file.write(line + "\n")
-            self._records += 1
+            self._lines += 1
 
     def _reinit_locks(self) -> None:
         """After-fork hook (:mod:`repro.obs.forksafe`): the parent may
@@ -162,7 +153,7 @@ class TraceRecorder:
         self.close()
 
     def __repr__(self) -> str:
-        state = "closed" if self.closed else f"{self._records} record(s)"
+        state = "closed" if self.closed else f"{self.records_written} record(s)"
         return f"TraceRecorder({str(self.path)!r}, {state})"
 
 

@@ -201,6 +201,31 @@ class TestDigitDataset:
         assert len(sub) == 3
         np.testing.assert_array_equal(sub.labels, ds.labels[[0, 5, 7]])
 
+    @pytest.mark.parametrize(
+        "indices", [np.array([4, 0, 7]), np.arange(20), 3, np.int64(3)]
+    )
+    def test_subset_is_fresh_for_every_index_kind(self, indices):
+        ds = self.make()
+        sub = ds.subset(indices)
+        for got, whole in zip(
+            (sub.images, sub.labels, sub.difficulty),
+            (ds.images, ds.labels, ds.difficulty),
+        ):
+            assert not np.shares_memory(got, whole)
+            np.testing.assert_array_equal(got.ravel(), whole[indices].ravel())
+
+    def test_subset_copies_each_array_once(self):
+        with compute_policy("float32"):
+            ds = DigitDataset(np.zeros((1000, 1, 28, 28)), np.zeros(1000, dtype=int))
+            tracemalloc.start()
+            try:
+                sub = ds.subset(np.arange(1000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sub.images.nbytes == 3_136_000
+        assert peak < sub.images.nbytes + 2**18  # a second copy would double it
+
     def test_for_class(self):
         ds = self.make()
         for digit in range(10):
