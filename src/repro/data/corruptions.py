@@ -2,16 +2,20 @@
 
 The paper's efficiency claim rests on "most inputs are easy"; these
 transforms are how the scenario suite makes inputs *stop* being easy in a
-controlled way.  Every corruption is a pure function of ``(data, severity,
-rng)``: severity is a fraction in [0, 1] scaling the distortion magnitude
-(0 is the identity for every corruption), and all randomness flows through
-an explicit :class:`numpy.random.Generator`, so a corrupted dataset is
-reproducible from a single integer seed.
+controlled way.  A corruption is applied at a severity, a fraction in
+[0, 1] scaling the distortion magnitude, and all its randomness flows
+through an explicit :class:`numpy.random.Generator`, so a corrupted
+dataset is reproducible from a single integer seed.
+:func:`apply_corruptions` treats severity 0 as the identity and never
+calls the corruption for it.
 
-Pixel corruptions run :data:`_BLOCK` images at a time, in float64, as
-synthesis renders digits (:mod:`repro.data.synthetic_mnist`): the
-corrupted set is allocated once, in the active compute policy's dtype,
-and no float64 copy of the whole set is made for a single corruption.
+A pixel corruption is registered as ``fn(shape, severity, rng)`` and
+returns a :data:`BlockFn` that corrupts one block of the set at a time
+(see :class:`Corruption`).  The blocks are
+:func:`~repro.data.dataset.image_blocks` float64 copies, as synthesis
+renders digits (:mod:`repro.data.synthetic_mnist`): the corrupted set is
+allocated once, in the active compute policy's dtype, and no float64 copy
+of the whole set is made for a single corruption.
 
 Corruptions compose with the synthetic-MNIST augmentation pipeline: they
 consume/produce the same ``(N, 1, H, W)`` float images in [0, 1] that
@@ -29,15 +33,11 @@ from typing import Callable
 import numpy as np
 
 from repro.data.augment import affine_matrix
-from repro.data.dataset import DigitDataset
+from repro.data.dataset import DigitDataset, image_blocks
 from repro.errors import ConfigurationError
 from repro.nn.compute import active_policy
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_fraction
-
-#: Images per float64 block: a 28x28 block is 200 KB, so a corruption's
-#: temporaries stay small however large the set.
-_BLOCK = 32
 
 #: ``corrupt(block, rows)``: one float64 block of images, corrupted.
 BlockFn = Callable[[np.ndarray, slice], np.ndarray]
@@ -55,10 +55,11 @@ class Corruption:
     is the identity, for which :func:`apply_corruptions` never calls it.
     It makes the draws that span the whole set, then returns a
     :data:`BlockFn`, ``corrupt(block, rows)``, which receives the set's
-    ``rows`` (a slice of at most :data:`_BLOCK` images) as a fresh float64
-    ``block`` it may overwrite, and returns them corrupted.  Blocks arrive
-    in order, each once, with nothing else drawn in between, so a draw made
-    block by block follows the same stream as one draw over the whole set.
+    ``rows`` (one slice of :func:`~repro.data.dataset.image_blocks`) as a
+    fresh float64 ``block`` it may overwrite, and returns them corrupted.
+    Blocks arrive in order, each once, with nothing else drawn in between,
+    so a draw made block by block follows the same stream as one draw over
+    the whole set.
     """
 
     name: str
@@ -73,7 +74,9 @@ CORRUPTIONS: dict[str, Corruption] = {}
 def register_corruption(name: str, *, corrupts_labels: bool = False):
     """Decorator registering a corruption under ``name``."""
 
-    def decorate(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    def decorate(
+        fn: Callable[..., np.ndarray | BlockFn],
+    ) -> Callable[..., np.ndarray | BlockFn]:
         if name in CORRUPTIONS:
             raise ConfigurationError(f"corruption {name!r} is already registered")
         CORRUPTIONS[name] = Corruption(name, fn, corrupts_labels=corrupts_labels)
@@ -101,11 +104,6 @@ def corruption_names(*, labels: bool | None = None) -> tuple[str, ...]:
             if labels is None or c.corrupts_labels == labels
         )
     )
-
-
-def _blocks(n: int):
-    """The row slices of :data:`_BLOCK`-image blocks over ``n`` images."""
-    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
 def _unchanged(block: np.ndarray, rows: slice) -> np.ndarray:
@@ -136,7 +134,7 @@ def impulse_noise(shape, severity: float, rng: np.random.Generator) -> BlockFn:
     covers the set; each block draws its salt as it comes.
     """
     flip = np.empty(shape, dtype=bool)
-    for rows in _blocks(shape[0]):
+    for rows in image_blocks(shape[0]):
         flip[rows] = rng.random(flip[rows].shape) < 0.20 * severity
 
     def corrupt(block, rows):
@@ -276,11 +274,11 @@ def apply_corruptions(
     One generator threads through the whole chain, so the composite is as
     deterministic as a single corruption.  The corruptions run in chain
     order, each over the whole set before the next starts, so they draw
-    from the generator in that order.  A pixel corruption runs over
-    :data:`_BLOCK`-image float64 blocks.  The last one writes each block
-    into images of the active compute policy's dtype, so every pixel is
-    rounded once; the ones before it write into one float64 working array
-    that the next reads.
+    from the generator in that order.  A pixel corruption runs over the
+    float64 blocks of :func:`~repro.data.dataset.image_blocks`.  The last
+    one writes each block into images of the active compute policy's
+    dtype, so every pixel is rounded once; the ones before it write into
+    one float64 working array that the next reads.
     """
     gen = ensure_rng(rng)
     steps = [(get_corruption(n), check_fraction(s, "severity")) for n, s in specs]
@@ -301,7 +299,7 @@ def apply_corruptions(
             corrupt = _unchanged
             if severity:
                 corrupt = corruption.fn(images.shape, severity, gen)
-            for rows in _blocks(images.shape[0]):
+            for rows in image_blocks(images.shape[0]):
                 out[rows] = corrupt(images[rows].astype(np.float64), rows)
             images = out
         name = f"{name}+{corruption.name}@{severity:g}"

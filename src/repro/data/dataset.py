@@ -15,6 +15,19 @@ from repro.errors import DataError
 from repro.nn.compute import active_policy
 from repro.utils.rng import ensure_rng
 
+#: Images per float64 block where a set is built block by block into the
+#: compute dtype (synthesis, corruptions): enough to amortize numpy's
+#: per-call cost, few enough that a block's temporaries stay at a few MB.
+IMAGES_PER_BLOCK = 32
+
+
+def image_blocks(n: int):
+    """The row slices of :data:`IMAGES_PER_BLOCK`-image blocks over ``n`` images."""
+    return (
+        slice(start, start + IMAGES_PER_BLOCK)
+        for start in range(0, n, IMAGES_PER_BLOCK)
+    )
+
 
 @dataclass
 class DigitDataset:

@@ -22,7 +22,7 @@ from repro.data.augment import (
     draw_raster_augmentation,
     transform_strokes,
 )
-from repro.data.dataset import DigitDataset
+from repro.data.dataset import DigitDataset, image_blocks
 from repro.data.glyphs import DIGIT_STYLE_VARIABILITY, glyph_strokes
 from repro.data.rasterize import IMAGE_SIZE, rasterize_batch
 from repro.errors import ConfigurationError
@@ -69,11 +69,6 @@ class SyntheticMnistConfig:
             raise ConfigurationError("Beta shape parameters must be > 0")
         if set(self.class_variability) != set(range(10)):
             raise ConfigurationError("class_variability must cover digits 0..9")
-
-
-#: Digits rendered per batch: enough to amortize numpy's per-call cost,
-#: few enough that a batch's raster temporaries stay at a few MB.
-_BATCH = 32
 
 
 def render_digits(
@@ -125,8 +120,9 @@ def generate_synthetic_mnist(
 ) -> DigitDataset:
     """Generate a difficulty-annotated synthetic digit dataset.
 
-    Digits are rendered in float64, :data:`_BATCH` at a time, and each
-    batch is written into images of the active compute policy's dtype, so
+    Digits are rendered in float64, one
+    :func:`~repro.data.dataset.image_blocks` block at a time, and each
+    block is written into images of the active compute policy's dtype, so
     every pixel is rounded once and no float64 copy of the whole set is
     made.  The float64 pixels, labels, difficulties and generator draws do
     not depend on the policy.
@@ -159,10 +155,9 @@ def generate_synthetic_mnist(
         (num_samples, 1, config.image_size, config.image_size),
         dtype=active_policy().dtype,
     )
-    for start in range(0, num_samples, _BATCH):
-        batch = slice(start, start + _BATCH)
-        images[batch, 0] = render_digits(
-            labels[batch].tolist(), difficulty[batch].tolist(), config, rng
+    for rows in image_blocks(num_samples):
+        images[rows, 0] = render_digits(
+            labels[rows].tolist(), difficulty[rows].tolist(), config, rng
         )
     return DigitDataset(
         images=images,

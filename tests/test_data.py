@@ -187,6 +187,12 @@ class TestDigitDataset:
         ds = DigitDataset(np.zeros((5, 8, 8)), np.zeros(5, dtype=int))
         assert ds.images.shape == (5, 1, 8, 8)
 
+    def test_bad_image_rank_rejected(self):
+        # Corruptions and the models rely on every set being (N, C, H, W).
+        for shape in [(5,), (5, 8), (5, 1, 1, 8, 8)]:
+            with pytest.raises(DataError, match="images must be"):
+                DigitDataset(np.zeros(shape), np.zeros(5, dtype=int))
+
     def test_label_range_checked(self):
         with pytest.raises(DataError):
             DigitDataset(np.zeros((2, 1, 8, 8)), np.array([0, 10]))
